@@ -63,7 +63,7 @@ main()
                     crossoverOn(a100, rng));
 
         core::LakeConfig cfg;
-        cfg.device = gpu::DeviceSpec::modest();
+        cfg.fleet.spec = gpu::DeviceSpec::modest();
         core::Lake modest(cfg);
         std::printf("    %-36s %zu\n",
                     modest.device().spec().name.c_str(),

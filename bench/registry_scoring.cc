@@ -63,27 +63,6 @@ now()
         .count();
 }
 
-/** The LinnOS feature names, as the e2e path declares them. */
-const std::array<std::string, storage::kLinnosHistory> kLatFeature = {
-    "io_lat0", "io_lat1", "io_lat2", "io_lat3"};
-
-/** Builds the 31-feature matrix from registry feature vectors. */
-ml::Matrix
-featurize(const std::vector<registry::FeatureVector> &fvs)
-{
-    ml::Matrix x(fvs.size(), storage::kLinnosFeatures);
-    for (std::size_t r = 0; r < fvs.size(); ++r) {
-        std::array<std::uint32_t, storage::kLinnosHistory> hist{};
-        for (std::size_t h = 0; h < storage::kLinnosHistory; ++h)
-            hist[h] = static_cast<std::uint32_t>(
-                fvs[r].get(kLatFeature[h]));
-        storage::encodeLinnosFeatures(
-            static_cast<std::uint32_t>(fvs[r].get("pend_ios")), hist,
-            x.row(r));
-    }
-    return x;
-}
-
 } // namespace
 
 int
@@ -115,17 +94,14 @@ main(int argc, char **argv)
     registry::RegistryManager mgr(clock);
     registry::Classifier classify =
         [&mlp](const std::vector<registry::FeatureVector> &fvs) {
-            ml::Matrix x = featurize(fvs);
+            ml::Matrix x = storage::featurizeLinnos(fvs);
             std::vector<int> c = mlp.classify(x);
             return std::vector<float>(c.begin(), c.end());
         };
     std::vector<std::string> names;
     for (std::size_t d = 0; d < kDevices; ++d) {
         names.push_back("nvme" + std::to_string(d));
-        registry::Schema schema;
-        schema.add("pend_ios");
-        for (const std::string &f : kLatFeature)
-            schema.add(f);
+        registry::Schema schema = storage::linnosSchema();
         Status st = mgr.createRegistry(names[d], kSys, schema, 8);
         if (!st.isOk()) {
             std::fprintf(stderr, "createRegistry: %s\n",
@@ -297,10 +273,7 @@ main(int argc, char **argv)
     std::vector<registry::Registry *> soa_regs;
     std::vector<registry::CaptureHandle> soa_caps;
     for (std::size_t d = 0; d < kDevices; ++d) {
-        registry::Schema schema;
-        schema.add("pend_ios");
-        for (const std::string &f : kLatFeature)
-            schema.add(f);
+        registry::Schema schema = storage::linnosSchema();
         st = soa_mgr.createRegistry(names[d], kSys, schema,
                                     max_batch * 4);
         if (!st.isOk()) {
@@ -311,19 +284,8 @@ main(int argc, char **argv)
         registry::Registry *reg = soa_mgr.find(names[d], kSys);
         // Seal-time encoder: the LinnOS digit encoding runs once per
         // commit; scoring reads finished float rows out of shm.
-        reg->soa()->setFloatEncoder(
-            storage::kLinnosFeatures,
-            [](const registry::SoaStore::RowReader &row, float *out) {
-                std::array<std::uint32_t, storage::kLinnosHistory>
-                    hist{};
-                for (std::size_t h = 0; h < storage::kLinnosHistory;
-                     ++h)
-                    hist[h] = static_cast<std::uint32_t>(
-                        row.value(static_cast<std::uint32_t>(1 + h)));
-                storage::encodeLinnosFeatures(
-                    static_cast<std::uint32_t>(row.value(0)), hist,
-                    out);
-            });
+        reg->soa()->setFloatEncoder(storage::kLinnosFeatures,
+                                    storage::encodeLinnosRow);
         st = reg->registerViewClassifier(registry::Arch::Cpu,
                                          view_classify);
         if (!st.isOk()) {

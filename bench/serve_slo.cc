@@ -46,26 +46,6 @@ namespace {
 constexpr std::size_t kShards = 4;
 constexpr const char *kSys = "serve_slo";
 
-const std::array<std::string, storage::kLinnosHistory> kLatFeature = {
-    "io_lat0", "io_lat1", "io_lat2", "io_lat3"};
-
-/** Builds the 31-feature matrix from registry feature vectors. */
-ml::Matrix
-featurize(const std::vector<registry::FeatureVector> &fvs)
-{
-    ml::Matrix x(fvs.size(), storage::kLinnosFeatures);
-    for (std::size_t r = 0; r < fvs.size(); ++r) {
-        std::array<std::uint32_t, storage::kLinnosHistory> hist{};
-        for (std::size_t h = 0; h < storage::kLinnosHistory; ++h)
-            hist[h] =
-                static_cast<std::uint32_t>(fvs[r].get(kLatFeature[h]));
-        storage::encodeLinnosFeatures(
-            static_cast<std::uint32_t>(fvs[r].get("pend_ios")), hist,
-            x.row(r));
-    }
-    return x;
-}
-
 /** One LinnOS-shaped request with plausible feature values. */
 registry::FeatureVector
 makeFv(Rng &rng, Nanos now)
@@ -74,7 +54,7 @@ makeFv(Rng &rng, Nanos now)
     fv.ts_begin = now;
     fv.ts_end = now;
     fv.values[registry::featureKey("pend_ios")] = {rng.uniformInt(0, 31)};
-    for (const std::string &f : kLatFeature)
+    for (const std::string &f : storage::kLinnosLatFeatures)
         fv.values[registry::featureKey(f)] = {rng.uniformInt(50, 2000)};
     return fv;
 }
@@ -98,16 +78,13 @@ struct Stack
     {
         registry::Classifier classify =
             [this](const std::vector<registry::FeatureVector> &fvs) {
-                ml::Matrix x = featurize(fvs);
+                ml::Matrix x = storage::featurizeLinnos(fvs);
                 Nanos t0 = clock.now();
                 std::vector<int> c = mlp.classify(x);
                 busy += clock.now() - t0;
                 return std::vector<float>(c.begin(), c.end());
             };
-        registry::Schema schema;
-        schema.add("pend_ios");
-        for (const std::string &f : kLatFeature)
-            schema.add(f);
+        registry::Schema schema = storage::linnosSchema();
         for (std::size_t i = 0; i < kShards; ++i) {
             shards.push_back("shard" + std::to_string(i));
             if (!mgr.createRegistry(shards.back(), kSys, schema, 8)

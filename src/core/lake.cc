@@ -7,12 +7,35 @@
 
 namespace lake::core {
 
+namespace {
+
+/** @p c with the fleet it boots: one device and shard unless enabled. */
+LakeConfig
+inForce(LakeConfig c)
+{
+    gpu::FleetConfig &f = c.fleet;
+    if (!f.enabled) {
+        f.devices = 1;
+        f.shards = 1;
+        f.weights.clear();
+    }
+    f.shards = std::min(std::max<std::size_t>(1, f.shards), f.devices);
+    return c;
+}
+
+} // namespace
+
 Lake::Lake(LakeConfig config)
-    : config_(config), arena_(config.shm_bytes), device_(config.device),
-      channel_(config.channel, clock_),
-      daemon_(channel_, arena_, device_, clock_),
-      lib_(channel_, arena_, [this] { daemon_.processPending(); }),
-      registries_(clock_), kernel_cpu_(clock_, config.cpu)
+    : config_(inForce(std::move(config))), fleet_(config_.fleet),
+      shards_(fleet_, config_.fleet.shards,
+              remote::ShardParams{.channel = config_.channel,
+                                  .shm_bytes = config_.shm_bytes,
+                                  .degrade_threshold =
+                                      config_.degrade_threshold,
+                                  .retry = config_.retry,
+                                  .pipeline = config_.pipeline}),
+      router_(shards_, policy::FleetPlacementPolicy::Config{}),
+      registries_(lane().clock()), kernel_cpu_(lane().clock(), config_.cpu)
 {
     obs::configure(config_.obs);
     // Bind the tracer to this system's clock while tracing is live
@@ -20,14 +43,12 @@ Lake::Lake(LakeConfig config)
     // it), so clock-less instrumentation sites get real timestamps.
     bound_tracer_clock_ = obs::Tracer::global().enabled();
     if (bound_tracer_clock_)
-        obs::Tracer::global().bindClock(&clock_);
-    lib_.setRetryPolicy(config.retry);
-    lib_.setPipeline(config.pipeline);
+        obs::Tracer::global().bindClock(&clock());
     // SoA plane first: it changes what createRegistry() builds, and
     // every subsystem (scoring service included) creates registries
     // only after boot returns.
     if (config_.soa_plane.enabled) {
-        Status s = registries_.enableSoa(config_.soa_plane, &arena_);
+        Status s = registries_.enableSoa(config_.soa_plane, &arena());
         LAKE_ASSERT(s.isOk(), "SoA plane boot failed: %s",
                     s.message().c_str());
     }
@@ -40,29 +61,7 @@ Lake::Lake(LakeConfig config)
     }
     if (config_.streaming.enabled)
         streaming_ = std::make_unique<remote::StreamOrchestrator>(
-            lib_, clock_, config_.streaming);
-    // Latch degraded mode after degrade_threshold consecutive RPC
-    // failures; any success before that resets the streak. The latch
-    // is per remoting lane (ShardHealth), not per system.
-    lib_.setFailureObserver([this](const Status &s) {
-        health_.observe(s, config_.degrade_threshold, "lake");
-    });
-    if (config_.fleet.enabled) {
-        fleet_ = std::make_unique<gpu::DeviceFleet>(config_.fleet);
-        remote::ShardParams params;
-        params.channel = config_.channel;
-        params.shm_bytes = config_.shm_bytes;
-        params.degrade_threshold = config_.degrade_threshold;
-        params.retry = config_.retry;
-        params.pipeline = config_.pipeline;
-        std::size_t shards =
-            std::max<std::size_t>(1, config_.fleet.shards);
-        shards = std::min(shards, fleet_->size());
-        shards_ = std::make_unique<remote::ShardFleet>(*fleet_, shards,
-                                                       params);
-        router_ = std::make_unique<remote::FleetRouter>(
-            *shards_, policy::FleetPlacementPolicy::Config{});
-    }
+            lib(), clock(), config_.streaming);
 }
 
 Lake::~Lake()
@@ -79,55 +78,19 @@ Lake::publishObs() const
 {
     if (!obs::Metrics::global().enabled())
         return;
-    lib_.publishMetrics();
-    daemon_.publishMetrics();
+    const remote::LakeShard &sh = shards_.shard(0);
+    sh.lib().publishMetrics();
+    sh.daemon().publishMetrics();
     if (streaming_)
         streaming_->publishMetrics();
-    if (router_)
-        router_->publishMetrics();
-}
-
-policy::UtilProbe
-Lake::nvmlProbe()
-{
-    // Starts pessimistic: until a query succeeds, report the device as
-    // fully contended so contention policies prefer the CPU.
-    auto last = std::make_shared<double>(100.0);
-    return [this, last](Nanos) {
-        remote::RemoteUtilization util;
-        gpu::CuResult r = lib_.nvmlGetUtilization(&util);
-        if (r == gpu::CuResult::Success)
-            *last = static_cast<double>(util.gpu);
-        return *last;
-    };
-}
-
-void
-Lake::resetDegraded()
-{
-    health_.reset();
+    router_.publishMetrics();
 }
 
 RemoteStats
-Lake::remoteStats() const
+Lake::remoteStats(std::size_t shard) const
 {
+    const remote::LakeShard &sh = shards_.shard(shard);
     RemoteStats s;
-    s.faults_seen = lib_.faultsSeen();
-    s.retries = lib_.retries();
-    s.fallbacks = health_.fallbacks.load(std::memory_order_relaxed);
-    s.degraded = degraded();
-    return s;
-}
-
-RemoteStats
-Lake::shardStats(std::size_t shard) const
-{
-    RemoteStats s;
-    if (!shards_ || shard >= shards_->size())
-        return s;
-    // shard() is non-const only because it hands out mutable stacks;
-    // reading counters is safe from a const Lake.
-    auto &sh = const_cast<remote::ShardFleet *>(shards_.get())->shard(shard);
     s.faults_seen = sh.lib().faultsSeen();
     s.retries = sh.lib().retries();
     s.fallbacks = sh.health().fallbacks.load(std::memory_order_relaxed);
@@ -135,12 +98,19 @@ Lake::shardStats(std::size_t shard) const
     return s;
 }
 
+void
+Lake::setPipeline(remote::PipelineConfig p)
+{
+    for (std::size_t k = 0; k < shards_.size(); ++k)
+        shards_.shard(k).lib().setPipeline(p);
+}
+
 std::unique_ptr<policy::ExecPolicy>
 Lake::degradationGuard(std::unique_ptr<policy::ExecPolicy> inner)
 {
     return std::make_unique<policy::FallbackPolicy>(
         std::move(inner), [this] { return degraded(); },
-        [this] { ++health_.fallbacks; });
+        [this] { noteFallback(); });
 }
 
 } // namespace lake::core

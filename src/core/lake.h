@@ -18,7 +18,7 @@
  * @endcode
  */
 
-#include <atomic>
+#include <cstddef>
 #include <memory>
 
 #include "base/time.h"
@@ -26,15 +26,15 @@
 #include "gpu/device.h"
 #include "gpu/fleet.h"
 #include "gpu/spec.h"
-#include "remote/fleet.h"
 #include "ml/backends.h"
 #include "obs/obs.h"
 #include "policy/policy.h"
 #include "registry/manager.h"
 #include "remote/daemon.h"
-#include "serve/serve.h"
+#include "remote/fleet.h"
 #include "remote/lakelib.h"
 #include "remote/streampool.h"
+#include "serve/serve.h"
 #include "shm/arena.h"
 
 namespace lake::core {
@@ -46,8 +46,6 @@ struct LakeConfig
     channel::Kind channel = channel::Kind::Netlink;
     /** lakeShm region size (the paper boots with cma=128M). */
     std::size_t shm_bytes = 128ull << 20;
-    /** Accelerator model. */
-    gpu::DeviceSpec device = gpu::DeviceSpec::a100();
     /** Host CPU model (for in-kernel fallback execution). */
     gpu::CpuSpec cpu = gpu::CpuSpec::xeonGold6226R();
     /**
@@ -105,13 +103,14 @@ struct LakeConfig
      */
     serve::ServeConfig serving;
     /**
-     * Sharded multi-device fleet (DESIGN.md §13), default off: with
-     * fleet.enabled false no extra device, shard, or router is
-     * constructed and the single-device stack above is bit-identical
-     * to the pre-fleet runtime. When enabled, boot builds
-     * fleet.devices simulated devices in disjoint VA windows,
-     * fleet.shards lakeD worker shards over them, and a FleetRouter
-     * whose policies place work per device.
+     * The device fleet (DESIGN.md §13). Lake always boots a fleet,
+     * lakeD shards over it and a FleetRouter; fleet.spec is the
+     * accelerator model of every device. With fleet.enabled false
+     * (the default) the fleet is one device behind one shard, which is
+     * bit-identical to the classic single-device stack. When enabled,
+     * fleet.devices devices in disjoint VA windows sit behind
+     * fleet.shards shards, and the router's policies place work per
+     * device.
      */
     gpu::FleetConfig fleet;
 };
@@ -130,7 +129,10 @@ struct RemoteStats
 };
 
 /**
- * A booted LAKE system sharing one virtual clock.
+ * A booted LAKE system: a device fleet, the lakeD shards fronting it
+ * and the feature-registry manager. The single-lane accessors (clock,
+ * arena, channel, daemon, lib, device) name shard 0 and device 0 —
+ * the whole system unless config.fleet.enabled.
  */
 class Lake
 {
@@ -145,88 +147,82 @@ class Lake
      */
     ~Lake();
 
-    /** The system-wide virtual clock. */
-    Clock &clock() { return clock_; }
-    /** The lakeShm arena (shared by both sides). */
-    shm::ShmArena &arena() { return arena_; }
-    /** The accelerator. */
-    gpu::Device &device() { return device_; }
-    /** The command channel. */
-    channel::Channel &channel() { return channel_; }
-    /** lakeD, the user-space API executor. */
-    remote::LakeDaemon &daemon() { return daemon_; }
-    /** lakeLib, the kernel-space stubs. */
-    remote::LakeLib &lib() { return lib_; }
+    /** Shard 0's virtual clock, which registries and kernelCpu share. */
+    Clock &clock() { return lane().clock(); }
+    /** Shard 0's lakeShm arena (shared by both sides). */
+    shm::ShmArena &arena() { return lane().arena(); }
+    /** Device 0 of the fleet. */
+    gpu::Device &device() { return fleet_.at(0); }
+    /** Shard 0's command channel. */
+    channel::Channel &channel() { return lane().channel(); }
+    /** Shard 0's lakeD, the user-space API executor. */
+    remote::LakeDaemon &daemon() { return lane().daemon(); }
+    /**
+     * Shard 0's lakeLib, the kernel-space stubs. When shard 0 fronts
+     * several devices, activate the target under its mu() first.
+     */
+    remote::LakeLib &lib() { return lane().lib(); }
     /** Feature registries and models (Table 1). */
     registry::RegistryManager &registries() { return registries_; }
     /** Kernel-context CPU compute model. */
     ml::KernelCpu &kernelCpu() { return kernel_cpu_; }
     /**
-     * The streaming DMA orchestrator, or nullptr when
+     * The streaming DMA orchestrator over shard 0, or nullptr when
      * config.streaming.enabled is false (the default).
      */
     remote::StreamOrchestrator *streaming() { return streaming_.get(); }
-    /** Configuration in force. */
+    /**
+     * Configuration in force: fleet.devices and fleet.shards are the
+     * booted counts (1 and 1 unless fleet.enabled).
+     */
     const LakeConfig &config() const { return config_; }
 
-    /// @name Device fleet (DESIGN.md §13); null unless fleet.enabled
+    /// @name Device fleet (DESIGN.md §13)
     /// @{
 
-    /** The device fleet, or nullptr (the default single-device path). */
-    gpu::DeviceFleet *fleet() { return fleet_.get(); }
-    /** The lakeD worker shards, or nullptr. */
-    remote::ShardFleet *shardFleet() { return shards_.get(); }
-    /** The placement router, or nullptr. */
-    remote::FleetRouter *router() { return router_.get(); }
-
-    /**
-     * Remoting-health counters of one shard. Per-shard on purpose
-     * (the bugfix this PR carries): one sick device's failures must
-     * be visible — and actionable — without implicating the fleet.
-     */
-    RemoteStats shardStats(std::size_t shard) const;
+    /** The device fleet. */
+    gpu::DeviceFleet &fleet() { return fleet_; }
+    /** The lakeD worker shards. */
+    remote::ShardFleet &shardFleet() { return shards_; }
+    /** The placement router. */
+    remote::FleetRouter &router() { return router_; }
 
     /// @}
 
-    /**
-     * A utilization probe for contention policies: each call performs
-     * a LAKE-remoted NVML query (so it really costs channel time and
-     * really observes the simulated device). When the query fails the
-     * probe returns the last reading it saw (initially 100%, i.e.
-     * "assume contended") instead of panicking.
-     */
-    policy::UtilProbe nvmlProbe();
+    /** Device 0's remoted NVML probe (LakeShard::utilProbe). */
+    policy::UtilProbe nvmlProbe() { return lane().utilProbe(0); }
 
-    /// @name Failure semantics (ISSUE 2)
+    /// @name Failure semantics (DESIGN.md §6)
     /// @{
 
     /**
-     * True once repeated remoting failures latched degraded mode:
-     * policies wrapped by degradationGuard() pick the CPU from then on.
+     * True once repeated remoting failures latched shard 0's degraded
+     * mode: policies wrapped by degradationGuard() pick the CPU.
      */
     bool
     degraded() const
     {
-        return health_.degraded.load(std::memory_order_relaxed);
+        return shards_.shard(0).health().degraded.load(
+            std::memory_order_relaxed);
     }
 
     /**
-     * Operator action: re-arms accelerator use after the remoting path
-     * has been repaired (e.g. lakeD restarted).
+     * Operator action: re-arms accelerator use after shard 0's remoting
+     * path has been repaired (e.g. lakeD restarted).
      */
-    void resetDegraded();
+    void resetDegraded() { lane().health().reset(); }
 
-    /** Remoting-health counters (faults_seen, retries, fallbacks). */
-    RemoteStats remoteStats() const;
+    /** Remoting-health counters of one shard (shards latch alone). */
+    RemoteStats remoteStats(std::size_t shard = 0) const;
 
     /**
-     * Reconfigures command pipelining at runtime (any pending batch is
-     * flushed first, so no queued command is lost or reordered).
+     * Reconfigures every shard's command pipelining at runtime (pending
+     * batches are flushed first: nothing is lost or reordered).
      */
-    void setPipeline(remote::PipelineConfig p) { lib_.setPipeline(p); }
+    void setPipeline(remote::PipelineConfig p);
 
     /**
-     * Wraps @p inner in a FallbackPolicy bound to this Lake's health:
+     * Wraps @p inner in a FallbackPolicy bound to shard 0's health:
      * while degraded() the wrapped policy returns Engine::Cpu and the
      * fallbacks counter grows. Drop the result into any registry via
      * registerPolicy — the Fig. 3 plumbing needs no other change.
@@ -238,47 +234,33 @@ class Lake
      * Records one classifier-level CPU fallback (a call site that
      * caught a remoting error mid-batch and finished on the CPU).
      */
-    void noteFallback() { ++health_.fallbacks; }
+    void noteFallback() { ++lane().health().fallbacks; }
 
     /// @}
 
     /**
-     * Mirrors both sides' remoting counters (lakeLib and lakeD) into
-     * the obs::Metrics registry. Call right before exporting metrics;
-     * a no-op while metrics are disabled.
+     * Mirrors shard 0's lakeLib/lakeD counters, the streaming pool and
+     * the router's per-device state into obs::Metrics. Call right
+     * before exporting; a no-op while metrics are disabled.
      */
     void publishObs() const;
 
   private:
+    /** Shard 0: the lane every single-lane accessor names. */
+    remote::LakeShard &lane() { return shards_.shard(0); }
+
     LakeConfig config_;
-    Clock clock_;
-    shm::ShmArena arena_;
-    gpu::Device device_;
-    channel::Channel channel_;
-    remote::LakeDaemon daemon_;
-    remote::LakeLib lib_;
+    gpu::DeviceFleet fleet_;
+    remote::ShardFleet shards_;
+    remote::FleetRouter router_;
     registry::RegistryManager registries_;
     ml::KernelCpu kernel_cpu_;
     /**
-     * Declared after lib_ so it is destroyed first: the destructor
-     * drains in-flight streams through lib_ and frees the pool's
-     * arena carve-out.
+     * Declared after shards_ so it is destroyed first: the destructor
+     * drains in-flight streams through shard 0's lib and frees the
+     * pool's arena carve-out.
      */
     std::unique_ptr<remote::StreamOrchestrator> streaming_;
-
-    /** The device fleet and its shards; null unless fleet.enabled. */
-    std::unique_ptr<gpu::DeviceFleet> fleet_;
-    std::unique_ptr<remote::ShardFleet> shards_;
-    std::unique_ptr<remote::FleetRouter> router_;
-
-    /**
-     * This Lake's own remoting lane's health. Same per-lane type the
-     * fleet shards use: the degraded latch and fallback counter are
-     * scoped to one remoting path, never to the system (the atomics
-     * inside absorb the ScoreServer-flush-thread races the old
-     * Lake-global members handled ad hoc).
-     */
-    remote::ShardHealth health_;
     /** True while the global Tracer is bound to this Lake's clock. */
     bool bound_tracer_clock_ = false;
 };

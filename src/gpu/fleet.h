@@ -13,9 +13,10 @@
  * the placement policy (src/remote/fleet.h, src/policy) decide who
  * talks to which device.
  *
- * Everything is default-off. FleetConfig.enabled == false constructs
- * nothing anywhere and no virtual-time figure in the repository
- * changes (DESIGN.md §13).
+ * core::Lake always runs on a fleet. FleetConfig.enabled == false
+ * makes it a fleet of one (one device behind one shard), which is
+ * bit-identical to the classic single-device stack, so no
+ * virtual-time figure in the repository changes (DESIGN.md §13).
  */
 
 #include <cstddef>
@@ -31,8 +32,8 @@ namespace lake::gpu {
 struct FleetConfig
 {
     /**
-     * Master switch. While false, core::Lake builds the classic
-     * single-device stack and the fleet types are never constructed.
+     * While false, core::Lake boots one device and one shard and
+     * ignores devices, shards and weights; spec still applies.
      */
     bool enabled = false;
 

@@ -50,13 +50,34 @@ LakeShard::activate(std::size_t local)
     if (local == lib_active_)
         return gpu::CuResult::Success;
     gpu::CuResult r = lib_.cuSetDevice(static_cast<std::uint32_t>(local));
-    if (r == gpu::CuResult::Success) {
-        lib_active_ = local;
-        auto &m = obs::Metrics::global();
-        if (m.enabled())
-            m.fleet_setdevice.add();
+    if (r != gpu::CuResult::Success) {
+        // The daemon switches as soon as the request arrives, so a lost
+        // response leaves it on a device lakeLib cannot name.
+        lib_active_ = kActiveUnknown;
+        return r;
     }
+    lib_active_ = local;
+    auto &m = obs::Metrics::global();
+    if (m.enabled())
+        m.fleet_setdevice.add();
     return r;
+}
+
+policy::UtilProbe
+LakeShard::utilProbe(std::size_t local)
+{
+    // Starts pessimistic: until a query succeeds the device reads as
+    // fully contended, so contention policies prefer the CPU.
+    auto last = std::make_shared<double>(100.0);
+    return [this, local, last](Nanos) {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (activate(local) != gpu::CuResult::Success)
+            return *last;
+        RemoteUtilization util;
+        if (lib_.nvmlGetUtilization(&util) == gpu::CuResult::Success)
+            *last = static_cast<double>(util.gpu);
+        return *last;
+    };
 }
 
 ShardFleet::ShardFleet(gpu::DeviceFleet &fleet, std::size_t shards,
@@ -126,7 +147,8 @@ FleetRouter::FleetRouter(ShardFleet &fleet,
     std::vector<policy::UtilProbe> probes;
     probes.reserve(fleet_.deviceCount());
     for (std::size_t d = 0; d < fleet_.deviceCount(); ++d)
-        probes.push_back(probeFor(d));
+        probes.push_back(
+            fleet_.shardFor(d).utilProbe(fleet_.localIndex(d)));
     policy_ = std::make_unique<policy::FleetPlacementPolicy>(
         std::move(probes), cfg);
     policy_->setDepthProbe(
@@ -139,26 +161,6 @@ FleetRouter::FleetRouter(ShardFleet &fleet,
         std::make_unique<std::atomic<std::size_t>[]>(fleet_.deviceCount());
     for (std::size_t d = 0; d < fleet_.deviceCount(); ++d)
         pending_[d].store(0, std::memory_order_relaxed);
-}
-
-policy::UtilProbe
-FleetRouter::probeFor(std::size_t device)
-{
-    LakeShard *shard = &fleet_.shardFor(device);
-    std::size_t local = fleet_.localIndex(device);
-    // Starts pessimistic, same contract as core::Lake::nvmlProbe: until
-    // a query succeeds the device reads as fully contended.
-    auto last = std::make_shared<double>(100.0);
-    return [shard, local, last](Nanos) {
-        std::lock_guard<std::mutex> lock(shard->mu());
-        if (shard->activate(local) != gpu::CuResult::Success)
-            return *last;
-        RemoteUtilization util;
-        if (shard->lib().nvmlGetUtilization(&util) ==
-            gpu::CuResult::Success)
-            *last = static_cast<double>(util.gpu);
-        return *last;
-    };
 }
 
 policy::Placement
@@ -228,7 +230,7 @@ FleetRouter::pendingDepth(std::size_t device) const
 }
 
 void
-FleetRouter::publishMetrics()
+FleetRouter::publishMetrics() const
 {
     auto &m = obs::Metrics::global();
     if (!m.enabled())

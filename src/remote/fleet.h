@@ -14,6 +14,9 @@
  * force the whole fleet onto the CPU (the pre-fleet Lake-global latch
  * did exactly that).
  *
+ * core::Lake owns one ShardFleet and names shard 0 as its own lane;
+ * without LakeConfig::fleet.enabled that is the only shard.
+ *
  * The FleetRouter extends the Fig. 3 policy across devices: one
  * UtilSmoother per device (policy::FleetPlacementPolicy), a pending
  * batch-depth signal per device, and sticky per-key placement so a
@@ -46,9 +49,9 @@ namespace lake::remote {
 
 /**
  * One shard's remoting-health state: the degraded latch and failure
- * counters that used to live Lake-globally. core::Lake reuses this for
- * its own (single) lane, so fleet and non-fleet paths share one
- * latching implementation.
+ * counters that used to live Lake-globally. Every remoting lane is a
+ * shard (core::Lake's own lane is shard 0 of its fleet), so there is
+ * one latching implementation.
  */
 struct ShardHealth
 {
@@ -114,10 +117,13 @@ class LakeShard
 
     Clock &clock() { return clock_; }
     LakeLib &lib() { return lib_; }
+    const LakeLib &lib() const { return lib_; }
     LakeDaemon &daemon() { return daemon_; }
+    const LakeDaemon &daemon() const { return daemon_; }
     shm::ShmArena &arena() { return arena_; }
     channel::Channel &channel() { return channel_; }
     ShardHealth &health() { return health_; }
+    const ShardHealth &health() const { return health_; }
 
     /** Serializes all lib traffic through this shard. */
     std::mutex &mu() { return mu_; }
@@ -126,9 +132,22 @@ class LakeShard
      * Makes daemon-local device @p local the active one (caller holds
      * mu()). A no-op when it already is — single-device shards
      * therefore never emit a CuSetDevice and their wire traffic is
-     * bit-identical to the pre-fleet protocol.
+     * bit-identical to the pre-fleet protocol. After a failed switch
+     * the daemon's active device is unknown (the request may have
+     * landed even though its response was lost), so the next call
+     * always re-issues the switch.
      */
     gpu::CuResult activate(std::size_t local);
+
+    /**
+     * A utilization probe for daemon-local device @p local: each call
+     * locks mu(), activates the device and performs a LAKE-remoted
+     * NVML query (so it really costs channel time and really observes
+     * the simulated device). When the query fails the probe returns
+     * the last reading it saw (initially 100%, i.e. "assume
+     * contended") instead of panicking.
+     */
+    policy::UtilProbe utilProbe(std::size_t local);
 
   private:
     std::size_t index_;
@@ -140,6 +159,8 @@ class LakeShard
     LakeLib lib_;
     ShardHealth health_;
     std::size_t degrade_threshold_;
+    /** lib_active_ after a failed switch: the daemon's state is unknown. */
+    static constexpr std::size_t kActiveUnknown = SIZE_MAX;
     /** Device lakeLib last activated (== daemon's active device). */
     std::size_t lib_active_ = 0;
     std::mutex mu_;
@@ -159,6 +180,7 @@ class ShardFleet
     std::size_t deviceCount() const { return device_count_; }
 
     LakeShard &shard(std::size_t k) { return *shards_.at(k); }
+    const LakeShard &shard(std::size_t k) const { return *shards_.at(k); }
 
     std::size_t shardOf(std::size_t device) const
     {
@@ -237,12 +259,9 @@ class FleetRouter
      * ("fleet.dev<i>.util_permille", ".pending", ".launches") plus the
      * fleet_migrations counter; call right before exporting.
      */
-    void publishMetrics();
+    void publishMetrics() const;
 
   private:
-    /** The remoted NVML probe for fleet device @p device. */
-    policy::UtilProbe probeFor(std::size_t device);
-
     ShardFleet &fleet_;
     std::unique_ptr<policy::FleetPlacementPolicy> policy_;
 

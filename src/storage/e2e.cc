@@ -31,10 +31,6 @@ namespace {
 constexpr std::size_t kDevices = 3;
 constexpr const char *kSys = "bio_latency_prediction";
 
-/** Names of the four explicit latency-history features. */
-const std::array<std::string, kLinnosHistory> kLatFeature = {
-    "io_lat0", "io_lat1", "io_lat2", "io_lat3"};
-
 /** One read waiting in a device's inference batch. */
 struct QueuedRead
 {
@@ -59,32 +55,6 @@ struct DeviceState
     std::array<std::uint32_t, kLinnosHistory> lat_cols{};
     std::uint32_t pend_col = 0;
 };
-
-/** Builds the 31-feature matrix from registry feature vectors. */
-ml::Matrix
-featurize(const std::vector<registry::FeatureVector> &fvs)
-{
-    // Interned once, outside the hot loop: per-row get() by name would
-    // re-hash every feature string for every scored vector.
-    static const std::uint64_t pend_key = registry::featureKey("pend_ios");
-    static const std::array<std::uint64_t, kLinnosHistory> lat_keys = [] {
-        std::array<std::uint64_t, kLinnosHistory> keys{};
-        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-            keys[h] = registry::featureKey(kLatFeature[h]);
-        return keys;
-    }();
-    ml::Matrix x(fvs.size(), kLinnosFeatures);
-    for (std::size_t r = 0; r < fvs.size(); ++r) {
-        std::array<std::uint32_t, kLinnosHistory> hist{};
-        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-            hist[h] =
-                static_cast<std::uint32_t>(fvs[r].get(lat_keys[h]));
-        encodeLinnosFeatures(
-            static_cast<std::uint32_t>(fvs[r].get(pend_key)), hist,
-            x.row(r));
-    }
-    return x;
-}
 
 } // namespace
 
@@ -140,12 +110,8 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
             detail::format("nvme%zu", d));
 
         if (lake_mode) {
-            registry::Schema schema;
-            schema.add("pend_ios");
-            for (const std::string &f : kLatFeature)
-                schema.add(f);
             Status st = lake.registries().createRegistry(
-                devs[d].dev->name(), kSys, schema,
+                devs[d].dev->name(), kSys, linnosSchema(),
                 config.batch_max * 4);
             LAKE_ASSERT(st.isOk(), "registry: %s",
                         st.toString().c_str());
@@ -155,7 +121,8 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 lake.registries().captureHandle(devs[d].dev->name(),
                                                 kSys);
             for (std::size_t h = 0; h < kLinnosHistory; ++h)
-                devs[d].lat_cols[h] = devs[d].cap.column(kLatFeature[h]);
+                devs[d].lat_cols[h] =
+                    devs[d].cap.column(kLinnosLatFeatures[h]);
             devs[d].pend_col = devs[d].cap.column("pend_ios");
             // Fig. 3 plumbing with the ISSUE-2 guard: once remoting
             // degrades, every decision comes back Engine::Cpu.
@@ -166,7 +133,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 registry::Arch::Cpu,
                 [&cpu_mlp](const std::vector<registry::FeatureVector>
                                &fvs) {
-                    ml::Matrix x = featurize(fvs);
+                    ml::Matrix x = featurizeLinnos(fvs);
                     std::vector<int> c = cpu_mlp->classify(x);
                     return std::vector<float>(c.begin(), c.end());
                 });
@@ -175,7 +142,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 [&lake_mlp, &cpu_mlp,
                  &lake](const std::vector<registry::FeatureVector>
                             &fvs) {
-                    ml::Matrix x = featurize(fvs);
+                    ml::Matrix x = featurizeLinnos(fvs);
                     // A remoting failure mid-batch must not kill the
                     // I/O path: finish this batch on the CPU and count
                     // the fallback.
@@ -194,22 +161,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 // Seal-time encoder: the LinnOS digit encoding runs
                 // once per commit, so scoring reads finished float
                 // rows straight out of shm.
-                const auto lat_cols = devs[d].lat_cols;
-                const std::uint32_t pend_col = devs[d].pend_col;
-                store->setFloatEncoder(
-                    kLinnosFeatures,
-                    [lat_cols, pend_col](
-                        const registry::SoaStore::RowReader &row,
-                        float *out) {
-                        std::array<std::uint32_t, kLinnosHistory> hist{};
-                        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-                            hist[h] = static_cast<std::uint32_t>(
-                                row.value(lat_cols[h]));
-                        encodeLinnosFeatures(
-                            static_cast<std::uint32_t>(
-                                row.value(pend_col)),
-                            hist, out);
-                    });
+                store->setFloatEncoder(kLinnosFeatures, encodeLinnosRow);
                 // Zero-copy CPU dispatch: the strided windows feed the
                 // GEMM substrate in place.
                 devs[d].reg->registerViewClassifier(

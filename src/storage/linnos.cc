@@ -34,6 +34,54 @@ encodeLinnosFeatures(std::uint32_t pending,
         digits(lat_us[h], 7, out + 3 + h * 7);
 }
 
+const std::array<std::string, kLinnosHistory> kLinnosLatFeatures = {
+    "io_lat0", "io_lat1", "io_lat2", "io_lat3"};
+
+registry::Schema
+linnosSchema()
+{
+    registry::Schema schema;
+    schema.add("pend_ios");
+    for (const std::string &f : kLinnosLatFeatures)
+        schema.add(f);
+    return schema;
+}
+
+ml::Matrix
+featurizeLinnos(const std::vector<registry::FeatureVector> &fvs)
+{
+    // Interned once, outside the hot loop: per-row get() by name would
+    // re-hash every feature string for every scored vector.
+    static const std::uint64_t pend_key = registry::featureKey("pend_ios");
+    static const std::array<std::uint64_t, kLinnosHistory> lat_keys = [] {
+        std::array<std::uint64_t, kLinnosHistory> keys{};
+        for (std::size_t h = 0; h < kLinnosHistory; ++h)
+            keys[h] = registry::featureKey(kLinnosLatFeatures[h]);
+        return keys;
+    }();
+    ml::Matrix x(fvs.size(), kLinnosFeatures);
+    for (std::size_t r = 0; r < fvs.size(); ++r) {
+        std::array<std::uint32_t, kLinnosHistory> hist{};
+        for (std::size_t h = 0; h < kLinnosHistory; ++h)
+            hist[h] = static_cast<std::uint32_t>(fvs[r].get(lat_keys[h]));
+        encodeLinnosFeatures(static_cast<std::uint32_t>(fvs[r].get(pend_key)),
+                             hist, x.row(r));
+    }
+    return x;
+}
+
+void
+encodeLinnosRow(const registry::SoaStore::RowReader &row, float *out)
+{
+    // linnosSchema() column order: pend_ios, then the history.
+    std::array<std::uint32_t, kLinnosHistory> hist{};
+    for (std::size_t h = 0; h < kLinnosHistory; ++h)
+        hist[h] = static_cast<std::uint32_t>(
+            row.value(static_cast<std::uint32_t>(1 + h)));
+    encodeLinnosFeatures(static_cast<std::uint32_t>(row.value(0)), hist,
+                         out);
+}
+
 LinnosDataset
 collectLinnosData(const TraceSpec &spec, const NvmeSpec &device,
                   Nanos duration, double quantile, std::uint64_t seed)

@@ -15,11 +15,16 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/time.h"
+#include "ml/matrix.h"
 #include "ml/mlp.h"
+#include "registry/registry.h"
+#include "registry/schema.h"
+#include "registry/soa.h"
 #include "storage/nvme.h"
 #include "storage/trace.h"
 
@@ -41,6 +46,25 @@ void encodeLinnosFeatures(std::uint32_t pending,
                           const std::array<std::uint32_t,
                                            kLinnosHistory> &lat_us,
                           float out[kLinnosFeatures]);
+
+/** Registry names of the latency-history features, most recent first. */
+extern const std::array<std::string, kLinnosHistory> kLinnosLatFeatures;
+
+/** The LinnOS registry schema: "pend_ios", then kLinnosLatFeatures. */
+registry::Schema linnosSchema();
+
+/**
+ * Builds the 31-input matrix of @p fvs, one row per feature vector
+ * captured under linnosSchema().
+ */
+ml::Matrix featurizeLinnos(const std::vector<registry::FeatureVector> &fvs);
+
+/**
+ * The same 31 inputs as a SoA seal-time encoder
+ * (SoaStore::setFloatEncoder with kLinnosFeatures floats) for a
+ * registry created with linnosSchema().
+ */
+void encodeLinnosRow(const registry::SoaStore::RowReader &row, float *out);
 
 /** One labelled training example. */
 struct LinnosSample

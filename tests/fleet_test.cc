@@ -9,9 +9,11 @@
 //  3. per-device contention-probe state (a single MovingAverage
 //     blended every device's utilization into one stale signal).
 //
-// Plus the fleet contract itself: CuSetDevice muxing, the 1-device
-// fleet's bit-identity with the classic stack, and a TSan-exercised
-// K-shard concurrent dispatch stress under the multi-tenant generator.
+// Plus the fleet contract itself: CuSetDevice muxing (including a
+// lost CuSetDevice response), the 1-device fleet's bit-identity with
+// the classic stack, core::Lake as a fleet of one (and of many), and a
+// TSan-exercised K-shard concurrent dispatch stress under the
+// multi-tenant generator.
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include "base/time.h"
 #include "channel/channel.h"
 #include "channel/fault.h"
+#include "core/lake.h"
 #include "gpu/context.h"
 #include "gpu/device.h"
 #include "gpu/fleet.h"
@@ -303,6 +306,30 @@ TEST(ShardFleetTest, CuSetDeviceTargetsTheActivatedDevice)
     EXPECT_EQ(sh.lib().cuSetDevice(7), CuResult::InvalidValue);
 }
 
+TEST(ShardFleetTest, LostSetDeviceResponseForcesTheNextSwitch)
+{
+    gpu::DeviceFleet fleet(fleetConfig(2, 1));
+    remote::ShardParams params;
+    remote::ShardFleet shards(fleet, 1, params);
+    remote::LakeShard &sh = shards.shard(0);
+
+    // Every response is lost: the daemon switches to device 1 as soon
+    // as the request arrives, but lakeLib only sees the failure.
+    FaultSpec spec;
+    spec.drop = 1.0;
+    spec.kernel_to_user = false;
+    sh.channel().installFaults(spec);
+    EXPECT_EQ(sh.activate(1), CuResult::Unavailable);
+    sh.channel().faults()->disarm();
+
+    // Pre-fix lakeLib still believed device 0 active and elided this
+    // switch, so the allocation landed on device 1.
+    ASSERT_EQ(sh.activate(0), CuResult::Success);
+    DevicePtr p = 0;
+    ASSERT_EQ(sh.lib().cuMemAlloc(&p, 4096), CuResult::Success);
+    EXPECT_EQ(fleet.ownerOf(p), 0u);
+}
+
 // ---- 1-device fleet bit-identity -----------------------------------
 
 TEST(ShardFleetTest, OneDeviceFleetIsBitIdenticalToPlainStack)
@@ -388,6 +415,62 @@ TEST(ShardFleetTest, OneDeviceFleetIsBitIdenticalToPlainStack)
     EXPECT_EQ(a.lib.calls(), sh.lib().calls());
     EXPECT_EQ(a.dev.launches(), fleet.at(0).launches());
     EXPECT_EQ(router.migrations(), 0u);
+}
+
+// ---- core::Lake over the fleet -------------------------------------
+
+TEST(LakeFleetTest, DefaultLakeIsAFleetOfOne)
+{
+    core::Lake lake;
+    ASSERT_EQ(lake.fleet().size(), 1u);
+    ASSERT_EQ(lake.shardFleet().size(), 1u);
+    // The single-lane accessors name shard 0 and device 0: there is no
+    // second remoting stack beside the fleet.
+    remote::LakeShard &sh = lake.shardFleet().shard(0);
+    EXPECT_EQ(&lake.lib(), &sh.lib());
+    EXPECT_EQ(&lake.daemon(), &sh.daemon());
+    EXPECT_EQ(&lake.clock(), &sh.clock());
+    EXPECT_EQ(&lake.device(), &lake.fleet().at(0));
+    EXPECT_EQ(&lake.router().shards(), &lake.shardFleet());
+}
+
+TEST(LakeFleetTest, FleetModeBootsShardsThatDegradeAlone)
+{
+    core::LakeConfig cfg;
+    cfg.fleet = fleetConfig(2, 2);
+    cfg.fleet.spec = gpu::DeviceSpec::modest();
+    core::Lake lake(cfg);
+    ASSERT_EQ(lake.fleet().size(), 2u);
+    ASSERT_EQ(lake.shardFleet().size(), 2u);
+    for (std::size_t d = 0; d < lake.fleet().size(); ++d)
+        EXPECT_EQ(lake.fleet().at(d).spec().effective_gflops,
+                  cfg.fleet.spec.effective_gflops);
+
+    // Shard 1's transport goes dark; shard 0 (Lake's own lane) stays
+    // clean.
+    remote::LakeShard &sick = lake.shardFleet().shard(1);
+    FaultSpec spec;
+    spec.drop = 1.0;
+    sick.channel().installFaults(spec);
+    for (std::size_t i = 0; i < cfg.degrade_threshold; ++i)
+        EXPECT_EQ(sick.lib().cuCtxSynchronize(), CuResult::Unavailable);
+    EXPECT_TRUE(lake.remoteStats(1).degraded);
+    EXPECT_GT(lake.remoteStats(1).faults_seen, 0u);
+    EXPECT_FALSE(lake.degraded());
+    EXPECT_FALSE(lake.remoteStats().degraded);
+
+    // Round-robin seeds key "a" on device 0 and key "b" on device 1;
+    // the router vetoes the degraded device and places both on 0.
+    std::unique_ptr<policy::ExecPolicy> a = lake.router().policyFor("a");
+    std::unique_ptr<policy::ExecPolicy> b = lake.router().policyFor("b");
+    policy::PolicyInput in;
+    in.batch_size = 16;
+    in.now = lake.clock().now();
+    EXPECT_EQ(a->decide(in), policy::Engine::Gpu);
+    EXPECT_EQ(b->decide(in), policy::Engine::Gpu);
+    EXPECT_EQ(lake.router().lastPlacement("a"), 0u);
+    EXPECT_EQ(lake.router().lastPlacement("b"), 0u);
+    EXPECT_EQ(lake.router().migrations(), 1u);
 }
 
 // ---- K-shard concurrent dispatch (TSan) ----------------------------

@@ -31,7 +31,7 @@ TEST(LakeBootTest, AlternateChannelConfigurations)
     core::LakeConfig cfg;
     cfg.channel = channel::Kind::Mmap;
     cfg.shm_bytes = 1 << 20;
-    cfg.device = gpu::DeviceSpec::modest();
+    cfg.fleet.spec = gpu::DeviceSpec::modest();
     core::Lake lake(cfg);
     EXPECT_EQ(lake.channel().kind(), channel::Kind::Mmap);
     EXPECT_EQ(lake.device().spec().effective_gflops,
