@@ -9,6 +9,15 @@
 #include "storage/trace.h"
 
 namespace lake::storage {
+
+// Prints a Table 4 row by its name, so the parameterized test names are
+// stable (the default byte dump includes the std::string's heap pointer).
+// Found by argument-dependent lookup, hence outside the anonymous namespace.
+void PrintTo(const TraceSpec &spec, std::ostream *os)
+{
+    *os << spec.name;
+}
+
 namespace {
 
 TEST(NvmeTest, CompletionsDecrementPending)
