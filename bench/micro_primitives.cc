@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "base/lockfree_map.h"
 #include "base/ring_buffer.h"
 #include "core/lake.h"
 #include "crypto/gcm.h"
@@ -106,15 +105,6 @@ BM_ShmAllocFragmented(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()); // alloc+free pairs
 }
 BENCHMARK(BM_ShmAllocFragmented)->Arg(16)->Arg(256)->Arg(4096);
-
-void
-BM_LockFreeMapAdd(benchmark::State &state)
-{
-    LockFreeMap map(64);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(map.add(42, 1));
-}
-BENCHMARK(BM_LockFreeMapAdd);
 
 void
 BM_RegistryCaptureCommit(benchmark::State &state)

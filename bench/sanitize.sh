@@ -45,8 +45,9 @@ ctest --test-dir "$BUILD" --output-on-failure -L obs
 
 # The registry suite (ctest -L registry) hammers multi-threaded
 # capture-while-commit and concurrent ScoreServer submission — the
-# lock-free capture map plus the scoring service's two-lock flush path
-# are precisely what `bench/sanitize.sh thread` exists to sweep.
+# column store's relaxed-atomic live lanes plus the scoring service's
+# two-lock flush path are precisely what `bench/sanitize.sh thread`
+# exists to sweep. The label includes the `soa` suite below.
 ctest --test-dir "$BUILD" --output-on-failure -L registry
 
 # The streaming-DMA suite (ctest -L dma) drives the buffer pool's
@@ -65,7 +66,7 @@ ctest --test-dir "$BUILD" --output-on-failure -L dma
 # DRR + shed sweep on top.
 ctest --test-dir "$BUILD" --output-on-failure -L serve
 
-# The SoA data-plane suite (ctest -L soa) stresses the columnar
+# The column-store suite (ctest -L soa) stresses the registry's
 # capture plane: relaxed-atomic column lanes written from many threads
 # while a capture is open, slot recycling deferred behind pinned batch
 # views across window wraps and truncates, and the registry_scoring

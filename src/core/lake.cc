@@ -35,7 +35,8 @@ Lake::Lake(LakeConfig config)
                                   .retry = config_.retry,
                                   .pipeline = config_.pipeline}),
       router_(shards_, policy::FleetPlacementPolicy::Config{}),
-      registries_(lane().clock()), kernel_cpu_(lane().clock(), config_.cpu)
+      registries_(lane().clock(), &lane().arena(), config_.soa_plane),
+      kernel_cpu_(lane().clock(), config_.cpu)
 {
     obs::configure(config_.obs);
     // Bind the tracer to this system's clock while tracing is live
@@ -44,14 +45,6 @@ Lake::Lake(LakeConfig config)
     bound_tracer_clock_ = obs::Tracer::global().enabled();
     if (bound_tracer_clock_)
         obs::Tracer::global().bindClock(&clock());
-    // SoA plane first: it changes what createRegistry() builds, and
-    // every subsystem (scoring service included) creates registries
-    // only after boot returns.
-    if (config_.soa_plane.enabled) {
-        Status s = registries_.enableSoa(config_.soa_plane, &arena());
-        LAKE_ASSERT(s.isOk(), "SoA plane boot failed: %s",
-                    s.message().c_str());
-    }
     // The serving front end dispatches through the scoring service,
     // so enabling serving implies enabling scoring.
     if (config_.scoring.enabled || config_.serving.enabled) {

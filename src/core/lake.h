@@ -77,13 +77,10 @@ struct LakeConfig
      */
     registry::ScoringConfig scoring;
     /**
-     * Zero-copy SoA capture→score data plane (DESIGN.md §12), default
-     * off: with soa_plane.enabled false every registry keeps the
-     * legacy hashmap feature vectors and every figure bench is
-     * byte-identical to the pre-SoA runtime. When enabled, registries
-     * created after boot carve their capture windows from the lakeShm
-     * arena as columnar SoaStores and score through zero-copy batch
-     * views.
+     * The registries' column stores (DESIGN.md §12): every registry
+     * carves its capture window from shard 0's lakeShm arena as a
+     * SoaStore; soa_plane.slack sizes the spare slots that absorb
+     * pinned batch views.
      */
     registry::SoaConfig soa_plane;
     /**

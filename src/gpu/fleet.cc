@@ -4,27 +4,10 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/env.h"
 #include "base/logging.h"
 
 namespace lake::gpu {
-
-namespace {
-
-/** Parses a positive integer env var; @p fallback when unset/bad. */
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || parsed == 0)
-        return fallback;
-    return static_cast<std::size_t>(parsed);
-}
-
-} // namespace
 
 void
 FleetConfig::applyEnv()
@@ -32,8 +15,11 @@ FleetConfig::applyEnv()
     const char *on = std::getenv("LAKE_FLEET");
     if (on && *on)
         enabled = std::strcmp(on, "0") != 0;
-    devices = envSize("LAKE_DEVICES", devices);
-    shards = envSize("LAKE_SHARDS", shards);
+    // A fleet of zero devices or shards is not a fleet: 0 is ignored.
+    if (std::size_t n = base::envCount("LAKE_DEVICES", 0); n > 0)
+        devices = n;
+    if (std::size_t n = base::envCount("LAKE_SHARDS", 0); n > 0)
+        shards = n;
     if (shards > devices)
         shards = devices;
 }

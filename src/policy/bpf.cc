@@ -241,7 +241,9 @@ BpfProgramBuilder::emit(BpfInsn insn)
 BpfPolicy::BpfPolicy(const BpfVm &vm, std::vector<BpfInsn> program,
                      UtilProbe probe, Config config)
     : vm_(vm), program_(std::move(program)), probe_(std::move(probe)),
-      cfg_(config), avg_(config.avg_window)
+      probe_cfg_{.probe_interval = config.probe_interval,
+                 .avg_window = config.avg_window},
+      smoother_(probe_cfg_)
 {
     Status st = vm_.verify(program_, kCtxSlotCount);
     if (!st.isOk())
@@ -251,25 +253,17 @@ BpfPolicy::BpfPolicy(const BpfVm &vm, std::vector<BpfInsn> program,
 Engine
 BpfPolicy::decide(const PolicyInput &in)
 {
-    // Same clamp as ContentionAwarePolicy::decide: a non-monotone
-    // caller-supplied `now` must not wrap the interval check and defeat
-    // the probe rate limit.
-    if (probe_ &&
-        (!probed_once_ ||
-         (in.now >= last_probe_ &&
-          in.now - last_probe_ >= cfg_.probe_interval))) {
-        avg_.add(probe_(in.now));
-        last_probe_ = in.now;
-        probed_once_ = true;
-    }
+    // The same rate-limited, staleness-bounded smoothing as the native
+    // Fig. 3 policy; without a probe utilization reads as 0.
+    double util =
+        probe_ ? smoother_.sample(probe_, in.now, probe_cfg_) : 0.0;
 
     std::vector<std::uint64_t> ctx(kCtxSlotCount, 0);
     ctx[kCtxBatchSize] = in.batch_size;
     ctx[kCtxNowMs] = in.now / 1'000'000ull;
     ctx[kCtxInterArrivalUsX100] =
         static_cast<std::uint64_t>(in.inter_arrival_us * 100.0);
-    ctx[kCtxGpuUtilX100] =
-        static_cast<std::uint64_t>(avg_.value() * 100.0);
+    ctx[kCtxGpuUtilX100] = static_cast<std::uint64_t>(util * 100.0);
 
     return vm_.run(program_, ctx) != 0 ? Engine::Gpu : Engine::Cpu;
 }

@@ -183,10 +183,9 @@ class BpfPolicy final : public ExecPolicy
     const BpfVm &vm_;
     std::vector<BpfInsn> program_;
     UtilProbe probe_;
-    Config cfg_;
-    MovingAverage avg_;
-    Nanos last_probe_ = 0;
-    bool probed_once_ = false;
+    /** Config's probe knobs; stale_windows keeps its default. */
+    ContentionConfig probe_cfg_;
+    UtilSmoother smoother_;
 };
 
 /**

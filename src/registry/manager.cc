@@ -28,8 +28,6 @@ CaptureHandle::column(const std::string &feature) const
     return col;
 }
 
-// scorer_ is declared last, so it destroys first: its final drain
-// still sees every registry alive.
 RegistryManager::~RegistryManager() = default;
 
 Status
@@ -43,33 +41,15 @@ RegistryManager::createRegistry(const std::string &name,
         return Status(Code::AlreadyExists,
                       "registry " + sys + "/" + name + " exists");
     }
-    auto reg = std::make_unique<Registry>(name, sys, std::move(schema),
-                                          window);
-    if (soa_cfg_.enabled) {
-        auto store = SoaStore::create(reg->schema(), window, soa_cfg_,
-                                      *soa_arena_);
-        if (store == nullptr) {
-            return Status(Code::ResourceExhausted,
-                          "registry " + sys + "/" + name +
-                              ": shm arena cannot fit the SoA plane");
-        }
-        reg->attachSoa(std::move(store));
+    auto store =
+        SoaStore::create(std::move(schema), window, soa_cfg_, arena_);
+    if (store == nullptr) {
+        return Status(Code::ResourceExhausted,
+                      "registry " + sys + "/" + name +
+                          ": shm arena cannot fit its column store");
     }
-    registries_.emplace(key, std::move(reg));
-    return Status::ok();
-}
-
-Status
-RegistryManager::enableSoa(const SoaConfig &cfg, shm::ShmArena *arena)
-{
-    if (!cfg.enabled)
-        return Status::ok();
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    if (soa_cfg_.enabled)
-        return Status(Code::AlreadyExists, "SoA plane already enabled");
-    LAKE_ASSERT(arena != nullptr, "enableSoa without a shm arena");
-    soa_cfg_ = cfg;
-    soa_arena_ = arena;
+    registries_.emplace(key, std::make_unique<Registry>(name, sys,
+                                                        std::move(store)));
     return Status::ok();
 }
 

@@ -52,8 +52,7 @@ class CaptureHandle
 
     /**
      * Interns a schema feature name to its declaration-order column
-     * index — the SoA plane's hash-free capture coordinate (works on
-     * the legacy plane too; the col overloads forward by key there).
+     * index — the column store's hash-free capture coordinate.
      * Panics on an undeclared name.
      */
     std::uint32_t column(const std::string &feature) const;
@@ -115,12 +114,24 @@ struct RegistryKeyLess
 class RegistryManager
 {
   public:
-    /** @param clock clock charged for durable model operations */
-    explicit RegistryManager(Clock &clock) : clock_(clock), models_(clock) {}
+    /**
+     * @param clock clock charged for durable model operations
+     * @param arena lakeShm arena every registry's column store is
+     *              carved from; nullptr keeps the stores on the heap
+     * @param soa   column-store knobs (SoaConfig::slack)
+     */
+    explicit RegistryManager(Clock &clock, shm::ShmArena *arena = nullptr,
+                             SoaConfig soa = {})
+        : clock_(clock), models_(clock), soa_cfg_(soa), arena_(arena)
+    {
+    }
 
     ~RegistryManager();
 
-    /** create_registry(name, sys, schema, window). */
+    /**
+     * create_registry(name, sys, schema, window). ResourceExhausted
+     * when the arena cannot fit the registry's column store.
+     */
     Status createRegistry(const std::string &name, const std::string &sys,
                           Schema schema, std::size_t window);
 
@@ -147,19 +158,6 @@ class RegistryManager
      */
     CaptureHandle captureHandle(const std::string &name,
                                 const std::string &sys);
-
-    /**
-     * Switches future createRegistry() calls onto the SoA data plane
-     * (DESIGN.md §12): each new registry's capture window is carved
-     * from @p arena as a columnar SoaStore. Registries created before
-     * this call keep the legacy plane — enable at boot, before
-     * instrumentation creates registries. AlreadyExists when already
-     * enabled; a disabled @p cfg is a no-op returning Ok.
-     */
-    Status enableSoa(const SoaConfig &cfg, shm::ShmArena *arena);
-
-    /** The SoA plane's arena; nullptr while the plane is off. */
-    shm::ShmArena *soaArena() const { return soa_arena_; }
 
     /**
      * Brings up the async scoring service (DESIGN.md §7). Idempotent
@@ -210,11 +208,12 @@ class RegistryManager
              RegistryKeyLess>
         registries_;
     ModelStore models_;
-    std::unique_ptr<ScoreServer> scorer_;
-
-    /** SoA plane settings; enabled == false until enableSoa(). */
     SoaConfig soa_cfg_;
-    shm::ShmArena *soa_arena_ = nullptr;
+    /** Where column stores are carved; nullptr = the heap. */
+    shm::ShmArena *arena_;
+    /** Declared last so it destroys first: its final drain still sees
+     *  every registry alive. */
+    std::unique_ptr<ScoreServer> scorer_;
 };
 
 /// @name Table 1 facade

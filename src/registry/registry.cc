@@ -59,33 +59,42 @@ FeatureVector::get(const std::string &name) const
 
 Registry::Registry(std::string name, std::string sys, Schema schema,
                    std::size_t window)
-    : name_(std::move(name)), sys_(std::move(sys)),
-      schema_(std::move(schema)), window_(window),
-      open_values_(std::max<std::size_t>(schema_.featureCount(), 1) * 2),
-      ring_(window)
+    : Registry(std::move(name), std::move(sys),
+               SoaStore::create(std::move(schema), window, SoaConfig{},
+                                nullptr))
 {
-    LAKE_ASSERT(schema_.featureCount() > 0,
-                "registry %s/%s: empty schema", sys_.c_str(),
-                name_.c_str());
-    col_keys_.reserve(schema_.featureCount());
-    for (const FeatureSpec &spec : schema_.features())
-        col_keys_.push_back(featureKey(spec.name));
+}
+
+Registry::Registry(std::string name, std::string sys,
+                   std::unique_ptr<SoaStore> store)
+    : name_(std::move(name)), sys_(std::move(sys)), soa_(std::move(store))
+{
+    LAKE_ASSERT(soa_ != nullptr, "registry %s/%s: no column store",
+                sys_.c_str(), name_.c_str());
+}
+
+std::uint32_t
+Registry::columnOrDie(std::uint64_t key) const
+{
+    std::uint32_t col = schema().columnOf(key);
+    LAKE_ASSERT(col != Schema::kNoColumn,
+                "capture of undeclared feature key in %s/%s",
+                sys_.c_str(), name_.c_str());
+    return col;
 }
 
 void
-Registry::attachSoa(std::unique_ptr<SoaStore> store)
+Registry::checkColumn(std::uint32_t col) const
 {
-    LAKE_ASSERT(store != nullptr, "attachSoa(nullptr)");
-    LAKE_ASSERT(!capture_open_ && ring_.size() == 0 && !has_last_,
-                "%s/%s: attachSoa after captures began", sys_.c_str(),
-                name_.c_str());
-    soa_ = std::move(store);
+    LAKE_ASSERT(col < schema().featureCount(),
+                "capture of out-of-schema column %u in %s/%s", col,
+                sys_.c_str(), name_.c_str());
 }
 
 void
 Registry::beginFvCapture(Nanos ts)
 {
-    // The open map is intentionally *not* cleared: features like the
+    // The open slot is intentionally *not* cleared: features like the
     // paper's pend_ios are incrementally maintained counters whose
     // value must persist across vectors; point-in-time features are
     // simply overwritten by the next captureFeature call.
@@ -112,22 +121,7 @@ Registry::beginFvCapture(Nanos ts)
 void
 Registry::captureFeature(std::uint64_t key, std::uint64_t value)
 {
-    auto &m = obs::Metrics::global();
-    CaptureTimer timer(m);
-    if (soa_) {
-        std::uint32_t col = schema_.columnOf(key);
-        LAKE_ASSERT(col != Schema::kNoColumn,
-                    "capture of undeclared feature key in %s/%s",
-                    sys_.c_str(), name_.c_str());
-        soa_->set(col, value);
-    } else {
-        LAKE_ASSERT(schema_.find(key) != nullptr,
-                    "capture of undeclared feature key in %s/%s",
-                    sys_.c_str(), name_.c_str());
-        open_values_.put(key, value);
-    }
-    if (m.enabled())
-        m.reg_features_captured.add();
+    captureFeatureCol(columnOrDie(key), value);
 }
 
 void
@@ -139,22 +133,7 @@ Registry::captureFeature(const std::string &name, std::uint64_t value)
 void
 Registry::captureFeatureIncr(std::uint64_t key, std::int64_t delta)
 {
-    auto &m = obs::Metrics::global();
-    CaptureTimer timer(m);
-    if (soa_) {
-        std::uint32_t col = schema_.columnOf(key);
-        LAKE_ASSERT(col != Schema::kNoColumn,
-                    "capture of undeclared feature key in %s/%s",
-                    sys_.c_str(), name_.c_str());
-        soa_->add(col, delta);
-    } else {
-        LAKE_ASSERT(schema_.find(key) != nullptr,
-                    "capture of undeclared feature key in %s/%s",
-                    sys_.c_str(), name_.c_str());
-        open_values_.add(key, delta);
-    }
-    if (m.enabled())
-        m.reg_features_captured.add();
+    captureFeatureIncrCol(columnOrDie(key), delta);
 }
 
 void
@@ -166,15 +145,10 @@ Registry::captureFeatureIncr(const std::string &name, std::int64_t delta)
 void
 Registry::captureFeatureCol(std::uint32_t col, std::uint64_t value)
 {
-    LAKE_ASSERT(col < col_keys_.size(),
-                "capture of out-of-schema column %u in %s/%s", col,
-                sys_.c_str(), name_.c_str());
+    checkColumn(col);
     auto &m = obs::Metrics::global();
     CaptureTimer timer(m);
-    if (soa_)
-        soa_->set(col, value);
-    else
-        open_values_.put(col_keys_[col], value);
+    soa_->set(col, value);
     if (m.enabled())
         m.reg_features_captured.add();
 }
@@ -182,15 +156,10 @@ Registry::captureFeatureCol(std::uint32_t col, std::uint64_t value)
 void
 Registry::captureFeatureIncrCol(std::uint32_t col, std::int64_t delta)
 {
-    LAKE_ASSERT(col < col_keys_.size(),
-                "capture of out-of-schema column %u in %s/%s", col,
-                sys_.c_str(), name_.c_str());
+    checkColumn(col);
     auto &m = obs::Metrics::global();
     CaptureTimer timer(m);
-    if (soa_)
-        soa_->add(col, delta);
-    else
-        open_values_.add(col_keys_[col], delta);
+    soa_->add(col, delta);
     if (m.enabled())
         m.reg_features_captured.add();
 }
@@ -201,52 +170,10 @@ Registry::commitFvCapture(Nanos ts)
     LAKE_ASSERT(capture_open_, "%s/%s: commit without open capture",
                 sys_.c_str(), name_.c_str());
 
-    if (soa_) {
-        // Slot seal + ring-index append: history inheritance, the
-        // presence snapshot, and the float-row encode all happen inside
-        // the store — no map walk, no allocation.
-        std::size_t fv_len = soa_->seal(open_begin_, ts);
-        auto &m = obs::Metrics::global();
-        if (m.enabled()) {
-            m.reg_commits.add();
-            m.reg_fv_len.record(fv_len);
-        }
-        auto &tr = obs::Tracer::global();
-        if (tr.enabled())
-            tr.span(obs::Side::Runtime, "registry", "fv.capture",
-                    open_begin_, ts - open_begin_, obs::kNoId,
-                    "features", fv_len);
-        open_begin_ = ts;
-        return;
-    }
-
-    FeatureVector fv;
-    fv.ts_begin = open_begin_;
-    fv.ts_end = ts;
-
-    open_values_.forEach([&](std::uint64_t key, std::uint64_t value) {
-        const FeatureSpec *spec = schema_.find(key);
-        LAKE_ASSERT(spec != nullptr, "undeclared key slipped into map");
-        std::vector<std::uint64_t> entries(spec->entries, 0);
-        entries[0] = value;
-        if (spec->entries > 1 && has_last_) {
-            // Inherit history: previous entry i becomes entry i+1.
-            auto prev = last_committed_.values.find(key);
-            if (prev != last_committed_.values.end()) {
-                for (std::uint32_t i = 1; i < spec->entries; ++i) {
-                    if (i - 1 < prev->second.size())
-                        entries[i] = prev->second[i - 1];
-                }
-            }
-        }
-        fv.values.emplace(key, std::move(entries));
-    });
-
-    std::size_t fv_len = fv.values.size();
-    last_committed_ = fv;
-    has_last_ = true;
-    ring_.push(std::move(fv));
-
+    // Slot seal + ring-index append: history inheritance, the presence
+    // snapshot, and the float-row encode all happen inside the store —
+    // no map walk, no allocation.
+    std::size_t fv_len = soa_->seal(open_begin_, ts);
     auto &m = obs::Metrics::global();
     if (m.enabled()) {
         m.reg_commits.add();
@@ -266,63 +193,24 @@ Registry::commitFvCapture(Nanos ts)
 std::vector<FeatureVector>
 Registry::getFeatures(std::optional<Nanos> ts) const
 {
-    std::vector<FeatureVector> out;
-    if (soa_) {
-        // Compatibility shim: materialize sealed slots into legacy
-        // vectors with identical selection semantics.
-        std::size_t n = soa_->sealedCount();
-        for (std::size_t i = 0; i < n; ++i) {
-            FeatureVector fv = soa_->materializeAt(i);
-            if (!ts.has_value()) {
-                out.push_back(std::move(fv));
-            } else if (fv.ts_begin <= *ts && *ts <= fv.ts_end) {
-                out.push_back(std::move(fv));
-                break;
-            }
-        }
-        return out;
-    }
-    if (!ts.has_value())
-        return ring_.snapshot();
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-        const FeatureVector &fv = ring_.at(i);
-        if (fv.ts_begin <= *ts && *ts <= fv.ts_end) {
-            out.push_back(fv);
-            break;
-        }
-    }
-    return out;
+    return soa_->materialize(ts);
 }
 
 void
 Registry::truncateFeatures(std::optional<Nanos> ts)
 {
-    std::size_t keep_newest = schema_.hasHistory() ? 1 : 0;
-    if (soa_) {
-        soa_->truncate(ts, keep_newest);
-        return;
-    }
-    while (ring_.size() > keep_newest) {
-        const FeatureVector &oldest = ring_.front();
-        if (ts.has_value() && oldest.ts_end >= *ts)
-            break;
-        ring_.pop();
-    }
+    soa_->truncate(ts, schema().hasHistory() ? 1 : 0);
 }
 
 FvBatchView
 Registry::batchView()
 {
-    LAKE_ASSERT(soa_ != nullptr, "%s/%s: batchView on the legacy plane",
-                sys_.c_str(), name_.c_str());
     return soa_->viewAll();
 }
 
 FvBatchView
 Registry::tailView(std::size_t n)
 {
-    LAKE_ASSERT(soa_ != nullptr, "%s/%s: tailView on the legacy plane",
-                sys_.c_str(), name_.c_str());
     return soa_->viewTail(n);
 }
 
@@ -422,8 +310,8 @@ Registry::scoreFeatures(const std::vector<FeatureVector> &fvs, Nanos now)
     auto &m = obs::Metrics::global();
     if (m.enabled()) {
         m.reg_scores.add();
-        // The legacy path stages every vector's map payload into the
-        // classifier's featurize/pack step; the SoA view path moves 0.
+        // A vector batch stages every vector's map payload into the
+        // classifier's featurize/pack step; the view path moves 0.
         std::size_t staged = 0;
         for (const FeatureVector &fv : fvs)
             for (const auto &[key, entries] : fv.values)
@@ -467,7 +355,7 @@ Registry::scoreFeatures(const FvBatchView &view, Nanos now)
     if (m.enabled()) {
         m.reg_scores.add();
         // Zero-copy dispatch stages nothing; the materialize fallback
-        // counts the same staged bytes the legacy path would.
+        // counts the same staged bytes a vector batch would.
         if (!use_view)
             m.reg_pack_bytes.add(view.packBytesAvoided());
     }
@@ -484,7 +372,7 @@ Registry::scoreFeatures(const FvBatchView &view, Nanos now)
                                  : cpu_view_classifier_;
         scores = fn(view);
     } else {
-        // Compatibility shim: a legacy-only registry still scores SoA
+        // A registry with only a vector classifier still scores view
         // batches, paying the gather the view path eliminates.
         Classifier &fn = engine == policy::Engine::Gpu
                              ? gpu_classifier_

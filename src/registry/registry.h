@@ -6,12 +6,17 @@
  * One feature registry: a named combination of a model, a feature-vector
  * schema, a capture window, and the classifier/policy hooks (§5).
  *
+ * Every registry stores its vectors in one SoaStore (registry/soa.h):
+ * the open vector is a row of relaxed-atomic live lanes, one per
+ * column, and a commit seals a copy of it into a slot of the window
+ * ring.
+ *
  * Concurrency model, per §5.3: while a capture is open, any thread may
- * call captureFeature / captureFeatureIncr — the open vector is a
- * lock-free map. begin/commit/get/truncate/score are registry-owner
- * operations (the subsystem that created the registry), serialized by
- * the caller the way the I/O path serializes them in the paper's case
- * study.
+ * call captureFeature / captureFeatureIncr — each is one relaxed-atomic
+ * store or add into the open vector's column lane. begin/commit/get/
+ * truncate/score are registry-owner operations (the subsystem that
+ * created the registry), serialized by the caller the way the I/O path
+ * serializes them in the paper's case study.
  */
 
 #include <cstdint>
@@ -21,8 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "base/lockfree_map.h"
-#include "base/ring_buffer.h"
 #include "base/status.h"
 #include "base/time.h"
 #include "policy/policy.h"
@@ -64,11 +67,11 @@ using Classifier =
     std::function<std::vector<float>(const std::vector<FeatureVector> &)>;
 
 /**
- * Zero-copy batch inference callback over the SoA plane: scores a
- * pinned batch view directly (typically via view.matrixViews() into
- * the strided GEMM/kNN substrate). Registered alongside the legacy
- * Classifier; scoreFeatures(view) prefers it and falls back to
- * materializing for a legacy-only registry.
+ * Zero-copy batch inference callback: scores a pinned batch view
+ * directly (typically via view.matrixViews() into the strided GEMM/kNN
+ * substrate). Registered alongside the vector Classifier;
+ * scoreFeatures(view) prefers it and falls back to materializing the
+ * view for a registry with only a vector classifier.
  */
 using ViewClassifier = std::function<std::vector<float>(const FvBatchView &)>;
 
@@ -79,6 +82,7 @@ class Registry
 {
   public:
     /**
+     * A registry whose store lives on the heap (default SoaConfig).
      * @param name   registry name (e.g. the block device, "sda1")
      * @param sys    owning subsystem (e.g. "bio_latency_prediction")
      * @param schema feature-vector format
@@ -87,25 +91,22 @@ class Registry
     Registry(std::string name, std::string sys, Schema schema,
              std::size_t window);
 
+    /** A registry over an already-built @p store (the manager's path:
+     *  it carves the store from its arena first). */
+    Registry(std::string name, std::string sys,
+             std::unique_ptr<SoaStore> store);
+
     /** Registry name. */
     const std::string &name() const { return name_; }
     /** Owning subsystem. */
     const std::string &sys() const { return sys_; }
     /** Schema in force. */
-    const Schema &schema() const { return schema_; }
+    const Schema &schema() const { return soa_->schema(); }
     /** Ring capacity in feature vectors. */
-    std::size_t window() const { return window_; }
+    std::size_t window() const { return soa_->window(); }
 
-    /**
-     * Attaches the SoA data plane: capture/commit/get/truncate route
-     * through @p store instead of the legacy hashmap path. Must run
-     * before the first capture (the two planes don't interconvert
-     * mid-stream); the manager attaches at createRegistry time.
-     */
-    void attachSoa(std::unique_ptr<SoaStore> store);
-
-    /** The SoA store; nullptr on the legacy path. */
-    SoaStore *soa() const { return soa_.get(); }
+    /** The column store behind this registry. */
+    SoaStore &soa() const { return *soa_; }
 
     /// @name Capture (Table 1: begin/capture/capture_incr/commit)
     /// @{
@@ -142,9 +143,8 @@ class Registry
     /**
      * Column-indexed capture: the hash-free hot path. @p col is the
      * schema declaration order index (Schema::columnOf, interned once
-     * by the instrumentation site). On the SoA plane this is a single
-     * relaxed-atomic store into the open slot's column lane; on the
-     * legacy plane it forwards to the key-based capture.
+     * by the instrumentation site); the capture is a single
+     * relaxed-atomic store into the open vector's column lane.
      */
     void captureFeatureCol(std::uint32_t col, std::uint64_t value);
     /** Column-indexed atomic increment. */
@@ -166,6 +166,8 @@ class Registry
     /**
      * With a timestamp: the first vector whose [ts_begin, ts_end]
      * contains @p ts. Without (nullopt): the whole ring, oldest first.
+     * Either way a materializing read: the vectors are copies of the
+     * sealed column slots.
      */
     std::vector<FeatureVector>
     getFeatures(std::optional<Nanos> ts = std::nullopt) const;
@@ -179,16 +181,12 @@ class Registry
     void truncateFeatures(std::optional<Nanos> ts = std::nullopt);
 
     /** Committed vectors currently in the ring. */
-    std::size_t pendingCount() const
-    {
-        return soa_ ? soa_->sealedCount() : ring_.size();
-    }
+    std::size_t pendingCount() const { return soa_->sealedCount(); }
 
     /**
-     * Pinned zero-copy view over every committed vector, oldest first
-     * (SoA plane only; panics on the legacy plane). The view keeps its
-     * slots' bytes immutable until it destructs — window wraps and
-     * truncates defer recycling behind it.
+     * Pinned zero-copy view over every committed vector, oldest first.
+     * The view keeps its slots' bytes immutable until it destructs —
+     * window wraps and truncates defer recycling behind it.
      */
     FvBatchView batchView();
 
@@ -236,8 +234,8 @@ class Registry
      * Zero-copy batch-view overload: same policy decision (batch size =
      * view.size()), dispatched to the engine's view classifier when one
      * is registered — no gather, no pack, reg_pack_bytes += 0 — and
-     * otherwise materialized through the legacy classifier (the
-     * compatibility shim, which counts its staged bytes).
+     * otherwise materialized through the vector classifier (which
+     * counts its staged bytes).
      */
     std::vector<float> scoreFeatures(const FvBatchView &view, Nanos now);
 
@@ -250,26 +248,20 @@ class Registry
     /** Picks the engine for a batch of @p batch vectors at @p now. */
     policy::Engine decideEngine(std::size_t batch, Nanos now);
 
+    /** Column of @p key; panics on a key the schema does not declare. */
+    std::uint32_t columnOrDie(std::uint64_t key) const;
+    /** Panics on a column index outside the schema. */
+    void checkColumn(std::uint32_t col) const;
+
     std::string name_;
     std::string sys_;
-    Schema schema_;
-    std::size_t window_;
 
-    /** The open (capturing) vector. */
-    LockFreeMap open_values_;
+    /** The open vector's begin timestamp (its lanes live in soa_). */
     Nanos open_begin_ = 0;
     bool capture_open_ = false;
 
-    RingBuffer<FeatureVector> ring_;
-    /** Copy of the newest committed vector, for history inheritance. */
-    FeatureVector last_committed_;
-    bool has_last_ = false;
-
-    /** The SoA data plane; capture/commit/get/truncate route through
-     *  it when attached (LakeConfig.soa_plane / LAKE_SOA). */
+    /** Column store: open slot, sealed window ring, float rows. */
     std::unique_ptr<SoaStore> soa_;
-    /** Column → key, for the legacy fallback of the col capture path. */
-    std::vector<std::uint64_t> col_keys_;
 
     Classifier cpu_classifier_;
     Classifier gpu_classifier_;

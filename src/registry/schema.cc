@@ -12,7 +12,7 @@ featureKey(const std::string &name)
         h ^= c;
         h *= 0x100000001b3ull;
     }
-    // Key 0 is the lock-free map's empty sentinel.
+    // Key 0 is reserved: no feature ever hashes to it.
     return h == 0 ? 1 : h;
 }
 

@@ -1,8 +1,8 @@
 #include "registry/scoreserver.h"
 
-#include <cstdlib>
 #include <utility>
 
+#include "base/env.h"
 #include "base/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -11,20 +11,6 @@
 namespace lake::registry {
 
 namespace {
-
-/** Parses a non-negative integer env var; @p fallback when unset/bad. */
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        return fallback;
-    return static_cast<std::size_t>(parsed);
-}
 
 /**
  * The server whose flush lock this thread currently holds (callbacks
@@ -53,13 +39,14 @@ class FlushScope
 void
 ScoringConfig::applyEnv()
 {
-    max_batch = envSize("LAKE_SCORE_MAX_BATCH", max_batch);
-    queue_capacity = envSize("LAKE_SCORE_QUEUE_CAP", queue_capacity);
-    max_delay =
-        static_cast<Nanos>(envSize("LAKE_SCORE_MAX_DELAY_US",
-                                   static_cast<std::size_t>(max_delay / 1000))) *
-        1000ull;
-    shed_oldest = envSize("LAKE_SCORE_SHED", shed_oldest ? 1 : 0) != 0;
+    max_batch = base::envCount("LAKE_SCORE_MAX_BATCH", max_batch);
+    queue_capacity = base::envCount("LAKE_SCORE_QUEUE_CAP", queue_capacity);
+    max_delay = static_cast<Nanos>(base::envCount(
+                    "LAKE_SCORE_MAX_DELAY_US",
+                    static_cast<std::size_t>(max_delay / 1000))) *
+                1000ull;
+    shed_oldest =
+        base::envCount("LAKE_SCORE_SHED", shed_oldest ? 1 : 0) != 0;
 }
 
 ScoreServer::ScoreServer(RegistryManager &mgr, Clock &clock,
@@ -350,7 +337,7 @@ ScoreServer::dispatch(const std::string &sys, std::vector<Request> reqs,
         for (FeatureVector &fv : r.fvs)
             batch.push_back(std::move(fv));
         if (!r.view.empty()) {
-            // Mixed flush: a legacy-batch sibling forces the gather
+            // Mixed flush: a vector-batch sibling forces the gather
             // this view was built to avoid; count the staged bytes.
             auto &m = obs::Metrics::global();
             if (m.enabled())

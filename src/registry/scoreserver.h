@@ -161,12 +161,12 @@ class ScoreServer
                   ScoreCallback cb);
 
     /**
-     * Queues a pinned SoA batch view for batched scoring — the
+     * Queues a pinned batch view for batched scoring — the
      * zero-copy fast path. Same admission/coalescing/deadline contract
      * as submit(); a flush whose requests are all views append()s them
      * into one combined view and dispatches through
      * Registry::scoreFeatures(view) (no gather, no pack), falling back
-     * to materializing when legacy-batch requests are coalesced into
+     * to materializing when vector-batch requests are coalesced into
      * the same flush. Admission additionally accepts a registry that
      * only has a *view* classifier. The view's slots stay pinned until
      * its request completes (scored, shed, or failed).
@@ -225,9 +225,9 @@ class ScoreServer
     struct Request
     {
         Registry *reg;
-        /** Legacy payload; empty on the view path. */
+        /** Vector payload; empty on the view path. */
         std::vector<FeatureVector> fvs;
-        /** SoA payload; empty (unpinned) on the legacy path. Dropping
+        /** View payload; empty (unpinned) on the vector path. Dropping
          *  the request — shed, teardown — unpins it via its dtor. */
         FvBatchView view;
         Nanos enqueued;

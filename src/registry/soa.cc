@@ -1,31 +1,17 @@
 #include "registry/soa.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <utility>
 
+#include "base/env.h"
 #include "base/logging.h"
 #include "registry/registry.h"
 
 namespace lake::registry {
 
 namespace {
-
-/** Parses a non-negative integer env var; @p fallback when unset/bad
- *  (same parse-safety idiom as ScoringConfig::applyEnv). */
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        return fallback;
-    return static_cast<std::size_t>(parsed);
-}
 
 /** Rounds a u64 count up to a whole number of cache lines. */
 std::size_t
@@ -50,28 +36,27 @@ roundUpFloats(std::size_t floats)
 void
 SoaConfig::applyEnv()
 {
-    enabled = envSize("LAKE_SOA", enabled ? 1 : 0) != 0;
-    slack = envSize("LAKE_SOA_SLACK", slack);
+    slack = base::envCount("LAKE_SOA_SLACK", slack);
 }
 
 // ---------------------------------------------------------------------------
 // SoaStore
 
-SoaStore::SoaStore(const Schema &schema, std::size_t window,
-                   const SoaConfig &cfg, shm::ShmArena &arena)
-    : schema_(schema), arena_(arena),
+SoaStore::SoaStore(Schema schema, std::size_t window, const SoaConfig &cfg,
+                   shm::ShmArena *arena)
+    : schema_(std::move(schema)), arena_(arena),
       capacity_(window + 1 + cfg.slack),
-      words_((schema.featureCount() + 63) / 64),
-      float_cols_(schema.featureCount()),
-      float_stride_(roundUpFloats(schema.featureCount())),
+      words_((schema_.featureCount() + 63) / 64),
+      float_cols_(schema_.featureCount()),
+      float_stride_(roundUpFloats(schema_.featureCount())),
       ring_(window)
 {
     LAKE_ASSERT(schema_.featureCount() > 0, "soa store on empty schema");
 
     // Column layout: per feature, entries lanes of capacity u64s, the
     // whole region padded to cache-line multiples so concurrent writers
-    // of different columns never share a line (the arena's base
-    // alignment is already 64).
+    // of different columns never share a line (arena and heap blocks
+    // alike start on a cache line).
     std::size_t total = 0, lane_total = 0;
     cols_.reserve(schema_.featureCount());
     keys_.reserve(schema_.featureCount());
@@ -83,12 +68,14 @@ SoaStore::SoaStore(const Schema &schema, std::size_t window,
         lane_total += spec.entries;
     }
 
-    plane_off_ = arena_.alloc(total * sizeof(std::uint64_t));
-    if (plane_off_ == shm::kNullOffset)
+    plane_ = static_cast<std::uint64_t *>(
+        carve(total * sizeof(std::uint64_t), plane_off_));
+    if (plane_ == nullptr)
         return; // create() reports exhaustion via nullptr
-    plane_ = static_cast<std::uint64_t *>(arena_.at(plane_off_));
     std::memset(plane_, 0, total * sizeof(std::uint64_t));
 
+    live_.assign(cols_.size() * (base::kCacheLine / sizeof(std::uint64_t)),
+                 0);
     ever_.assign(words_, 0);
     presence_.assign(capacity_ * words_, 0);
     ts_begin_.assign(capacity_, 0);
@@ -110,27 +97,45 @@ SoaStore::SoaStore(const Schema &schema, std::size_t window,
 
 SoaStore::~SoaStore()
 {
-    if (plane_off_ != shm::kNullOffset)
-        arena_.free(plane_off_);
-    if (fplane_off_ != shm::kNullOffset)
-        arena_.free(fplane_off_);
+    release(plane_, plane_off_);
+    release(fplane_, fplane_off_);
 }
 
 std::unique_ptr<SoaStore>
-SoaStore::create(const Schema &schema, std::size_t window,
-                 const SoaConfig &cfg, shm::ShmArena &arena)
+SoaStore::create(Schema schema, std::size_t window, const SoaConfig &cfg,
+                 shm::ShmArena *arena)
 {
     std::unique_ptr<SoaStore> store(
-        new SoaStore(schema, window, cfg, arena));
+        new SoaStore(std::move(schema), window, cfg, arena));
     if (store->plane_ == nullptr)
         return nullptr;
     return store;
 }
 
+void *
+SoaStore::carve(std::size_t bytes, shm::ShmOffset &off)
+{
+    if (arena_ == nullptr)
+        return ::operator new(bytes, std::align_val_t(base::kCacheLine));
+    off = arena_->alloc(bytes);
+    return off == shm::kNullOffset ? nullptr : arena_->at(off);
+}
+
+void
+SoaStore::release(void *p, shm::ShmOffset off)
+{
+    if (p == nullptr)
+        return;
+    if (arena_ == nullptr)
+        ::operator delete(p, std::align_val_t(base::kCacheLine));
+    else
+        arena_->free(off);
+}
+
 void
 SoaStore::setFloatEncoder(std::size_t float_cols, FloatEncoder fn)
 {
-    LAKE_ASSERT(fplane_off_ == shm::kNullOffset && !has_last_,
+    LAKE_ASSERT(fplane_ == nullptr && !has_last_,
                 "setFloatEncoder after the first seal");
     if (float_cols > 0) {
         float_cols_ = float_cols;
@@ -144,10 +149,10 @@ SoaStore::ensureFloatPlane()
 {
     if (fplane_ != nullptr)
         return;
-    fplane_off_ = arena_.alloc(capacity_ * float_stride_ * sizeof(float));
-    LAKE_ASSERT(fplane_off_ != shm::kNullOffset,
+    fplane_ = static_cast<float *>(
+        carve(capacity_ * float_stride_ * sizeof(float), fplane_off_));
+    LAKE_ASSERT(fplane_ != nullptr,
                 "lakeShm exhausted carving the soa float plane");
-    fplane_ = static_cast<float *>(arena_.at(fplane_off_));
     std::memset(fplane_, 0, capacity_ * float_stride_ * sizeof(float));
 }
 
@@ -166,29 +171,31 @@ std::size_t
 SoaStore::seal(Nanos ts_begin, Nanos ts_end)
 {
     const std::uint32_t s = open_slot_;
-    std::size_t fv_len = 0;
 
-    // History inheritance from the shadow of the previous sealed
+    // Presence snapshot: the ever-captured set at seal time (captures
+    // are never cleared, so presence is monotone).
+    for (std::size_t w = 0; w < words_; ++w) {
+        std::atomic_ref<std::uint64_t> ev(ever_[w]);
+        presence_[s * words_ + w] = ev.load(std::memory_order_relaxed);
+    }
+
+    // Lane 0 of every present column is the open vector's live value;
+    // history lanes inherit from the shadow of the previous sealed
     // vector (never from a slot a window wrap may have recycled):
-    // previous entry i becomes entry i+1, exactly the legacy map walk.
-    for (std::size_t c = 0; c < cols_.size(); ++c) {
-        if (!everCaptured(static_cast<std::uint32_t>(c)))
+    // previous entry i becomes entry i+1.
+    std::size_t fv_len = 0;
+    for (std::uint32_t c = 0; c < cols_.size(); ++c) {
+        if (!presentAt(s, c))
             continue;
         ++fv_len;
         const Column &col = cols_[c];
+        plane_[col.base + s] = liveLane(c).load(std::memory_order_relaxed);
         bool prev_present =
             has_last_ && ((last_presence_[c >> 6] >> (c & 63)) & 1u);
         for (std::uint32_t i = col.entries; i-- > 1;) {
             plane_[col.base + i * capacity_ + s] =
                 prev_present ? last_lanes_[col.lane_off + (i - 1)] : 0;
         }
-    }
-
-    // Presence snapshot: the ever-captured set at seal time (the open
-    // map is never cleared, so presence is monotone across vectors).
-    for (std::size_t w = 0; w < words_; ++w) {
-        std::atomic_ref<std::uint64_t> ev(ever_[w]);
-        presence_[s * words_ + w] = ev.load(std::memory_order_relaxed);
     }
     ts_begin_[s] = ts_begin;
     ts_end_[s] = ts_end;
@@ -236,19 +243,9 @@ SoaStore::claimLocked()
                 "is pinned by an in-flight batch view — raise "
                 "SoaConfig.slack / LAKE_SOA_SLACK",
                 capacity_);
-    std::uint32_t s = free_.back();
+    open_slot_ = free_.back();
     free_.pop_back();
-    state_[s] = SlotState::Open;
-    open_slot_ = s;
-
-    // Lane-0 carry-forward: incremental counters (pend_ios) persist
-    // across commits because the legacy open map is never cleared.
-    for (std::size_t c = 0; c < cols_.size(); ++c) {
-        bool carry = has_last_ &&
-                     everCaptured(static_cast<std::uint32_t>(c));
-        plane_[cols_[c].base + s] =
-            carry ? last_lanes_[cols_[c].lane_off] : 0;
-    }
+    state_[open_slot_] = SlotState::Open;
 }
 
 void
@@ -334,15 +331,25 @@ SoaStore::viewTail(std::size_t n)
     return v;
 }
 
-FeatureVector
-SoaStore::materializeAt(std::size_t idx) const
+std::vector<FeatureVector>
+SoaStore::materialize(std::optional<Nanos> ts) const
 {
-    std::uint32_t slot;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        slot = ring_.at(idx);
+    std::vector<FeatureVector> out;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!ts.has_value()) {
+        out.reserve(ring_.size());
+        for (std::size_t i = 0; i < ring_.size(); ++i)
+            out.push_back(materializeSlot(ring_.at(i)));
+        return out;
     }
-    return materializeSlot(slot);
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+        std::uint32_t s = ring_.at(i);
+        if (ts_begin_[s] <= *ts && *ts <= ts_end_[s]) {
+            out.push_back(materializeSlot(s));
+            break;
+        }
+    }
+    return out;
 }
 
 FeatureVector

@@ -3,38 +3,36 @@
 
 /**
  * @file
- * The zero-copy SoA capture→score data plane (DESIGN.md §12).
+ * The registry's capture→score data plane (DESIGN.md §12): every
+ * Registry stores its feature vectors in one schema-indexed, cache-line-
+ * tiled structure-of-arrays column store. A store carves its columns
+ * from the lakeShm arena when given one (every registry of a booted
+ * Lake lives in shard 0's arena) and otherwise owns a 64-byte-aligned
+ * heap block (standalone registries and managers):
  *
- * The legacy capture path stores each feature vector as a heap
- * `unordered_map<key, vector<u64>>`: every capture hashes, every commit
- * allocates, and every score gathers the map back into a dense float
- * matrix. This plane replaces that with a schema-indexed, cache-line-
- * tiled structure-of-arrays column store carved directly from the
- * lakeShm arena:
- *
- *  - beginFvCapture claims a fixed-stride *slot*; captureFeature /
- *    captureFeatureIncr write through a column index resolved once from
- *    the Schema (no hashing, no allocation) with relaxed atomics into
- *    64-byte-aligned column regions (no false sharing between features);
- *  - commit is a slot *seal* — history-lane inheritance, a presence-mask
- *    snapshot, one float-row encode — plus a ring-index append;
+ *  - captureFeature / captureFeatureIncr write through a column index
+ *    resolved once from the Schema (no hashing, no allocation) with
+ *    relaxed atomics into the open vector's live lanes, one cache line
+ *    per column (no false sharing between features);
+ *  - commit is a slot *seal* — claim a fixed-stride slot, snapshot the
+ *    live lanes and the presence mask into it, inherit history lanes,
+ *    encode one float row — plus a ring-index append;
  *  - a ScoreServer batch is an FvBatchView: a pinned, zero-copy window
  *    over committed slots whose float rows feed the blocked GEMM and
  *    batched kNN substrate as strided MatrixViews, with no gather/pack
  *    step (reg_pack_bytes stays 0 on this path).
  *
- * Slot lifecycle: free → open (exactly one per store) → sealed (in the
+ * Slot lifecycle: free → open (while a seal fills it) → sealed (in the
  * window ring) → recycled. Recycling a slot still referenced by an
  * in-flight FvBatchView is *deferred* until the last view unpins it, so
  * a window wrap or truncate can never rewrite bytes a batch is reading.
  *
- * Legacy-semantics contract (the equivalence tests pin this down):
- * a column captured once stays present in every later vector (the open
- * map is never cleared), lane 0 of every ever-captured column carries
+ * Feature-vector semantics (the equivalence tests replay them against
+ * a map-based reference model): a column captured once stays present
+ * in every later vector, lane 0 of every ever-captured column carries
  * forward across commits (incremental counters persist), and history
- * lanes 1..E-1 inherit from the previous sealed vector exactly as
- * commitFvCapture's map walk did. materialize() therefore reproduces
- * the legacy FeatureVector bit-for-bit.
+ * lanes 1..E-1 inherit entries 0..E-2 of the previous sealed vector.
+ * materialize() renders a slot as the Table 1 FeatureVector.
  */
 
 #include <atomic>
@@ -60,18 +58,22 @@ class SoaStore;
 /** Boot-time knobs of the SoA data plane (LakeConfig.soa_plane). */
 struct SoaConfig
 {
-    /** Master switch; registries store legacy FeatureVectors while off. */
-    bool enabled = false;
     /**
-     * Extra slots beyond window + 1 (sealed window plus the open slot)
+     * Always true: the SoA store is the only plane. Kept only because
+     * the frozen perfbench driver records LakeConfig().soa_plane.enabled
+     * in its result JSON; fold it away with the next benchmark change.
+     */
+    static constexpr bool enabled = true;
+    /**
+     * Extra slots beyond window + 1 (sealed window plus the next slot)
      * that absorb recycle deferral while batch views are in flight. A
      * store panics only when every spare slot is pinned *and* the
      * window wraps — size this to the deepest concurrent batch.
      */
     std::size_t slack = 8;
 
-    /** Applies LAKE_SOA / LAKE_SOA_SLACK environment overrides
-     *  (explicit opt-in, same idiom as ScoringConfig::applyEnv). */
+    /** Applies the LAKE_SOA_SLACK environment override (explicit
+     *  opt-in, same idiom as ScoringConfig::applyEnv). */
     void applyEnv();
 };
 
@@ -130,10 +132,10 @@ class FvBatchView
     /** Steals @p other's rows onto the back of this view. */
     void append(FvBatchView other);
 
-    /** Legacy-format copy of every row (the compatibility shim). */
+    /** FeatureVector copy of every row (for vector classifiers). */
     std::vector<FeatureVector> materialize() const;
 
-    /** Bytes a legacy gather of this batch would have staged. */
+    /** Bytes a FeatureVector gather of this batch would have staged. */
     std::size_t packBytesAvoided() const;
 
   private:
@@ -155,20 +157,22 @@ class FvBatchView
 /**
  * The columnar slot store backing one registry's capture plane.
  *
- * Layout, carved in one arena allocation: per schema column c (declared
- * order) a region of entries(c) lanes × capacity slots of u64, each
- * region 64-byte aligned and padded — concurrent captures of different
- * features never share a cache line, and only lane 0 of the single open
- * slot is ever written concurrently (via relaxed atomic_ref; see
- * DESIGN.md §12 for why relaxed suffices). The float plane (capacity ×
- * roundUp(floatCols, 16) floats) is carved lazily at the first seal so
- * stores that never score pay no float memory.
+ * Layout, carved in one block (from the arena, or from the heap when
+ * the store has no arena): per schema column c (declared order) a
+ * region of entries(c) lanes × capacity slots of u64, each region
+ * 64-byte aligned and padded. Sealed slots are immutable; captures
+ * only ever touch the open vector's live lanes, one cache line per
+ * column (relaxed atomic_ref; see DESIGN.md §12 for why relaxed
+ * suffices). The live lanes are never cleared, so an increment racing
+ * a seal lands in this vector or the next, never nowhere. The float
+ * plane (capacity × roundUp(floatCols, 16) floats) is carved lazily at
+ * the first seal so stores that never score pay no float memory.
  *
  * Threading: set()/add() are callable from any thread while a capture
- * is open (same contract as Registry::captureFeature). seal(),
- * truncate(), and view creation are owner/scorer operations; the
- * internal mutex serializes slot lifecycle against pin/unpin from
- * concurrent view destruction only.
+ * is open (same contract as Registry::captureFeature), concurrently
+ * with seal() too. seal(), truncate(), and view creation are
+ * owner/scorer operations; the internal mutex serializes slot
+ * lifecycle against pin/unpin from concurrent view destruction only.
  */
 class SoaStore
 {
@@ -199,15 +203,16 @@ class SoaStore
         std::function<void(const RowReader &row, float *out)>;
 
     /**
-     * Carves a store from @p arena. @p window is the sealed-slot ring
+     * Builds a store for @p schema. @p window is the sealed-slot ring
      * capacity (same meaning as the registry window); total slots are
-     * window + 1 + cfg.slack.
+     * window + 1 + cfg.slack. The planes are carved from @p arena when
+     * it is non-null, else from the heap.
      * @return nullptr when the arena cannot fit the column plane
      */
-    static std::unique_ptr<SoaStore> create(const Schema &schema,
+    static std::unique_ptr<SoaStore> create(Schema schema,
                                             std::size_t window,
                                             const SoaConfig &cfg,
-                                            shm::ShmArena &arena);
+                                            shm::ShmArena *arena);
 
     ~SoaStore();
 
@@ -217,24 +222,21 @@ class SoaStore
     /// @name Capture plane (any thread while a capture is open)
     /// @{
 
-    /** Sets column @p col lane 0 of the open slot (relaxed atomic). */
+    /** Sets column @p col of the open vector (relaxed atomic). */
     void
     set(std::uint32_t col, std::uint64_t value)
     {
-        std::atomic_ref<std::uint64_t> lane(
-            plane_[cols_[col].base + open_slot_]);
-        lane.store(value, std::memory_order_relaxed);
+        liveLane(col).store(value, std::memory_order_relaxed);
         markEver(col);
     }
 
-    /** Adds @p delta to column @p col lane 0 (relaxed atomic RMW). */
+    /** Adds @p delta to column @p col of the open vector (relaxed
+     *  atomic RMW). */
     void
     add(std::uint32_t col, std::int64_t delta)
     {
-        std::atomic_ref<std::uint64_t> lane(
-            plane_[cols_[col].base + open_slot_]);
-        lane.fetch_add(static_cast<std::uint64_t>(delta),
-                       std::memory_order_relaxed);
+        liveLane(col).fetch_add(static_cast<std::uint64_t>(delta),
+                                std::memory_order_relaxed);
         markEver(col);
     }
 
@@ -243,11 +245,11 @@ class SoaStore
     /// @{
 
     /**
-     * Seals the open slot as [ts_begin, ts_end]: inherits history
-     * lanes, snapshots the presence mask, encodes the float row,
-     * appends to the sealed ring (recycling the overwritten slot on a
-     * window wrap), and claims the next open slot with lane-0
-     * carry-forward.
+     * Seals the open vector as [ts_begin, ts_end] into a free slot:
+     * snapshots the presence mask and the live lanes (which stay as
+     * they are — the carry-forward), inherits history lanes, encodes
+     * the float row, and appends to the sealed ring (recycling the
+     * overwritten slot on a window wrap).
      * @return features present in the sealed vector (the fv_len metric)
      */
     std::size_t seal(Nanos ts_begin, Nanos ts_end);
@@ -279,11 +281,20 @@ class SoaStore
     /** Pinned view over the newest @p n sealed slots, oldest first. */
     FvBatchView viewTail(std::size_t n);
 
-    /** Legacy-format copy of sealed slot index @p idx (oldest = 0). */
-    FeatureVector materializeAt(std::size_t idx) const;
+    /**
+     * FeatureVector copies of the sealed slots, oldest first. With
+     * @p ts, only the first slot whose [ts_begin, ts_end] contains it
+     * (timestamps are compared before anything is materialized).
+     */
+    std::vector<FeatureVector>
+    materialize(std::optional<Nanos> ts) const;
 
     /// @}
 
+    /** The schema the columns follow. */
+    const Schema &schema() const { return schema_; }
+    /** Sealed-slot ring capacity (the registry window). */
+    std::size_t window() const { return ring_.capacity(); }
     /** Floats per encoded row (columns of every MatrixView). */
     std::size_t floatCols() const { return float_cols_; }
     /** Float-plane row stride (floats between consecutive slots). */
@@ -320,8 +331,8 @@ class SoaStore
         Retired, //!< recycled while pinned; freed at last unpin
     };
 
-    SoaStore(const Schema &schema, std::size_t window,
-             const SoaConfig &cfg, shm::ShmArena &arena);
+    SoaStore(Schema schema, std::size_t window, const SoaConfig &cfg,
+             shm::ShmArena *arena);
 
     std::uint64_t lane(std::uint32_t col, std::uint32_t entry,
                        std::uint32_t slot) const
@@ -329,13 +340,12 @@ class SoaStore
         return plane_[cols_[col].base + entry * capacity_ + slot];
     }
 
-    bool everCaptured(std::uint32_t col) const
+    /** Live lane of column @p col: one cache line per column. */
+    std::atomic_ref<std::uint64_t>
+    liveLane(std::uint32_t col)
     {
-        // atomic_ref<const T> lands in C++26; cast away const for the
-        // relaxed load (the referenced word is mutable in practice).
-        std::atomic_ref<std::uint64_t> w(
-            const_cast<std::uint64_t &>(ever_[col >> 6]));
-        return (w.load(std::memory_order_relaxed) >> (col & 63)) & 1u;
+        return std::atomic_ref<std::uint64_t>(
+            live_[col * (base::kCacheLine / sizeof(std::uint64_t))]);
     }
 
     void
@@ -353,6 +363,8 @@ class SoaStore
                 (col & 63)) & 1u;
     }
 
+    void *carve(std::size_t bytes, shm::ShmOffset &off);
+    void release(void *p, shm::ShmOffset off);
     void ensureFloatPlane();
     void claimLocked();
     void recycleLocked(std::uint32_t slot);
@@ -360,8 +372,9 @@ class SoaStore
     void unpinSlots(const std::vector<std::uint32_t> &slots);
     FeatureVector materializeSlot(std::uint32_t slot) const;
 
-    const Schema &schema_;
-    shm::ShmArena &arena_;
+    Schema schema_;
+    /** Backing arena; nullptr when the planes live on the heap. */
+    shm::ShmArena *arena_;
     std::size_t capacity_;
     std::size_t words_;      //!< presence words per slot
     std::vector<Column> cols_;
@@ -377,7 +390,10 @@ class SoaStore
     shm::ShmOffset fplane_off_ = shm::kNullOffset;
     float *fplane_ = nullptr;
 
-    /** Ever-captured column bits (monotonic; the open map never
+    /** The open vector: one u64 per column, each on its own cache
+     *  line, never cleared. Relaxed-atomic: capture threads write it. */
+    base::AlignedVec<std::uint64_t> live_;
+    /** Ever-captured column bits (monotonic: captures are never
      *  cleared). Relaxed-atomic words: capture threads set them. */
     std::vector<std::uint64_t> ever_;
 
@@ -387,13 +403,14 @@ class SoaStore
     base::AlignedVec<Nanos> ts_end_;
 
     /** Shadow of the newest sealed vector's lanes (Σ entries u64s):
-     *  history inheritance and carry-forward never read a slot that a
-     *  window wrap might already have recycled. */
+     *  history inheritance never reads a slot that a window wrap might
+     *  already have recycled. */
     std::vector<std::uint64_t> last_lanes_;
     std::vector<std::uint64_t> last_presence_;
     bool has_last_ = false;
 
-    /** Open slot id; written only by owner-serialized seal/claim. */
+    /** The slot the next seal fills; claimed by the previous seal so
+     *  consecutive seals take consecutive slot ids. Owner-only. */
     std::uint32_t open_slot_ = 0;
 
     mutable std::mutex mu_; //!< guards ring_/free_/state_/pins_

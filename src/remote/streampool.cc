@@ -1,31 +1,15 @@
 #include "remote/streampool.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 
+#include "base/env.h"
 #include "base/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace lake::remote {
-namespace {
-
-/** Parses a size-like env var, returning @p fallback when unset/bad. */
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v)
-        return fallback;
-    return static_cast<std::size_t>(parsed);
-}
-
-} // namespace
 
 void
 StreamingConfig::applyEnv()
@@ -34,19 +18,16 @@ StreamingConfig::applyEnv()
     // LAKE_STREAMS=4 enables 4-way streaming, LAKE_STREAMS=0 disables.
     // A value that does not parse is ignored outright: falling back to
     // a default here would flip `enabled` on a typo.
-    if (const char *v = std::getenv("LAKE_STREAMS"); v != nullptr && *v) {
-        char *end = nullptr;
-        unsigned long long n = std::strtoull(v, &end, 10);
-        if (end != v) {
-            enabled = n > 0;
-            if (n > 0)
-                streams = static_cast<std::uint32_t>(n);
-        }
+    if (std::optional<std::size_t> n = base::envCount("LAKE_STREAMS");
+        n && *n <= UINT32_MAX) {
+        enabled = *n > 0;
+        if (*n > 0)
+            streams = static_cast<std::uint32_t>(*n);
     }
-    pool_buffers = std::max<std::size_t>(1, envSize("LAKE_POOL_BUFFERS",
-                                                    pool_buffers));
-    class_bytes = std::max<std::size_t>(64, envSize("LAKE_POOL_CLASS_BYTES",
-                                                    class_bytes));
+    pool_buffers = std::max<std::size_t>(
+        1, base::envCount("LAKE_POOL_BUFFERS", pool_buffers));
+    class_bytes = std::max<std::size_t>(
+        64, base::envCount("LAKE_POOL_CLASS_BYTES", class_bytes));
 }
 
 StreamOrchestrator::StreamOrchestrator(LakeLib &lib, Clock &clock,

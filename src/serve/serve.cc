@@ -4,23 +4,11 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "base/env.h"
+
 namespace lake::serve {
 
 namespace {
-
-/** Parses a non-negative integer env var; @p fallback when unset/bad. */
-std::size_t
-envSize(const char *name, std::size_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        return fallback;
-    return static_cast<std::size_t>(parsed);
-}
 
 /** Parses a non-negative double env var; @p fallback when unset/bad. */
 double
@@ -41,25 +29,26 @@ envDouble(const char *name, double fallback)
 void
 ServeConfig::applyEnv()
 {
-    tenants = envSize("LAKE_SERVE_TENANTS", tenants);
+    tenants = base::envCount("LAKE_SERVE_TENANTS", tenants);
     rate_rps = envDouble("LAKE_SERVE_RATE_RPS", rate_rps);
-    seed = envSize("LAKE_SERVE_SEED", seed);
+    seed = base::envCount("LAKE_SERVE_SEED", seed);
     bucket_rate = envDouble("LAKE_SERVE_BUCKET_RATE", bucket_rate);
     bucket_burst = envDouble("LAKE_SERVE_BUCKET_BURST", bucket_burst);
-    queue_capacity = envSize("LAKE_SERVE_QUEUE_CAP", queue_capacity);
-    shed_oldest = envSize("LAKE_SERVE_SHED", shed_oldest ? 1 : 0) != 0;
-    drr_quantum = envSize("LAKE_SERVE_QUANTUM", drr_quantum);
+    queue_capacity = base::envCount("LAKE_SERVE_QUEUE_CAP", queue_capacity);
+    shed_oldest =
+        base::envCount("LAKE_SERVE_SHED", shed_oldest ? 1 : 0) != 0;
+    drr_quantum = base::envCount("LAKE_SERVE_QUANTUM", drr_quantum);
     pump_interval =
-        static_cast<Nanos>(envSize(
+        static_cast<Nanos>(base::envCount(
             "LAKE_SERVE_PUMP_US",
             static_cast<std::size_t>(pump_interval / 1000))) *
         1000ull;
     max_runahead =
-        static_cast<Nanos>(envSize(
+        static_cast<Nanos>(base::envCount(
             "LAKE_SERVE_RUNAHEAD_US",
             static_cast<std::size_t>(max_runahead / 1000))) *
         1000ull;
-    shards = envSize("LAKE_SERVE_SHARDS", shards);
+    shards = base::envCount("LAKE_SERVE_SHARDS", shards);
     if (const char *v = std::getenv("LAKE_SERVE_TRACE"); v && *v)
         trace_path = v;
 }

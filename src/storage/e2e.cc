@@ -71,7 +71,6 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
     sim::Simulator simr;
     core::LakeConfig lake_cfg;
     lake_cfg.streaming = config.streaming;
-    lake_cfg.soa_plane = config.soa;
     core::Lake lake(lake_cfg);
     E2eResult result;
     PercentileTracker read_lats;
@@ -129,75 +128,44 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
             devs[d].reg->registerPolicy(lake.degradationGuard(
                 std::make_unique<policy::BatchThresholdPolicy>(
                     config.gpu_batch_threshold)));
-            devs[d].reg->registerClassifier(
+            // Seal-time encoder: the LinnOS digit encoding runs once
+            // per commit, so scoring reads finished float rows straight
+            // out of shm.
+            devs[d].reg->soa().setFloatEncoder(kLinnosFeatures,
+                                               encodeLinnosRow);
+            // Zero-copy CPU dispatch: the strided windows feed the GEMM
+            // substrate in place.
+            devs[d].reg->registerViewClassifier(
                 registry::Arch::Cpu,
-                [&cpu_mlp](const std::vector<registry::FeatureVector>
-                               &fvs) {
-                    ml::Matrix x = featurizeLinnos(fvs);
-                    std::vector<int> c = cpu_mlp->classify(x);
+                [&cpu_mlp](const registry::FvBatchView &v) {
+                    std::vector<int> c = cpu_mlp->classify(v.matrixViews());
                     return std::vector<float>(c.begin(), c.end());
                 });
-            devs[d].reg->registerClassifier(
+            // GPU dispatch uploads to the device regardless; gather the
+            // strided rows into the staging matrix directly (no
+            // FeatureVector materialization).
+            devs[d].reg->registerViewClassifier(
                 registry::Arch::Gpu,
-                [&lake_mlp, &cpu_mlp,
-                 &lake](const std::vector<registry::FeatureVector>
-                            &fvs) {
-                    ml::Matrix x = featurizeLinnos(fvs);
+                [&lake_mlp, &cpu_mlp, &lake](const registry::FvBatchView &v) {
+                    ml::Matrix x(v.size(), kLinnosFeatures);
+                    std::size_t r = 0;
+                    for (const ml::MatrixView &mv : v.matrixViews())
+                        for (std::size_t i = 0; i < mv.rows(); ++i, ++r)
+                            std::copy(mv.row(i), mv.row(i) + mv.cols(),
+                                      x.row(r));
                     // A remoting failure mid-batch must not kill the
                     // I/O path: finish this batch on the CPU and count
                     // the fallback.
-                    Result<std::vector<int>> r =
-                        lake_mlp->tryClassify(x);
+                    Result<std::vector<int>> res = lake_mlp->tryClassify(x);
                     std::vector<int> c;
-                    if (r.isOk()) {
-                        c = r.takeValue();
+                    if (res.isOk()) {
+                        c = res.takeValue();
                     } else {
                         lake.noteFallback();
                         c = cpu_mlp->classify(x);
                     }
                     return std::vector<float>(c.begin(), c.end());
                 });
-            if (registry::SoaStore *store = devs[d].reg->soa()) {
-                // Seal-time encoder: the LinnOS digit encoding runs
-                // once per commit, so scoring reads finished float
-                // rows straight out of shm.
-                store->setFloatEncoder(kLinnosFeatures, encodeLinnosRow);
-                // Zero-copy CPU dispatch: the strided windows feed the
-                // GEMM substrate in place.
-                devs[d].reg->registerViewClassifier(
-                    registry::Arch::Cpu,
-                    [&cpu_mlp](const registry::FvBatchView &v) {
-                        std::vector<int> c =
-                            cpu_mlp->classify(v.matrixViews());
-                        return std::vector<float>(c.begin(), c.end());
-                    });
-                // GPU dispatch uploads to the device regardless;
-                // gather the strided rows into the staging matrix
-                // directly (no FeatureVector materialization).
-                devs[d].reg->registerViewClassifier(
-                    registry::Arch::Gpu,
-                    [&lake_mlp, &cpu_mlp,
-                     &lake](const registry::FvBatchView &v) {
-                        ml::Matrix x(v.size(), kLinnosFeatures);
-                        std::size_t r = 0;
-                        for (const ml::MatrixView &mv : v.matrixViews())
-                            for (std::size_t i = 0; i < mv.rows();
-                                 ++i, ++r)
-                                std::copy(mv.row(i),
-                                          mv.row(i) + mv.cols(),
-                                          x.row(r));
-                        Result<std::vector<int>> res =
-                            lake_mlp->tryClassify(x);
-                        std::vector<int> c;
-                        if (res.isOk()) {
-                            c = res.takeValue();
-                        } else {
-                            lake.noteFallback();
-                            c = cpu_mlp->classify(x);
-                        }
-                        return std::vector<float>(c.begin(), c.end());
-                    });
-            }
             devs[d].reg->beginFvCapture(0);
         }
     }
@@ -260,15 +228,12 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
         std::unordered_map<Nanos, std::size_t> by_ts;
         for (std::size_t i = 0; i < ds.queued.size(); ++i)
             by_ts.emplace(ds.queued[i].commit_ts, i);
+        // Listing 4: pin the window and select the queued rows — no
+        // copies, the scored floats stay in shm, and a truncate below
+        // defers recycling behind the pinned view.
         std::vector<std::size_t> order;
-        std::vector<registry::FeatureVector> batch;
         registry::FvBatchView view;
-        const bool soa = ds.reg->soa() != nullptr;
-        if (soa) {
-            // Listing 4 on the SoA plane: pin the window and select
-            // the queued rows — no copies, the scored floats stay in
-            // shm, and a truncate below defers recycling behind the
-            // pinned view.
+        {
             registry::FvBatchView all = ds.reg->batchView();
             std::vector<std::size_t> rows;
             for (std::size_t i = 0; i < all.size(); ++i) {
@@ -279,17 +244,6 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 }
             }
             view = all.select(rows);
-        } else {
-            // Listing 4: pull the ring, score it, act, truncate.
-            std::vector<registry::FeatureVector> fvs =
-                ds.reg->getFeatures();
-            for (auto &fv : fvs) {
-                auto it = by_ts.find(fv.ts_end);
-                if (it != by_ts.end()) {
-                    batch.push_back(std::move(fv));
-                    order.push_back(it->second);
-                }
-            }
         }
 
         // The §7.1 modulation gate: when recent batches produced no
@@ -311,9 +265,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
         Clock &clk = lake.clock();
         clk.advanceTo(simr.now());
         Nanos t0 = clk.now();
-        std::vector<float> scores =
-            soa ? ds.reg->scoreFeatures(view, clk.now())
-                : ds.reg->scoreFeatures(batch, clk.now());
+        std::vector<float> scores = ds.reg->scoreFeatures(view, clk.now());
         Nanos infer = clk.now() - t0;
         if (use_gate) {
             std::size_t positives = 0;

@@ -82,15 +82,6 @@ struct E2eConfig
      * virtual time.
      */
     remote::StreamingConfig streaming{};
-    /**
-     * Zero-copy SoA capture→score data plane (DESIGN.md §12), default
-     * off: each device registry then stores its capture window as a
-     * columnar SoaStore, the LinnOS digit encoding runs once at commit
-     * (seal-time float encoder), and batch scoring consumes strided
-     * MatrixViews with no gather. Off = the legacy hashmap plane,
-     * byte-identical virtual time.
-     */
-    registry::SoaConfig soa{};
 };
 
 /** Per-run measurements (one Fig. 7 bar). */

@@ -1,17 +1,17 @@
 // Unit tests for the base toolkit: rng distributions, statistics,
-// ring buffer, lock-free map, status/result, and virtual time.
+// ring buffer, env count parsing, status/result, and virtual time.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
+#include <cstdlib>
 #include <deque>
 #include <memory>
-#include <thread>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "base/lockfree_map.h"
+#include "base/env.h"
 #include "base/ring_buffer.h"
 #include "base/rng.h"
 #include "base/stats.h"
@@ -441,76 +441,26 @@ INSTANTIATE_TEST_SUITE_P(Capacities, RingBufferCapacityTest,
                          ::testing::Values(1, 2, 3, 7, 16, 100, 1000,
                                            1024));
 
-TEST(LockFreeMapTest, PutGetAdd)
+// Every LAKE_* count knob parses through base::envCount: plain digits
+// only. strtoull alone accepts "-1" (wrapping it to SIZE_MAX) and
+// stops quietly at trailing garbage ("4x" -> 4).
+TEST(EnvCountTest, AcceptsOnlyPlainDecimalCounts)
 {
-    LockFreeMap m(16);
-    std::uint64_t v = 0;
-    EXPECT_FALSE(m.get(42, &v));
-    m.put(42, 7);
-    EXPECT_TRUE(m.get(42, &v));
-    EXPECT_EQ(v, 7u);
-    m.add(42, 3);
-    EXPECT_TRUE(m.get(42, &v));
-    EXPECT_EQ(v, 10u);
-    m.add(42, -4);
-    EXPECT_TRUE(m.get(42, &v));
-    EXPECT_EQ(v, 6u);
-    EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(LockFreeMapTest, ManyKeysAndClear)
-{
-    LockFreeMap m(64);
-    for (std::uint64_t k = 1; k <= 64; ++k)
-        m.put(k, k * 10);
-    EXPECT_EQ(m.size(), 64u);
-    std::uint64_t v = 0;
-    for (std::uint64_t k = 1; k <= 64; ++k) {
-        ASSERT_TRUE(m.get(k, &v));
-        EXPECT_EQ(v, k * 10);
+    ::setenv("LAKE_TEST_COUNT", "42", 1);
+    EXPECT_EQ(base::envCount("LAKE_TEST_COUNT"), 42u);
+    ::setenv("LAKE_TEST_COUNT", "0", 1);
+    EXPECT_EQ(base::envCount("LAKE_TEST_COUNT"), 0u);
+    for (const char *bad : {"", "-1", "+3", " 7", "4x", "0x10",
+                            "99999999999999999999999"}) {
+        ::setenv("LAKE_TEST_COUNT", bad, 1);
+        EXPECT_EQ(base::envCount("LAKE_TEST_COUNT"), std::nullopt)
+            << "'" << bad << "'";
+        EXPECT_EQ(base::envCount("LAKE_TEST_COUNT", 5), 5u)
+            << "'" << bad << "'";
     }
-    std::size_t seen = 0;
-    m.forEach([&](std::uint64_t, std::uint64_t) { ++seen; });
-    EXPECT_EQ(seen, 64u);
-    m.clear();
-    EXPECT_EQ(m.size(), 0u);
-    EXPECT_FALSE(m.get(1, &v));
-}
-
-TEST(LockFreeMapTest, ConcurrentIncrements)
-{
-    // §5.3: instrumentation calls may run on arbitrary kernel threads.
-    LockFreeMap m(8);
-    constexpr int kThreads = 8;
-    constexpr int kIters = 20000;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&m] {
-            for (int i = 0; i < kIters; ++i)
-                m.add(99, 1);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    std::uint64_t v = 0;
-    ASSERT_TRUE(m.get(99, &v));
-    EXPECT_EQ(v, static_cast<std::uint64_t>(kThreads) * kIters);
-}
-
-TEST(LockFreeMapTest, ConcurrentDistinctKeys)
-{
-    LockFreeMap m(128);
-    constexpr int kThreads = 8;
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&m, t] {
-            for (std::uint64_t k = 1; k <= 16; ++k)
-                m.put(k * 1000 + t, k);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    EXPECT_EQ(m.size(), 128u);
+    ::unsetenv("LAKE_TEST_COUNT");
+    EXPECT_EQ(base::envCount("LAKE_TEST_COUNT"), std::nullopt);
+    EXPECT_EQ(base::envCount("LAKE_TEST_COUNT", 9), 9u);
 }
 
 TEST(StatusTest, CodesAndMessages)

@@ -455,6 +455,35 @@ TEST(BpfPolicyTest, NonMonotoneNowDoesNotWrapProbeInterval)
     EXPECT_EQ(probes, 2);
 }
 
+// The bytecode Fig. 3 policy must bound the staleness of its smoothed
+// window exactly like the native one: after a long idle gap it acts on
+// a fresh probe, not on readings taken before the gap.
+TEST(BpfPolicyTest, DropsStaleWindowAfterIdleGap)
+{
+    BpfVm vm;
+    double util = 90.0;
+    BpfPolicy::Config cfg;
+    cfg.probe_interval = 5_ms;
+    cfg.avg_window = 4;
+    BpfPolicy p(vm, buildFig3Program(40.0, 4),
+                [&](Nanos) { return util; }, cfg);
+
+    PolicyInput in;
+    in.batch_size = 16;
+    // Busy phase: the window fills with high readings.
+    for (Nanos t = 0; t <= 15_ms; t += 5_ms) {
+        in.now = t;
+        EXPECT_EQ(p.decide(in), Engine::Cpu);
+    }
+
+    // Long idle gap (more than the default 8 probe intervals); the GPU
+    // drains to 0% during it. Pre-fix the window averaged
+    // (90*3 + 0)/4 = 67.5 >= 40 -> Cpu even though the GPU is idle.
+    util = 0.0;
+    in.now = 500_ms;
+    EXPECT_EQ(p.decide(in), Engine::Gpu);
+}
+
 class Fig3EquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int>>
 {

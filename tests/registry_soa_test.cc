@@ -1,21 +1,28 @@
-// Tests for the zero-copy SoA capture→score data plane (DESIGN.md
-// §12): legacy-plane equivalence (the shim contract), slot lifecycle
-// under window wrap / truncate while batch views are pinned, strided
-// MatrixView bit-identity against the dense GEMM path, multi-threaded
-// column capture (the TSan sweep target of bench/sanitize.sh), and the
-// LAKE_SOA_* env knob parse-safety.
+// Tests for the registry's column store (DESIGN.md §12): its
+// feature-vector semantics against an independent map-based reference
+// model, arena-backed and heap-backed stores reading identically,
+// lakeShm returning to baseline after a registry lifecycle, slot
+// lifecycle under window wrap / truncate while batch views are pinned,
+// strided MatrixView bit-identity against the dense GEMM path,
+// multi-threaded column capture (the TSan sweep target of
+// bench/sanitize.sh), and the LAKE_SOA_SLACK env knob parse-safety.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/time.h"
+#include "core/lake.h"
 #include "ml/knn.h"
 #include "ml/mlp.h"
 #include "registry/manager.h"
@@ -24,34 +31,130 @@
 #include "registry/scoreserver.h"
 #include "registry/soa.h"
 #include "shm/arena.h"
-#include "storage/e2e.h"
-#include "storage/linnos.h"
-#include "storage/trace.h"
 
 namespace lake::registry {
 namespace {
 
-/** A registry with an attached SoaStore carved from its own arena. */
+/** Column store for @p schema carved from @p arena (nullptr = heap). */
+std::unique_ptr<SoaStore>
+makeStore(Schema schema, std::size_t window, std::size_t slack,
+          shm::ShmArena *arena)
+{
+    SoaConfig cfg;
+    cfg.slack = slack;
+    std::unique_ptr<SoaStore> store =
+        SoaStore::create(std::move(schema), window, cfg, arena);
+    EXPECT_NE(store, nullptr);
+    return store;
+}
+
+/** A registry whose column store is carved from its own arena. */
 struct SoaRig
 {
     SoaRig(Schema schema, std::size_t window, std::size_t slack = 8)
         : arena(8ull << 20),
-          reg("sda1", "bio_latency_prediction", std::move(schema),
-              window)
+          reg("sda1", "bio_latency_prediction",
+              makeStore(std::move(schema), window, slack, &arena))
     {
-        SoaConfig cfg;
-        cfg.enabled = true;
-        cfg.slack = slack;
-        // The store keeps a reference to the schema: hand it the
-        // registry's own copy, exactly as the manager does.
-        std::unique_ptr<SoaStore> store =
-            SoaStore::create(reg.schema(), window, cfg, arena);
-        EXPECT_NE(store, nullptr);
-        reg.attachSoa(std::move(store));
     }
 
     shm::ShmArena arena;
     Registry reg;
+};
+
+/**
+ * Map-based reference model of the registry's feature-vector
+ * semantics, sharing no code with the column store: the open vector is
+ * a key -> value map that is never cleared (lane-0 carry-forward and
+ * persistent counters), begin-while-open re-stamps forward keeping
+ * every feature, a commit gives history entry i+1 the previous
+ * vector's entry i, the window ring drops the oldest vector, and
+ * truncate keeps the newest vector when the schema declares history.
+ * Method names mirror Registry so one op replay drives both.
+ */
+class RefRegistry
+{
+  public:
+    RefRegistry(Schema schema, std::size_t window)
+        : schema_(std::move(schema)), window_(window)
+    {
+    }
+
+    void beginFvCapture(Nanos ts) { open_begin_ = ts; }
+
+    void
+    captureFeature(const std::string &name, std::uint64_t value)
+    {
+        open_[featureKey(name)] = value;
+    }
+    void
+    captureFeatureIncr(const std::string &name, std::int64_t delta)
+    {
+        open_[featureKey(name)] += static_cast<std::uint64_t>(delta);
+    }
+    void
+    captureFeatureCol(std::uint32_t col, std::uint64_t value)
+    {
+        captureFeature(schema_.features()[col].name, value);
+    }
+    void
+    captureFeatureIncrCol(std::uint32_t col, std::int64_t delta)
+    {
+        captureFeatureIncr(schema_.features()[col].name, delta);
+    }
+
+    void
+    commitFvCapture(Nanos ts)
+    {
+        FeatureVector fv;
+        fv.ts_begin = open_begin_;
+        fv.ts_end = ts;
+        for (const auto &[key, value] : open_) {
+            std::vector<std::uint64_t> entries(schema_.find(key)->entries,
+                                               0);
+            entries[0] = value;
+            auto prev = last_.values.find(key);
+            if (prev != last_.values.end())
+                for (std::size_t i = 1; i < entries.size(); ++i)
+                    entries[i] = prev->second[i - 1];
+            fv.values.emplace(key, std::move(entries));
+        }
+        last_ = fv;
+        ring_.push_back(std::move(fv));
+        if (ring_.size() > window_)
+            ring_.pop_front();
+        open_begin_ = ts;
+    }
+
+    std::vector<FeatureVector>
+    getFeatures(std::optional<Nanos> ts = std::nullopt) const
+    {
+        if (!ts.has_value())
+            return {ring_.begin(), ring_.end()};
+        for (const FeatureVector &fv : ring_)
+            if (fv.ts_begin <= *ts && *ts <= fv.ts_end)
+                return {fv};
+        return {};
+    }
+
+    void
+    truncateFeatures(std::optional<Nanos> ts = std::nullopt)
+    {
+        std::size_t keep = schema_.hasHistory() ? 1 : 0;
+        while (ring_.size() > keep &&
+               !(ts.has_value() && ring_.front().ts_end >= *ts))
+            ring_.pop_front();
+    }
+
+    std::size_t pendingCount() const { return ring_.size(); }
+
+  private:
+    Schema schema_;
+    std::size_t window_;
+    Nanos open_begin_ = 0;
+    std::map<std::uint64_t, std::uint64_t> open_;
+    FeatureVector last_;
+    std::deque<FeatureVector> ring_;
 };
 
 Schema
@@ -65,36 +168,128 @@ historySchema()
 
 /** Asserts two getFeatures() dumps are bit-for-bit interchangeable. */
 void
-expectSameVectors(const std::vector<FeatureVector> &legacy,
-                  const std::vector<FeatureVector> &soa)
+expectSameVectors(const std::vector<FeatureVector> &want,
+                  const std::vector<FeatureVector> &got)
 {
-    ASSERT_EQ(legacy.size(), soa.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-        EXPECT_EQ(legacy[i].ts_begin, soa[i].ts_begin) << "fv " << i;
-        EXPECT_EQ(legacy[i].ts_end, soa[i].ts_end) << "fv " << i;
-        EXPECT_EQ(legacy[i].values, soa[i].values) << "fv " << i;
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].ts_begin, got[i].ts_begin) << "fv " << i;
+        EXPECT_EQ(want[i].ts_end, got[i].ts_end) << "fv " << i;
+        EXPECT_EQ(want[i].values, got[i].values) << "fv " << i;
+    }
+}
+
+/** One registry operation of a replayable op stream. */
+struct Op
+{
+    enum Kind
+    {
+        Set,     //!< captureFeature(name, v)
+        Incr,    //!< captureFeatureIncr(name, v)
+        SetCol,  //!< captureFeatureCol(col, v)
+        IncrCol, //!< captureFeatureIncrCol(col, v)
+        Begin,   //!< forward re-stamp at ts
+        Commit,  //!< commit at ts
+        Truncate //!< truncate older than ts
+    } kind;
+    std::string name;
+    std::uint32_t col = 0;
+    std::uint64_t v = 0;
+    Nanos ts = 0;
+};
+
+/**
+ * A random interleaving over historySchema() of captures (by key and by
+ * column), increments, forward re-stamps, commits (wrapping an 8-deep
+ * window), and truncates at earlier commit times.
+ */
+std::vector<Op>
+randomOps(std::uint64_t seed, int n)
+{
+    Rng rng(seed);
+    Nanos ts = 0;
+    std::vector<Nanos> commits;
+    std::vector<Op> ops;
+    for (int i = 0; i < n; ++i) {
+        int what = static_cast<int>(rng.uniformInt(0, 9));
+        std::uint64_t v = rng.uniformInt(0, 5000);
+        switch (what) {
+        case 0:
+        case 1:
+            ops.push_back({Op::Set, "pend_ios", 0, v});
+            break;
+        case 2:
+        case 3:
+            ops.push_back({Op::Set, "lat", 0, v});
+            break;
+        case 4:
+            ops.push_back({Op::Incr, "pend_ios", 0, v});
+            break;
+        case 5:
+            ops.push_back({Op::SetCol, "", 1, v});
+            break;
+        case 6:
+            ops.push_back({Op::IncrCol, "", 0, v});
+            break;
+        case 7:
+            ts += rng.uniformInt(1, 50);
+            ops.push_back({Op::Begin, "", 0, 0, ts});
+            break;
+        case 8:
+            ts += rng.uniformInt(1, 50);
+            commits.push_back(ts);
+            ops.push_back({Op::Commit, "", 0, 0, ts});
+            break;
+        case 9:
+            if (!commits.empty() && rng.uniformInt(0, 3) == 0)
+                ops.push_back(
+                    {Op::Truncate, "", 0, 0,
+                     commits[rng.uniformInt(0, commits.size() - 1)]});
+            break;
+        }
+    }
+    return ops;
+}
+
+/** Applies @p op to a Registry or a RefRegistry. */
+template <typename R>
+void
+apply(R &r, const Op &op)
+{
+    auto delta = static_cast<std::int64_t>(op.v);
+    switch (op.kind) {
+    case Op::Set: r.captureFeature(op.name, op.v); break;
+    case Op::Incr: r.captureFeatureIncr(op.name, delta); break;
+    case Op::SetCol: r.captureFeatureCol(op.col, op.v); break;
+    case Op::IncrCol: r.captureFeatureIncrCol(op.col, delta); break;
+    case Op::Begin: r.beginFvCapture(op.ts); break;
+    case Op::Commit: r.commitFvCapture(op.ts); break;
+    case Op::Truncate: r.truncateFeatures(op.ts); break;
     }
 }
 
 TEST(SoaEquivalenceTest, CaptureCommitMaterializeMatchesLegacy)
 {
-    Registry legacy("sda1", "sys", historySchema(), 8);
+    RefRegistry ref(historySchema(), 8);
     SoaRig soa(historySchema(), 8);
 
-    for (Registry *r : {&legacy, &soa.reg}) {
-        r->beginFvCapture(100);
-        r->captureFeature("pend_ios", 5);
-        r->captureFeature("lat", 250);
-        r->commitFvCapture(110);
+    const std::vector<Op> ops = {
+        {Op::Begin, "", 0, 0, 100},
+        {Op::Set, "pend_ios", 0, 5},
+        {Op::Set, "lat", 0, 250},
+        {Op::Commit, "", 0, 0, 110},
         // Second vector: history lane 1 must inherit 250, the pending
         // counter must carry forward and keep incrementing.
-        r->captureFeatureIncr("pend_ios", 2);
-        r->captureFeature("lat", 400);
-        r->commitFvCapture(120);
+        {Op::Incr, "pend_ios", 0, 2},
+        {Op::Set, "lat", 0, 400},
+        {Op::Commit, "", 0, 0, 120},
+    };
+    for (const Op &op : ops) {
+        apply(ref, op);
+        apply(soa.reg, op);
     }
-    std::vector<FeatureVector> a = legacy.getFeatures();
     std::vector<FeatureVector> b = soa.reg.getFeatures();
-    expectSameVectors(a, b);
+    expectSameVectors(ref.getFeatures(), b);
     ASSERT_EQ(b.size(), 2u);
     EXPECT_EQ(b[1].get("pend_ios"), 7u);
     EXPECT_EQ(b[1].values.at(featureKey("lat"))[1], 250u);
@@ -102,16 +297,20 @@ TEST(SoaEquivalenceTest, CaptureCommitMaterializeMatchesLegacy)
 
 TEST(SoaEquivalenceTest, ForwardRestampKeepsFeaturesOnBothPlanes)
 {
-    Registry legacy("sda1", "sys", historySchema(), 8);
+    RefRegistry ref(historySchema(), 8);
     SoaRig soa(historySchema(), 8);
-    for (Registry *r : {&legacy, &soa.reg}) {
-        r->beginFvCapture(10);
-        r->captureFeature("pend_ios", 3);
-        r->beginFvCapture(50); // re-arm, keep features
-        r->captureFeature("lat", 700);
-        r->commitFvCapture(60);
+    const std::vector<Op> ops = {
+        {Op::Begin, "", 0, 0, 10},
+        {Op::Set, "pend_ios", 0, 3},
+        {Op::Begin, "", 0, 0, 50}, // re-arm, keep features
+        {Op::Set, "lat", 0, 700},
+        {Op::Commit, "", 0, 0, 60},
+    };
+    for (const Op &op : ops) {
+        apply(ref, op);
+        apply(soa.reg, op);
     }
-    expectSameVectors(legacy.getFeatures(), soa.reg.getFeatures());
+    expectSameVectors(ref.getFeatures(), soa.reg.getFeatures());
     std::vector<FeatureVector> got = soa.reg.getFeatures();
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].ts_begin, 50u);
@@ -120,76 +319,117 @@ TEST(SoaEquivalenceTest, ForwardRestampKeepsFeaturesOnBothPlanes)
 
 // The randomized property pin: any interleaving of captures (by key
 // and by column), increments, forward re-stamps, commits, wraps, and
-// truncates reads back identically from the two planes.
+// truncates reads back from the column store exactly as from the
+// reference model.
 TEST(SoaEquivalenceTest, RandomizedOpStreamEquivalence)
 {
-    Registry legacy("sda1", "sys", historySchema(), 8);
+    RefRegistry ref(historySchema(), 8);
     SoaRig soa(historySchema(), 8);
-    Rng rng(1234);
+    ref.beginFvCapture(0);
+    soa.reg.beginFvCapture(0);
 
-    Nanos ts = 0;
-    legacy.beginFvCapture(ts);
-    soa.reg.beginFvCapture(ts);
     std::vector<Nanos> commits;
-    for (int op = 0; op < 600; ++op) {
-        int what = static_cast<int>(rng.uniformInt(0, 9));
-        std::uint64_t v = rng.uniformInt(0, 5000);
-        switch (what) {
-        case 0:
-        case 1:
-            legacy.captureFeature("pend_ios", v);
-            soa.reg.captureFeature("pend_ios", v);
-            break;
-        case 2:
-        case 3:
-            legacy.captureFeature("lat", v);
-            soa.reg.captureFeature("lat", v);
-            break;
-        case 4:
-            legacy.captureFeatureIncr("pend_ios",
-                                      static_cast<std::int64_t>(v));
-            soa.reg.captureFeatureIncr("pend_ios",
-                                       static_cast<std::int64_t>(v));
-            break;
-        case 5:
-            legacy.captureFeatureCol(1, v);
-            soa.reg.captureFeatureCol(1, v);
-            break;
-        case 6:
-            legacy.captureFeatureIncrCol(0,
-                                         static_cast<std::int64_t>(v));
-            soa.reg.captureFeatureIncrCol(
-                0, static_cast<std::int64_t>(v));
-            break;
-        case 7: // forward re-stamp
-            ts += rng.uniformInt(1, 50);
-            legacy.beginFvCapture(ts);
-            soa.reg.beginFvCapture(ts);
-            break;
-        case 8:
-            ts += rng.uniformInt(1, 50);
-            legacy.commitFvCapture(ts);
-            soa.reg.commitFvCapture(ts);
-            commits.push_back(ts);
-            expectSameVectors(legacy.getFeatures(),
-                              soa.reg.getFeatures());
-            break;
-        case 9:
-            if (!commits.empty() && rng.uniformInt(0, 3) == 0) {
-                Nanos cut =
-                    commits[rng.uniformInt(0, commits.size() - 1)];
-                legacy.truncateFeatures(cut);
-                soa.reg.truncateFeatures(cut);
-                expectSameVectors(legacy.getFeatures(),
-                                  soa.reg.getFeatures());
-            }
-            break;
-        }
-        EXPECT_EQ(legacy.pendingCount(), soa.reg.pendingCount());
+    for (const Op &op : randomOps(1234, 600)) {
+        apply(ref, op);
+        apply(soa.reg, op);
+        if (op.kind == Op::Commit)
+            commits.push_back(op.ts);
+        if (op.kind == Op::Commit || op.kind == Op::Truncate)
+            expectSameVectors(ref.getFeatures(), soa.reg.getFeatures());
+        EXPECT_EQ(ref.pendingCount(), soa.reg.pendingCount());
     }
+    ASSERT_FALSE(commits.empty());
     // Timestamp-indexed retrieval agrees too.
     for (Nanos t : commits)
-        expectSameVectors(legacy.getFeatures(t), soa.reg.getFeatures(t));
+        expectSameVectors(ref.getFeatures(t), soa.reg.getFeatures(t));
+}
+
+// Where the store's bytes live must not change what it reads back: a
+// store carved from a shm arena and one on the heap, fed the same op
+// stream, materialize the same vectors and expose the same float rows.
+TEST(SoaStoreTest, ArenaAndHeapBackedRegistriesReadIdentically)
+{
+    SoaRig in_arena(historySchema(), 8);
+    Registry on_heap("sda1", "bio_latency_prediction", historySchema(), 8);
+    in_arena.reg.beginFvCapture(0);
+    on_heap.beginFvCapture(0);
+    for (const Op &op : randomOps(77, 400)) {
+        apply(in_arena.reg, op);
+        apply(on_heap, op);
+    }
+    ASSERT_GT(on_heap.pendingCount(), 0u);
+    expectSameVectors(in_arena.reg.getFeatures(), on_heap.getFeatures());
+
+    FvBatchView a = in_arena.reg.batchView();
+    FvBatchView b = on_heap.batchView();
+    ASSERT_EQ(a.size(), b.size());
+    auto rows = [](const FvBatchView &v) {
+        std::vector<std::vector<float>> out;
+        for (const ml::MatrixView &mv : v.matrixViews())
+            for (std::size_t r = 0; r < mv.rows(); ++r)
+                out.emplace_back(mv.row(r), mv.row(r) + mv.cols());
+        return out;
+    };
+    std::vector<std::vector<float>> ra = rows(a);
+    EXPECT_EQ(ra.size(), a.size());
+    EXPECT_EQ(ra, rows(b));
+}
+
+// A booted Lake carves every registry's columns from shard 0's arena:
+// a full registry lifecycle — create, capture, commit, score pinned
+// views through the ScoreServer, flush, destroy — must hand every byte
+// and allocation back, or long-lived hosts leak lakeShm per registry.
+TEST(SoaLakeShmTest, RegistryLifecycleReturnsArenaToBaseline)
+{
+    core::LakeConfig cfg;
+    cfg.scoring.enabled = true;
+    cfg.scoring.max_batch = 4;
+    core::Lake lake(cfg);
+    shm::ShmArena &arena = lake.arena();
+    const std::size_t used0 = arena.used();
+    const std::size_t allocs0 = arena.liveAllocs();
+
+    RegistryManager &mgr = lake.registries();
+    ScoreServer *server = mgr.scorer();
+    ASSERT_NE(server, nullptr);
+    ViewClassifier view_fn = [](const FvBatchView &v) {
+        return std::vector<float>(v.size(), 1.0f);
+    };
+    const std::vector<std::string> names = {"sda1", "sdb1", "sdc1"};
+    for (const std::string &name : names) {
+        ASSERT_TRUE(mgr.createRegistry(name, "sys", historySchema(), 8)
+                        .isOk());
+        ASSERT_TRUE(mgr.find(name, "sys")
+                        ->registerViewClassifier(Arch::Cpu, view_fn)
+                        .isOk());
+    }
+    EXPECT_GT(arena.liveAllocs(), allocs0);
+
+    std::size_t scored = 0;
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        const std::string &name = names[i % names.size()];
+        Registry *reg = mgr.find(name, "sys");
+        if (!reg->captureOpen())
+            reg->beginFvCapture(lake.clock().now());
+        reg->captureFeature("pend_ios", i);
+        reg->captureFeature("lat", 100 + i);
+        reg->commitFvCapture(lake.clock().now());
+        ASSERT_TRUE(server
+                        ->submitView(name, "sys", reg->tailView(1), 0,
+                                     [&](const ScoreResult &r) {
+                                         EXPECT_TRUE(r.status.isOk());
+                                         ++scored;
+                                     })
+                        .isOk());
+        lake.clock().advance(1_us);
+    }
+    server->flushAll(lake.clock().now());
+    EXPECT_EQ(scored, 12u);
+
+    for (const std::string &name : names)
+        ASSERT_TRUE(mgr.destroyRegistry(name, "sys").isOk());
+    EXPECT_EQ(arena.used(), used0);
+    EXPECT_EQ(arena.liveAllocs(), allocs0);
 }
 
 // Column captures from many threads while one capture is open — the
@@ -228,9 +468,9 @@ TEST(SoaConcurrencyTest, ColumnCaptureFromManyThreads)
     EXPECT_EQ(got[0].get("shared"), kThreads * kIters);
 }
 
-// Satellite 6 regression: a window wrap must recycle sealed slots
-// without invalidating an in-flight batch view — recycling defers
-// (Retired) until the last view unpins.
+// A window wrap must recycle sealed slots without invalidating an
+// in-flight batch view — recycling defers (Retired) until the last
+// view unpins.
 TEST(SoaViewTest, WindowWrapDefersRecycleBehindPinnedView)
 {
     Schema s;
@@ -251,7 +491,7 @@ TEST(SoaViewTest, WindowWrapDefersRecycleBehindPinnedView)
         soa.reg.captureFeature("x", 100 + i);
         soa.reg.commitFvCapture(10 * (i + 1));
     }
-    EXPECT_GT(soa.reg.soa()->retiredCount(), 0u);
+    EXPECT_GT(soa.reg.soa().retiredCount(), 0u);
 
     // The pinned rows still read their original bytes — scalar lanes,
     // timestamps, and the float rows a concurrent GEMM would consume.
@@ -277,7 +517,7 @@ TEST(SoaViewTest, WindowWrapDefersRecycleBehindPinnedView)
     // Dropping the views frees every deferred slot.
     fresh = FvBatchView();
     view = FvBatchView();
-    EXPECT_EQ(soa.reg.soa()->retiredCount(), 0u);
+    EXPECT_EQ(soa.reg.soa().retiredCount(), 0u);
 }
 
 TEST(SoaViewTest, TruncateDefersRecycleBehindPinnedView)
@@ -293,11 +533,11 @@ TEST(SoaViewTest, TruncateDefersRecycleBehindPinnedView)
     FvBatchView view = soa.reg.batchView();
     soa.reg.truncateFeatures();
     EXPECT_EQ(soa.reg.pendingCount(), 0u);
-    EXPECT_GT(soa.reg.soa()->retiredCount(), 0u);
+    EXPECT_GT(soa.reg.soa().retiredCount(), 0u);
     for (std::size_t r = 0; r < 5; ++r)
         EXPECT_EQ(view.get(r, featureKey("x")), r);
     view = FvBatchView();
-    EXPECT_EQ(soa.reg.soa()->retiredCount(), 0u);
+    EXPECT_EQ(soa.reg.soa().retiredCount(), 0u);
     // The store keeps working after the deferred free.
     soa.reg.captureFeature("x", 99);
     soa.reg.commitFvCapture(100);
@@ -324,7 +564,7 @@ TEST(SoaViewTest, MatrixViewsBitIdenticalToDenseCompute)
     FvBatchView view = soa.reg.batchView();
     std::vector<ml::MatrixView> views = view.matrixViews();
 
-    // Dense gather (what the legacy pack step would have staged).
+    // Dense gather (what a vector classifier's pack step would stage).
     ml::Matrix dense(n, 5);
     std::size_t r = 0;
     for (const ml::MatrixView &mv : views) {
@@ -390,9 +630,9 @@ TEST(SoaViewTest, SelectRepinsRowSubsetInOrder)
     EXPECT_EQ(mat[2].get("x"), 1u);
 }
 
-// scoreFeatures(view) must agree with the legacy batch entry point:
+// scoreFeatures(view) must agree with the vector batch entry point:
 // through the registered view classifier when one exists, and through
-// the materializing shim when only a legacy classifier is installed.
+// materialization when only a vector classifier is installed.
 TEST(SoaScoreTest, ViewScoringMatchesLegacyScoring)
 {
     auto build = [](SoaRig &soa) {
@@ -409,7 +649,7 @@ TEST(SoaScoreTest, ViewScoringMatchesLegacyScoring)
     s.add("b");
     Schema s2 = s;
 
-    Classifier legacy_fn =
+    Classifier vector_fn =
         [](const std::vector<FeatureVector> &fvs) {
             std::vector<float> out;
             for (const FeatureVector &fv : fvs)
@@ -428,23 +668,24 @@ TEST(SoaScoreTest, ViewScoringMatchesLegacyScoring)
 
     SoaRig both(std::move(s), 16);
     ASSERT_TRUE(
-        both.reg.registerClassifier(Arch::Cpu, legacy_fn).isOk());
+        both.reg.registerClassifier(Arch::Cpu, vector_fn).isOk());
     ASSERT_TRUE(
         both.reg.registerViewClassifier(Arch::Cpu, view_fn).isOk());
     build(both);
     std::vector<float> via_view =
         both.reg.scoreFeatures(both.reg.batchView(), 200);
-    std::vector<float> via_legacy =
+    std::vector<float> via_vectors =
         both.reg.scoreFeatures(both.reg.getFeatures(), 200);
-    EXPECT_EQ(via_view, via_legacy);
+    EXPECT_EQ(via_view, via_vectors);
 
-    // Legacy-only registry: the view overload materializes (the shim).
-    SoaRig shim(std::move(s2), 16);
+    // Vector-only registry: the view overload materializes.
+    SoaRig vector_only(std::move(s2), 16);
     ASSERT_TRUE(
-        shim.reg.registerClassifier(Arch::Cpu, legacy_fn).isOk());
-    build(shim);
-    EXPECT_EQ(shim.reg.scoreFeatures(shim.reg.batchView(), 200),
-              via_legacy);
+        vector_only.reg.registerClassifier(Arch::Cpu, vector_fn).isOk());
+    build(vector_only);
+    EXPECT_EQ(
+        vector_only.reg.scoreFeatures(vector_only.reg.batchView(), 200),
+        via_vectors);
 }
 
 // submitView through the ScoreServer: single-row views coalesce across
@@ -454,10 +695,7 @@ TEST(SoaScoreTest, ScoreServerCoalescesSubmittedViews)
 {
     Clock clock;
     shm::ShmArena arena(8ull << 20);
-    RegistryManager mgr(clock);
-    SoaConfig soa_cfg;
-    soa_cfg.enabled = true;
-    ASSERT_TRUE(mgr.enableSoa(soa_cfg, &arena).isOk());
+    RegistryManager mgr(clock, &arena);
 
     ViewClassifier view_fn = [](const FvBatchView &v) {
         std::vector<float> out;
@@ -519,30 +757,31 @@ TEST(SoaStoreTest, ColumnsAreCacheLineIsolated)
     s.add("a");
     s.add("hist", 8, 4);
     s.add("b");
-    SoaConfig cfg;
-    cfg.enabled = true;
-    std::unique_ptr<SoaStore> store = SoaStore::create(s, 8, cfg, arena);
-    ASSERT_NE(store, nullptr);
 
     auto line = [](const void *p) {
         return reinterpret_cast<std::uintptr_t>(p) / 64;
     };
-    // Every column region starts on its own cache line, and no two
-    // columns' lanes ever share one (concurrent captures of different
-    // features never false-share).
-    for (std::uint32_t c = 0; c < 3; ++c)
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
-                      store->laneAddr(c, 0, 0)) %
-                      64,
-                  0u)
-            << "column " << c;
-    const std::uint32_t entries[3] = {1, 4, 1};
-    for (std::uint32_t c = 0; c + 1 < 3; ++c) {
-        const std::uint64_t *last = store->laneAddr(
-            c, entries[c] - 1,
-            static_cast<std::uint32_t>(store->capacity() - 1));
-        const std::uint64_t *next = store->laneAddr(c + 1, 0, 0);
-        EXPECT_LT(line(last), line(next));
+    // Arena-carved and heap-owned stores alike: every column region
+    // starts on its own cache line, and no two columns' lanes ever
+    // share one (concurrent captures of different features never
+    // false-share).
+    for (shm::ShmArena *backing : {&arena, (shm::ShmArena *)nullptr}) {
+        std::unique_ptr<SoaStore> store = makeStore(s, 8, 8, backing);
+        ASSERT_NE(store, nullptr);
+        for (std::uint32_t c = 0; c < 3; ++c)
+            EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
+                          store->laneAddr(c, 0, 0)) %
+                          64,
+                      0u)
+                << "column " << c << (backing ? " (arena)" : " (heap)");
+        const std::uint32_t entries[3] = {1, 4, 1};
+        for (std::uint32_t c = 0; c + 1 < 3; ++c) {
+            const std::uint64_t *last = store->laneAddr(
+                c, entries[c] - 1,
+                static_cast<std::uint32_t>(store->capacity() - 1));
+            const std::uint64_t *next = store->laneAddr(c + 1, 0, 0);
+            EXPECT_LT(line(last), line(next));
+        }
     }
 }
 
@@ -552,75 +791,40 @@ TEST(SoaStoreTest, CreateFailsCleanlyWhenArenaTooSmall)
     Schema s;
     s.add("hist", 8, 64);
     SoaConfig cfg;
-    cfg.enabled = true;
     cfg.slack = 64;
-    EXPECT_EQ(SoaStore::create(s, 4096, cfg, tiny), nullptr);
+    EXPECT_EQ(SoaStore::create(s, 4096, cfg, &tiny), nullptr);
+
+    // The manager reports the same exhaustion as a Status.
+    Clock clock;
+    RegistryManager mgr(clock, &tiny, cfg);
+    EXPECT_EQ(mgr.createRegistry("big", "sys", s, 4096).code(),
+              Code::ResourceExhausted);
+    EXPECT_EQ(mgr.registryCount(), 0u);
 }
 
 TEST(SoaConfigTest, EnvOverridesParseSafely)
 {
+    // The store is the only plane; no knob can switch it off.
+    static_assert(SoaConfig::enabled);
+
     SoaConfig cfg;
     cfg.slack = 8;
-
-    ::setenv("LAKE_SOA", "1", 1);
     ::setenv("LAKE_SOA_SLACK", "16", 1);
     cfg.applyEnv();
-    EXPECT_TRUE(cfg.enabled);
     EXPECT_EQ(cfg.slack, 16u);
 
-    // Garbage falls back to the value already in force.
-    ::setenv("LAKE_SOA", "banana", 1);
-    ::setenv("LAKE_SOA_SLACK", "lots", 1);
-    cfg.applyEnv();
-    EXPECT_TRUE(cfg.enabled);
-    EXPECT_EQ(cfg.slack, 16u);
+    // Garbage falls back to the value already in force — including a
+    // sign (strtoull would wrap "-1" to SIZE_MAX slots) and trailing
+    // characters.
+    for (const char *bad : {"lots", "-1", "4x", ""}) {
+        ::setenv("LAKE_SOA_SLACK", bad, 1);
+        cfg.applyEnv();
+        EXPECT_EQ(cfg.slack, 16u) << "'" << bad << "'";
+    }
 
-    ::setenv("LAKE_SOA", "0", 1);
-    cfg.applyEnv();
-    EXPECT_FALSE(cfg.enabled);
-
-    ::unsetenv("LAKE_SOA");
     ::unsetenv("LAKE_SOA_SLACK");
-    cfg.enabled = true;
     cfg.applyEnv();
-    EXPECT_TRUE(cfg.enabled);
     EXPECT_EQ(cfg.slack, 16u);
-}
-
-// The e2e pipeline is the integration pin: the same trace through the
-// same trained model must produce identical virtual-time results with
-// the SoA plane on and off (the figure benches' byte-identity rule).
-TEST(SoaE2eTest, PipelineResultsIdenticalWithPlaneOnAndOff)
-{
-    Rng rng(31);
-    storage::LinnosDataset data = storage::collectLinnosData(
-        storage::TraceSpec::azure().rerated(3.0),
-        storage::NvmeSpec::samsung980Pro(), 200_ms, 0.80, 7);
-    ml::Mlp net = storage::trainLinnosModel(data, 0, 1, 0.05f, rng);
-
-    storage::E2eConfig cfg;
-    cfg.mode = storage::E2eMode::LakeNn;
-    cfg.model = &net;
-    cfg.duration = 200_ms;
-    cfg.threshold_us = data.threshold_us;
-    std::vector<storage::TraceSpec> traces = {
-        storage::TraceSpec::azure().rerated(3.0),
-        storage::TraceSpec::bingI().rerated(3.0),
-        storage::TraceSpec::cosmos()};
-
-    storage::E2eResult off = storage::runE2e(traces, cfg);
-    cfg.soa.enabled = true;
-    storage::E2eResult on = storage::runE2e(traces, cfg);
-
-    EXPECT_EQ(off.reads, on.reads);
-    EXPECT_EQ(off.writes, on.writes);
-    EXPECT_EQ(off.rerouted, on.rerouted);
-    EXPECT_EQ(off.inference_batches, on.inference_batches);
-    EXPECT_EQ(off.gpu_batches, on.gpu_batches);
-    EXPECT_DOUBLE_EQ(off.avg_read_lat_us, on.avg_read_lat_us);
-    EXPECT_DOUBLE_EQ(off.p95_read_lat_us, on.p95_read_lat_us);
-    EXPECT_DOUBLE_EQ(off.p99_read_lat_us, on.p99_read_lat_us);
-    EXPECT_DOUBLE_EQ(off.avg_batch, on.avg_batch);
 }
 
 } // namespace

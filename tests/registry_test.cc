@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <thread>
 
@@ -963,6 +964,26 @@ TEST(ModelStoreTest, LifecycleAndCosts)
     EXPECT_TRUE(store.deleteModel("/m/lat.nn").isOk());
     EXPECT_FALSE(store.exists("/m/lat.nn"));
     EXPECT_EQ(store.loadModel("/m/lat.nn").code(), Code::NotFound);
+}
+
+// The LAKE_SCORE_* knobs parse through base::envCount: a signed value
+// used to wrap ("-1" made max_batch SIZE_MAX) and now keeps the value
+// in force, as does trailing garbage.
+TEST(ScoringConfigTest, EnvRejectsSignedAndTrailingGarbage)
+{
+    ScoringConfig defaults;
+    ScoringConfig cfg;
+    ::setenv("LAKE_SCORE_MAX_BATCH", "-1", 1);
+    ::setenv("LAKE_SCORE_QUEUE_CAP", "4x", 1);
+    cfg.applyEnv();
+    EXPECT_EQ(cfg.max_batch, defaults.max_batch);
+    EXPECT_EQ(cfg.queue_capacity, defaults.queue_capacity);
+
+    ::setenv("LAKE_SCORE_MAX_BATCH", "16", 1);
+    cfg.applyEnv();
+    ::unsetenv("LAKE_SCORE_MAX_BATCH");
+    ::unsetenv("LAKE_SCORE_QUEUE_CAP");
+    EXPECT_EQ(cfg.max_batch, 16u);
 }
 
 } // namespace

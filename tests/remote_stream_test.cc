@@ -600,11 +600,15 @@ TEST(StreamingConfigTest, MalformedStreamsValueIsIgnored)
 {
     // An unparsable LAKE_STREAMS must not flip the master switch via
     // the numeric fallback — a typo would silently enable streaming.
-    ::setenv("LAKE_STREAMS", "abc", 1);
-    StreamingConfig sc;
-    sc.applyEnv();
-    EXPECT_FALSE(sc.enabled);
-    EXPECT_EQ(sc.streams, 4u);
+    // That includes a sign ("-1" used to wrap to 4294967295 streams)
+    // and trailing garbage ("4x" used to enable 4 streams).
+    for (const char *bad : {"abc", "-1", "4x"}) {
+        ::setenv("LAKE_STREAMS", bad, 1);
+        StreamingConfig sc;
+        sc.applyEnv();
+        EXPECT_FALSE(sc.enabled) << "'" << bad << "'";
+        EXPECT_EQ(sc.streams, 4u) << "'" << bad << "'";
+    }
 
     // ...and must not disable (or re-size) an explicitly enabled one.
     StreamingConfig on;
