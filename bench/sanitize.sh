@@ -83,3 +83,9 @@ ctest --test-dir "$BUILD" --output-on-failure -L soa
 # `bench/sanitize.sh thread -L fleet` exists to sweep, and the
 # fleet_scaling smoke adds the CuSetDevice muxing path under load.
 ctest --test-dir "$BUILD" --output-on-failure -L fleet
+
+# The crypto suite (ctest -L crypto) runs AES-GCM against NIST vectors
+# and a bit-serial reference, plus eCryptfs over every cipher engine —
+# the T-table and GHASH-table indexing and the 64-bit shifts are what
+# ASan/UBSan should sweep.
+ctest --test-dir "$BUILD" --output-on-failure -L crypto

@@ -1,7 +1,5 @@
 #include "crypto/aes.h"
 
-#include <cstring>
-
 #include "base/logging.h"
 
 namespace lake::crypto {
@@ -57,10 +55,55 @@ rotWord(std::uint32_t w)
 }
 
 /** GF(2^8) multiply by 2 (xtime). */
-std::uint8_t
+constexpr std::uint8_t
 xtime(std::uint8_t x)
 {
     return static_cast<std::uint8_t>((x << 1) ^ ((x >> 7) * 0x1b));
+}
+
+/**
+ * Round T-table: entry x is the MixColumns column of SubBytes(x) in
+ * row 0, i.e. the big-endian word (2·S[x], S[x], S[x], 3·S[x]) rotated
+ * right by 8*@p row bits for the byte arriving from row @p row.
+ */
+constexpr std::array<std::uint32_t, 256>
+makeTable(int row)
+{
+    std::array<std::uint32_t, 256> t{};
+    for (int x = 0; x < 256; ++x) {
+        std::uint8_t s = kSbox[x];
+        std::uint8_t s2 = xtime(s);
+        std::uint32_t w = (static_cast<std::uint32_t>(s2) << 24) |
+                          (static_cast<std::uint32_t>(s) << 16) |
+                          (static_cast<std::uint32_t>(s) << 8) |
+                          static_cast<std::uint32_t>(s2 ^ s);
+        int r = 8 * row;
+        t[x] = r == 0 ? w : (w >> r) | (w << (32 - r));
+    }
+    return t;
+}
+
+constexpr std::array<std::uint32_t, 256> kTe0 = makeTable(0);
+constexpr std::array<std::uint32_t, 256> kTe1 = makeTable(1);
+constexpr std::array<std::uint32_t, 256> kTe2 = makeTable(2);
+constexpr std::array<std::uint32_t, 256> kTe3 = makeTable(3);
+
+std::uint32_t
+loadBe32(const std::uint8_t *p)
+{
+    return (static_cast<std::uint32_t>(p[0]) << 24) |
+           (static_cast<std::uint32_t>(p[1]) << 16) |
+           (static_cast<std::uint32_t>(p[2]) << 8) |
+           static_cast<std::uint32_t>(p[3]);
+}
+
+void
+storeBe32(std::uint8_t *p, std::uint32_t w)
+{
+    p[0] = static_cast<std::uint8_t>(w >> 24);
+    p[1] = static_cast<std::uint8_t>(w >> 16);
+    p[2] = static_cast<std::uint8_t>(w >> 8);
+    p[3] = static_cast<std::uint8_t>(w);
 }
 
 } // namespace
@@ -74,11 +117,7 @@ Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
     int total = 4 * (rounds_ + 1);
 
     for (int i = 0; i < nk; ++i) {
-        round_keys_[i] =
-            (static_cast<std::uint32_t>(key[4 * i]) << 24) |
-            (static_cast<std::uint32_t>(key[4 * i + 1]) << 16) |
-            (static_cast<std::uint32_t>(key[4 * i + 2]) << 8) |
-            static_cast<std::uint32_t>(key[4 * i + 3]);
+        round_keys_[i] = loadBe32(key + 4 * i);
     }
     for (int i = nk; i < total; ++i) {
         std::uint32_t temp = round_keys_[i - 1];
@@ -95,61 +134,48 @@ Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
 void
 Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
 {
-    std::uint8_t s[16];
-    std::memcpy(s, in, 16);
+    // State word c is column c, row 0 in the most significant byte —
+    // the layout of round_keys_. Each inner round is SubBytes,
+    // ShiftRows and MixColumns folded into four table lookups per
+    // column; ShiftRows is the choice of source column per row.
+    const std::uint32_t *rk = round_keys_.data();
+    std::uint32_t s0 = loadBe32(in) ^ rk[0];
+    std::uint32_t s1 = loadBe32(in + 4) ^ rk[1];
+    std::uint32_t s2 = loadBe32(in + 8) ^ rk[2];
+    std::uint32_t s3 = loadBe32(in + 12) ^ rk[3];
 
-    auto addRoundKey = [&](int round) {
-        for (int c = 0; c < 4; ++c) {
-            std::uint32_t w = round_keys_[4 * round + c];
-            s[4 * c] ^= static_cast<std::uint8_t>(w >> 24);
-            s[4 * c + 1] ^= static_cast<std::uint8_t>(w >> 16);
-            s[4 * c + 2] ^= static_cast<std::uint8_t>(w >> 8);
-            s[4 * c + 3] ^= static_cast<std::uint8_t>(w);
-        }
+    auto round = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                    std::uint32_t d, std::uint32_t k) {
+        return kTe0[a >> 24] ^ kTe1[(b >> 16) & 0xff] ^
+               kTe2[(c >> 8) & 0xff] ^ kTe3[d & 0xff] ^ k;
     };
-
-    auto subBytes = [&] {
-        for (auto &b : s)
-            b = kSbox[b];
-    };
-
-    auto shiftRows = [&] {
-        std::uint8_t t[16];
-        std::memcpy(t, s, 16);
-        // State is column-major: s[4c + r] is row r, column c.
-        for (int r = 1; r < 4; ++r)
-            for (int c = 0; c < 4; ++c)
-                s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-    };
-
-    auto mixColumns = [&] {
-        for (int c = 0; c < 4; ++c) {
-            std::uint8_t *col = s + 4 * c;
-            std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-            std::uint8_t all = static_cast<std::uint8_t>(a0 ^ a1 ^ a2 ^ a3);
-            col[0] = static_cast<std::uint8_t>(
-                a0 ^ all ^ xtime(static_cast<std::uint8_t>(a0 ^ a1)));
-            col[1] = static_cast<std::uint8_t>(
-                a1 ^ all ^ xtime(static_cast<std::uint8_t>(a1 ^ a2)));
-            col[2] = static_cast<std::uint8_t>(
-                a2 ^ all ^ xtime(static_cast<std::uint8_t>(a2 ^ a3)));
-            col[3] = static_cast<std::uint8_t>(
-                a3 ^ all ^ xtime(static_cast<std::uint8_t>(a3 ^ a0)));
-        }
-    };
-
-    addRoundKey(0);
-    for (int round = 1; round < rounds_; ++round) {
-        subBytes();
-        shiftRows();
-        mixColumns();
-        addRoundKey(round);
+    for (int r = 1; r < rounds_; ++r) {
+        rk += 4;
+        std::uint32_t t0 = round(s0, s1, s2, s3, rk[0]);
+        std::uint32_t t1 = round(s1, s2, s3, s0, rk[1]);
+        std::uint32_t t2 = round(s2, s3, s0, s1, rk[2]);
+        std::uint32_t t3 = round(s3, s0, s1, s2, rk[3]);
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
     }
-    subBytes();
-    shiftRows();
-    addRoundKey(rounds_);
 
-    std::memcpy(out, s, 16);
+    // Final round: SubBytes and ShiftRows only.
+    rk += 4;
+    auto last = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                   std::uint32_t d, std::uint32_t k) {
+        return ((static_cast<std::uint32_t>(kSbox[a >> 24]) << 24) |
+                (static_cast<std::uint32_t>(kSbox[(b >> 16) & 0xff])
+                 << 16) |
+                (static_cast<std::uint32_t>(kSbox[(c >> 8) & 0xff]) << 8) |
+                static_cast<std::uint32_t>(kSbox[d & 0xff])) ^
+               k;
+    };
+    storeBe32(out, last(s0, s1, s2, s3, rk[0]));
+    storeBe32(out + 4, last(s1, s2, s3, s0, rk[1]));
+    storeBe32(out + 8, last(s2, s3, s0, s1, rk[2]));
+    storeBe32(out + 12, last(s3, s0, s1, s2, rk[3]));
 }
 
 } // namespace lake::crypto

@@ -9,31 +9,23 @@ namespace lake::crypto {
 
 namespace {
 
-/** GF(2^128) multiply: x = x * y in GCM's bit-reflected field. */
-void
-gf128Mul(std::uint8_t x[16], const std::uint8_t y[16])
-{
-    std::uint8_t z[16] = {};
-    std::uint8_t v[16];
-    std::memcpy(v, y, 16);
+/**
+ * Reduction of the four bits shifted out of the low end of Z: the
+ * multiple of R = 0xe1 || 0^120 to fold into the top 16 bits
+ * (McGrew & Viega, "The Galois/Counter Mode of Operation", §4.1).
+ */
+constexpr std::uint64_t kLast4[16] = {
+    0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0,
+    0xe100, 0xfd20, 0xd940, 0xc560, 0x9180, 0x8da0, 0xa9c0, 0xb5e0,
+};
 
-    for (int i = 0; i < 128; ++i) {
-        int byte = i / 8;
-        int bit = 7 - (i % 8);
-        if ((x[byte] >> bit) & 1) {
-            for (int j = 0; j < 16; ++j)
-                z[j] ^= v[j];
-        }
-        // v = v >> 1, with reduction by R = 0xe1 || 0^120.
-        bool lsb = v[15] & 1;
-        for (int j = 15; j > 0; --j)
-            v[j] = static_cast<std::uint8_t>((v[j] >> 1) |
-                                             ((v[j - 1] & 1) << 7));
-        v[0] >>= 1;
-        if (lsb)
-            v[0] ^= 0xe1;
-    }
-    std::memcpy(x, z, 16);
+std::uint64_t
+loadBe64(const std::uint8_t *p)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v = (v << 8) | p[i];
+    return v;
 }
 
 void
@@ -58,7 +50,53 @@ AesGcm::AesGcm(const std::uint8_t *key, std::size_t key_bytes)
     : aes_(key, key_bytes)
 {
     std::uint8_t zero[16] = {};
-    aes_.encryptBlock(zero, h_);
+    std::uint8_t h[16];
+    aes_.encryptBlock(zero, h);
+
+    // hh_/hl_[n] = n·H for every 4-bit n, where n's bits are x^0..x^3
+    // from its most significant bit down. H itself is entry 8; each
+    // halving of the index is one multiplication by x (a right shift
+    // in GCM's bit-reflected order); the rest are XOR sums.
+    std::uint64_t vh = loadBe64(h);
+    std::uint64_t vl = loadBe64(h + 8);
+    hh_[0] = 0;
+    hl_[0] = 0;
+    hh_[8] = vh;
+    hl_[8] = vl;
+    for (int i = 4; i > 0; i >>= 1) {
+        std::uint64_t reduce = (vl & 1) * 0xe100000000000000ULL;
+        vl = (vh << 63) | (vl >> 1);
+        vh = (vh >> 1) ^ reduce;
+        hh_[i] = vh;
+        hl_[i] = vl;
+    }
+    for (int i = 2; i <= 8; i <<= 1) {
+        for (int j = 1; j < i; ++j) {
+            hh_[i + j] = hh_[i] ^ hh_[j];
+            hl_[i + j] = hl_[i] ^ hl_[j];
+        }
+    }
+}
+
+void
+AesGcm::mulH(std::uint64_t &yh, std::uint64_t &yl) const
+{
+    // Horner over the 32 nibbles of Y, last byte first, low nibble
+    // before high: Z = Z·x^4 + nibble·H at each step.
+    std::uint64_t zh = 0, zl = 0;
+    for (int i = 15; i >= 0; --i) {
+        std::uint64_t word = i < 8 ? yh : yl;
+        unsigned byte = static_cast<unsigned>(word >> (8 * (7 - i % 8))) &
+                        0xff;
+        for (unsigned nibble : {byte & 0xf, byte >> 4}) {
+            unsigned rem = static_cast<unsigned>(zl & 0xf);
+            zl = (zh << 60) | (zl >> 4);
+            zh = (zh >> 4) ^ (kLast4[rem] << 48) ^ hh_[nibble];
+            zl ^= hl_[nibble];
+        }
+    }
+    yh = zh;
+    yl = zl;
 }
 
 void
@@ -66,13 +104,18 @@ AesGcm::ghash(const std::uint8_t *aad, std::size_t aad_len,
               const std::uint8_t *text, std::size_t text_len,
               std::uint8_t out[16]) const
 {
-    std::uint8_t y[16] = {};
+    std::uint64_t yh = 0, yl = 0;
     auto absorb = [&](const std::uint8_t *data, std::size_t len) {
         for (std::size_t off = 0; off < len; off += 16) {
-            std::size_t n = std::min<std::size_t>(16, len - off);
-            for (std::size_t i = 0; i < n; ++i)
-                y[i] ^= data[off + i];
-            gf128Mul(y, h_);
+            const std::uint8_t *block = data + off;
+            std::uint8_t padded[16] = {};
+            if (len - off < 16) {
+                std::memcpy(padded, block, len - off);
+                block = padded;
+            }
+            yh ^= loadBe64(block);
+            yl ^= loadBe64(block + 8);
+            mulH(yh, yl);
         }
     };
     if (aad_len)
@@ -80,13 +123,11 @@ AesGcm::ghash(const std::uint8_t *aad, std::size_t aad_len,
     if (text_len)
         absorb(text, text_len);
 
-    std::uint8_t lens[16];
-    putBe64(lens, static_cast<std::uint64_t>(aad_len) * 8);
-    putBe64(lens + 8, static_cast<std::uint64_t>(text_len) * 8);
-    for (int i = 0; i < 16; ++i)
-        y[i] ^= lens[i];
-    gf128Mul(y, h_);
-    std::memcpy(out, y, 16);
+    yh ^= static_cast<std::uint64_t>(aad_len) * 8;
+    yl ^= static_cast<std::uint64_t>(text_len) * 8;
+    mulH(yh, yl);
+    putBe64(out, yh);
+    putBe64(out + 8, yl);
 }
 
 void
@@ -147,14 +188,15 @@ AesGcm::decrypt(const std::uint8_t *iv, const std::uint8_t *cipher,
     for (int i = 0; i < 16; ++i)
         diff |= static_cast<std::uint8_t>(tag[i] ^ s[i] ^ ek_j0[i]);
 
-    std::uint8_t j[16];
-    std::memcpy(j, j0, 16);
-    ctr(j, cipher, len, plain);
-
+    // Verify before the CTR pass: a forged extent never has keystream
+    // applied, even in place in device memory.
     if (diff != 0) {
         std::memset(plain, 0, len);
         return false;
     }
+    std::uint8_t j[16];
+    std::memcpy(j, j0, 16);
+    ctr(j, cipher, len, plain);
     return true;
 }
 

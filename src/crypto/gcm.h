@@ -46,6 +46,8 @@ class AesGcm
 
     /**
      * Decrypts and authenticates.
+     * The tag is checked before the CTR pass, so on failure no
+     * keystream-decrypted byte is ever written.
      * @return true when the tag verifies; on failure @p plain is
      *         zeroed (release-of-unverified-plaintext is a classic
      *         GCM misuse).
@@ -62,12 +64,17 @@ class AesGcm
                const std::uint8_t *text, std::size_t text_len,
                std::uint8_t out[16]) const;
 
+    /** Y = Y·H in GF(2^128); Y as big-endian 64-bit halves. */
+    void mulH(std::uint64_t &yh, std::uint64_t &yl) const;
+
     /** CTR keystream application starting at counter block @p j. */
     void ctr(std::uint8_t j[16], const std::uint8_t *in, std::size_t len,
              std::uint8_t *out) const;
 
     Aes aes_;
-    std::uint8_t h_[16]; //!< hash subkey E(K, 0^128)
+    /** n·H for each 4-bit n, as high/low 64-bit halves; H = E(K, 0^128). */
+    std::uint64_t hh_[16];
+    std::uint64_t hl_[16];
 };
 
 } // namespace lake::crypto
