@@ -86,6 +86,6 @@ ctest --test-dir "$BUILD" --output-on-failure -L fleet
 
 # The crypto suite (ctest -L crypto) runs AES-GCM against NIST vectors
 # and a bit-serial reference, plus eCryptfs over every cipher engine —
-# the T-table and GHASH-table indexing and the 64-bit shifts are what
-# ASan/UBSan should sweep.
+# the T-table and 256-entry GHASH-table indexing, the four-lane CTR
+# buffers and the 56-bit shifts are what ASan/UBSan should sweep.
 ctest --test-dir "$BUILD" --output-on-failure -L crypto

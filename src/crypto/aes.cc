@@ -131,18 +131,22 @@ Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
     }
 }
 
+template <int L>
 void
-Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
+Aes::encryptLanes(const std::uint8_t *in, std::uint8_t *out) const
 {
-    // State word c is column c, row 0 in the most significant byte —
-    // the layout of round_keys_. Each inner round is SubBytes,
-    // ShiftRows and MixColumns folded into four table lookups per
-    // column; ShiftRows is the choice of source column per row.
+    // Lane l's state is s[4l .. 4l+3]: word c is column c, row 0 in the
+    // most significant byte — the layout of round_keys_. Each inner
+    // round is SubBytes, ShiftRows and MixColumns folded into four
+    // table lookups per column; ShiftRows is the choice of source
+    // column per row. Lanes share nothing, so their lookups overlap
+    // instead of each round waiting on the one before it; the lane
+    // loops are unrolled so the state stays in registers.
     const std::uint32_t *rk = round_keys_.data();
-    std::uint32_t s0 = loadBe32(in) ^ rk[0];
-    std::uint32_t s1 = loadBe32(in + 4) ^ rk[1];
-    std::uint32_t s2 = loadBe32(in + 8) ^ rk[2];
-    std::uint32_t s3 = loadBe32(in + 12) ^ rk[3];
+    std::uint32_t s[4 * L];
+#pragma GCC unroll 16
+    for (int i = 0; i < 4 * L; ++i)
+        s[i] = loadBe32(in + 4 * i) ^ rk[i % 4];
 
     auto round = [](std::uint32_t a, std::uint32_t b, std::uint32_t c,
                     std::uint32_t d, std::uint32_t k) {
@@ -151,14 +155,18 @@ Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
     };
     for (int r = 1; r < rounds_; ++r) {
         rk += 4;
-        std::uint32_t t0 = round(s0, s1, s2, s3, rk[0]);
-        std::uint32_t t1 = round(s1, s2, s3, s0, rk[1]);
-        std::uint32_t t2 = round(s2, s3, s0, s1, rk[2]);
-        std::uint32_t t3 = round(s3, s0, s1, s2, rk[3]);
-        s0 = t0;
-        s1 = t1;
-        s2 = t2;
-        s3 = t3;
+        std::uint32_t t[4 * L];
+#pragma GCC unroll 4
+        for (int l = 0; l < 4 * L; l += 4) {
+            const std::uint32_t *w = s + l;
+            t[l] = round(w[0], w[1], w[2], w[3], rk[0]);
+            t[l + 1] = round(w[1], w[2], w[3], w[0], rk[1]);
+            t[l + 2] = round(w[2], w[3], w[0], w[1], rk[2]);
+            t[l + 3] = round(w[3], w[0], w[1], w[2], rk[3]);
+        }
+#pragma GCC unroll 16
+        for (int i = 0; i < 4 * L; ++i)
+            s[i] = t[i];
     }
 
     // Final round: SubBytes and ShiftRows only.
@@ -172,10 +180,26 @@ Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
                 static_cast<std::uint32_t>(kSbox[d & 0xff])) ^
                k;
     };
-    storeBe32(out, last(s0, s1, s2, s3, rk[0]));
-    storeBe32(out + 4, last(s1, s2, s3, s0, rk[1]));
-    storeBe32(out + 8, last(s2, s3, s0, s1, rk[2]));
-    storeBe32(out + 12, last(s3, s0, s1, s2, rk[3]));
+#pragma GCC unroll 4
+    for (int l = 0; l < 4 * L; l += 4) {
+        const std::uint32_t *w = s + l;
+        storeBe32(out + 4 * l, last(w[0], w[1], w[2], w[3], rk[0]));
+        storeBe32(out + 4 * l + 4, last(w[1], w[2], w[3], w[0], rk[1]));
+        storeBe32(out + 4 * l + 8, last(w[2], w[3], w[0], w[1], rk[2]));
+        storeBe32(out + 4 * l + 12, last(w[3], w[0], w[1], w[2], rk[3]));
+    }
+}
+
+void
+Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
+{
+    encryptLanes<1>(in, out);
+}
+
+void
+Aes::encryptBlocks4(const std::uint8_t in[64], std::uint8_t out[64]) const
+{
+    encryptLanes<4>(in, out);
 }
 
 } // namespace lake::crypto

@@ -33,10 +33,22 @@ class Aes
     /** Encrypts one 16-byte block (in-place safe: in may equal out). */
     void encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const;
 
+    /**
+     * Encrypts four consecutive 16-byte blocks, interleaved round by
+     * round so their independent table lookups overlap (the CTR fast
+     * path). In-place safe like encryptBlock.
+     */
+    void encryptBlocks4(const std::uint8_t in[64],
+                        std::uint8_t out[64]) const;
+
     /** Number of rounds (10 for AES-128, 14 for AES-256). */
     int rounds() const { return rounds_; }
 
   private:
+    /** The one round body: @p L blocks side by side through each round. */
+    template <int L>
+    void encryptLanes(const std::uint8_t *in, std::uint8_t *out) const;
+
     int rounds_;
     /** Round keys: 4*(rounds+1) 32-bit words. */
     std::array<std::uint32_t, 60> round_keys_{};

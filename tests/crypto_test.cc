@@ -73,6 +73,26 @@ TEST(AesTest, InPlaceEncryptionIsSafe)
               "69c4e0d86a7b0430d8cdb78070b4c55a");
 }
 
+TEST(AesTest, FourLanesMatchFourSingleBlocks)
+{
+    auto key = fromHex("000102030405060708090a0b0c0d0e0f"
+                       "101112131415161718191a1b1c1d1e1f");
+    Aes aes(key.data(), key.size());
+    std::uint8_t in[64];
+    for (int i = 0; i < 64; ++i)
+        in[i] = static_cast<std::uint8_t>(i * 29 + 3);
+
+    std::uint8_t want[64];
+    for (int b = 0; b < 4; ++b)
+        aes.encryptBlock(in + 16 * b, want + 16 * b);
+    std::uint8_t out[64];
+    aes.encryptBlocks4(in, out);
+    EXPECT_EQ(toHex(out, 64), toHex(want, 64));
+
+    aes.encryptBlocks4(in, in); // in place
+    EXPECT_EQ(toHex(in, 64), toHex(want, 64));
+}
+
 TEST(GcmTest, NistTestCase3NoAad)
 {
     // NIST GCM spec, test case 3 (AES-128, 96-bit IV, 64-byte text).
@@ -223,6 +243,31 @@ TEST(GcmTest, TamperedCiphertextFailsAndZeroes)
         EXPECT_EQ(b, 0); // unverified plaintext is never released
 }
 
+TEST(GcmTest, TagAndCtrSplitEncrypt)
+{
+    auto key = fromHex("feffe9928665731c6d6a8f9467308308");
+    auto iv = fromHex("cafebabefacedbaddecaf888");
+    auto aad = fromHex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+    std::vector<std::uint8_t> plain(200);
+    for (std::size_t i = 0; i < plain.size(); ++i)
+        plain[i] = static_cast<std::uint8_t>(i * 5);
+
+    AesGcm gcm(key.data(), key.size());
+    std::vector<std::uint8_t> cipher(plain.size());
+    std::uint8_t tag[16];
+    gcm.encrypt(iv.data(), plain.data(), plain.size(), aad.data(),
+                aad.size(), cipher.data(), tag);
+
+    std::uint8_t got[16];
+    gcm.tag(iv.data(), cipher.data(), cipher.size(), aad.data(), aad.size(),
+            got);
+    EXPECT_EQ(toHex(got, 16), toHex(tag, 16));
+
+    std::vector<std::uint8_t> out(plain.size());
+    gcm.ctr(iv.data(), cipher.data(), cipher.size(), out.data());
+    EXPECT_EQ(out, plain);
+}
+
 TEST(GcmTest, TamperedTagFails)
 {
     auto key = fromHex("feffe9928665731c6d6a8f9467308308");
@@ -265,7 +310,11 @@ TEST_P(GcmSizeTest, RoundTripArbitrarySizes)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GcmSizeTest,
                          ::testing::Values(1, 15, 16, 17, 31, 33, 100,
-                                           4096, 65536));
+                                           4096, 65536,
+                                           // Edges of the four-lane CTR
+                                           // loop and its 16-byte tail.
+                                           48, 63, 64, 65, 127, 128, 129,
+                                           192, 193));
 
 // ---- reference model ---------------------------------------------------
 //
@@ -493,13 +542,23 @@ randomBytes(std::mt19937_64 &rng, std::size_t n)
     return out;
 }
 
+/**
+ * Text lengths for the reference tests: block and page edges, the
+ * 256 KiB eCryptfs extent, and the edges of the four-lane CTR loop
+ * (48..193: 3 blocks, 4 blocks +/- 1 byte, 8 blocks +/- 1, 12 blocks,
+ * 12 blocks + 1) that exercise its 16-byte tail.
+ */
+constexpr std::size_t kRefTextLens[] = {0,   1,   15,  16,   17,   48,
+                                        63,  64,  65,  127,  128,  129,
+                                        192, 193, 4095, 4101, 262144};
+
 TEST(ReferenceTest, GcmMatchesBitSerialReference)
 {
     std::mt19937_64 rng(14);
     for (std::size_t key_bytes : {16u, 32u}) {
-        for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 4095u, 4101u,
-                                262144u}) {
-            for (std::size_t aad_len : {0u, 1u, 13u, 16u, 20u}) {
+        for (std::size_t len : kRefTextLens) {
+            for (std::size_t aad_len : {0u, 1u, 13u, 16u, 20u, 64u, 65u,
+                                        4101u}) {
                 SCOPED_TRACE(testing::Message()
                              << "key " << key_bytes << " len " << len
                              << " aad " << aad_len);
@@ -537,36 +596,45 @@ TEST(ReferenceTest, InPlaceGcmMatchesReference)
     // place (cipher == plain).
     std::mt19937_64 rng(15);
     for (std::size_t key_bytes : {16u, 32u}) {
-        for (std::size_t len : {1u, 17u, 4101u, 262144u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "key " << key_bytes << " len " << len);
-            auto key = randomBytes(rng, key_bytes);
-            auto iv = randomBytes(rng, kGcmIvBytes);
-            auto plain = randomBytes(rng, len);
+        for (std::size_t len : kRefTextLens) {
+            if (len == 0)
+                continue; // no buffer to alias
+            for (std::size_t aad_len : {0u, 64u, 65u, 4101u}) {
+                SCOPED_TRACE(testing::Message()
+                             << "key " << key_bytes << " len " << len
+                             << " aad " << aad_len);
+                auto key = randomBytes(rng, key_bytes);
+                auto iv = randomBytes(rng, kGcmIvBytes);
+                auto plain = randomBytes(rng, len);
+                auto aad = randomBytes(rng, aad_len);
 
-            std::vector<std::uint8_t> want_ct;
-            std::uint8_t want_tag[16];
-            ref::gcmEncrypt(key, iv.data(), plain, {}, want_ct, want_tag);
+                std::vector<std::uint8_t> want_ct;
+                std::uint8_t want_tag[16];
+                ref::gcmEncrypt(key, iv.data(), plain, aad, want_ct,
+                                want_tag);
 
-            AesGcm gcm(key.data(), key_bytes);
-            std::vector<std::uint8_t> buf = plain;
-            std::uint8_t tag[16];
-            gcm.encrypt(iv.data(), buf.data(), len, nullptr, 0, buf.data(),
-                        tag);
-            ASSERT_EQ(buf, want_ct);
-            ASSERT_EQ(toHex(tag, 16), toHex(want_tag, 16));
+                AesGcm gcm(key.data(), key_bytes);
+                std::vector<std::uint8_t> buf = plain;
+                std::uint8_t tag[16];
+                gcm.encrypt(iv.data(), buf.data(), len, aad.data(),
+                            aad_len, buf.data(), tag);
+                ASSERT_EQ(buf, want_ct);
+                ASSERT_EQ(toHex(tag, 16), toHex(want_tag, 16));
 
-            ASSERT_TRUE(gcm.decrypt(iv.data(), buf.data(), len, nullptr, 0,
-                                    tag, buf.data()));
-            ASSERT_EQ(buf, plain);
+                ASSERT_TRUE(gcm.decrypt(iv.data(), buf.data(), len,
+                                        aad.data(), aad_len, tag,
+                                        buf.data()));
+                ASSERT_EQ(buf, plain);
 
-            // A forged tag leaves the in-place buffer zeroed, never
-            // keystream-decrypted.
-            buf = want_ct;
-            tag[15] ^= 1;
-            ASSERT_FALSE(gcm.decrypt(iv.data(), buf.data(), len, nullptr,
-                                     0, tag, buf.data()));
-            ASSERT_EQ(buf, std::vector<std::uint8_t>(len, 0));
+                // A forged tag leaves the in-place buffer zeroed, never
+                // keystream-decrypted.
+                buf = want_ct;
+                tag[15] ^= 1;
+                ASSERT_FALSE(gcm.decrypt(iv.data(), buf.data(), len,
+                                         aad.data(), aad_len, tag,
+                                         buf.data()));
+                ASSERT_EQ(buf, std::vector<std::uint8_t>(len, 0));
+            }
         }
     }
 }
@@ -680,6 +748,37 @@ TEST_F(EnginesTest, HybridRoundTripAndTamper)
     cipher[123] ^= 1;
     EXPECT_FALSE(hybrid.decryptExtent(iv_, cipher.data(), cipher.size(),
                                       tag, out.data()));
+}
+
+TEST_F(EnginesTest, HybridInPlaceRoundTripAndTamper)
+{
+    // plain == cipher: both halves' tags must be taken from the
+    // ciphertext before any plaintext overwrites it.
+    gpu::CpuSpec cpu = gpu::CpuSpec::xeonGold6226R();
+    HybridCipher hybrid(key_, 32, lake_.lib(), lake_.clock(), cpu,
+                        1 << 20);
+
+    std::vector<std::uint8_t> plain(300000);
+    for (std::size_t i = 0; i < plain.size(); ++i)
+        plain[i] = static_cast<std::uint8_t>(i * 7);
+    std::vector<std::uint8_t> buf = plain;
+    std::uint8_t tag[16];
+
+    hybrid.encryptExtent(iv_, buf.data(), buf.size(), buf.data(), tag);
+    std::vector<std::uint8_t> cipher = buf;
+    ASSERT_NE(cipher, plain);
+    ASSERT_TRUE(hybrid.decryptExtent(iv_, buf.data(), buf.size(), tag,
+                                     buf.data()));
+    EXPECT_EQ(buf, plain);
+
+    // One flipped bit in either half: all zero, not half-decrypted.
+    for (std::size_t pos : {std::size_t{123}, cipher.size() - 5}) {
+        buf = cipher;
+        buf[pos] ^= 1;
+        EXPECT_FALSE(hybrid.decryptExtent(iv_, buf.data(), buf.size(),
+                                          tag, buf.data()));
+        EXPECT_EQ(buf, std::vector<std::uint8_t>(buf.size(), 0));
+    }
 }
 
 TEST_F(EnginesTest, HybridFasterThanAesNiAlone)
