@@ -43,13 +43,14 @@ main()
     std::vector<std::pair<double, const char *>> engine_log;
 
     // The Fig. 3 policy, probing the device's NVML-style utilization.
-    policy::ContentionAwarePolicy::Config pcfg;
+    policy::ContentionConfig pcfg;
     pcfg.probe_interval = 5_ms;
     pcfg.avg_window = 4;
     pcfg.exec_threshold = 40.0;
     pcfg.batch_threshold = 8;
-    policy::ContentionAwarePolicy policy(
-        [&](Nanos now) { return dev.utilization(now, 20_ms); }, pcfg);
+    policy::FleetPlacementPolicy policy(
+        {[&](Nanos now) { return dev.utilization(now, 20_ms); }},
+        {.contention = pcfg});
 
     // Kernel classifier: a 256-I/O batch every 2 ms, engine by policy.
     constexpr std::size_t kBatch = 256;

@@ -77,11 +77,11 @@ ctest --test-dir "$BUILD" --output-on-failure -L serve
 ctest --test-dir "$BUILD" --output-on-failure -L soa
 
 # The fleet suite (ctest -L fleet) runs K lakeD shards dispatching
-# concurrently from per-thread serving stacks through the shared
-# FleetRouter — the policy-mutex/shard-mutex lock order, the relaxed
-# pending-depth atomics, and the per-shard health latches are what
-# `bench/sanitize.sh thread -L fleet` exists to sweep, and the
-# fleet_scaling smoke adds the CuSetDevice muxing path under load.
+# concurrently from per-thread serving stacks through one shared
+# FleetMlp and FleetRouter — the policy-mutex/shard-mutex lock order,
+# the relaxed pending-depth atomics, and the per-shard health latches
+# are what `bench/sanitize.sh thread -L fleet` exists to sweep, and
+# the fleet_scaling smoke adds the CuSetDevice muxing path under load.
 ctest --test-dir "$BUILD" --output-on-failure -L fleet
 
 # The crypto suite (ctest -L crypto) runs AES-GCM against NIST vectors

@@ -46,19 +46,6 @@ namespace {
 constexpr std::size_t kShards = 4;
 constexpr const char *kSys = "serve_slo";
 
-/** One LinnOS-shaped request with plausible feature values. */
-registry::FeatureVector
-makeFv(Rng &rng, Nanos now)
-{
-    registry::FeatureVector fv;
-    fv.ts_begin = now;
-    fv.ts_end = now;
-    fv.values[registry::featureKey("pend_ios")] = {rng.uniformInt(0, 31)};
-    for (const std::string &f : storage::kLinnosLatFeatures)
-        fv.values[registry::featureKey(f)] = {rng.uniformInt(50, 2000)};
-    return fv;
-}
-
 /** The serving stack of one run: shards + classifier + ScoreServer. */
 struct Stack
 {
@@ -127,7 +114,7 @@ calibrateCapacityRps(std::size_t batch)
     Rng rng(7);
     std::vector<registry::FeatureVector> fvs;
     for (std::size_t i = 0; i < batch; ++i)
-        fvs.push_back(makeFv(rng, 0));
+        fvs.push_back(storage::randomLinnosRequest(rng, 0));
     registry::Registry *reg = st.mgr.find(st.shards[0], kSys);
     Nanos t0 = st.clock.now();
     reg->scoreFeatures(fvs, t0);
@@ -261,8 +248,9 @@ runOne(const std::string &tag, double load, double capacity_rps,
 
     serve::TrafficGenerator gen(st.mgr, st.clock, cfg, kSys, st.shards);
     Rng fv_rng(0xfeedull);
-    gen.setRequestFactory(
-        [&fv_rng](std::size_t, Nanos now) { return makeFv(fv_rng, now); });
+    gen.setRequestFactory([&fv_rng](std::size_t, Nanos now) {
+        return storage::randomLinnosRequest(fv_rng, now);
+    });
 
     // Utilization = classifier-busy share of each sample window.
     Nanos last_busy = 0, last_now = 0;

@@ -6,9 +6,10 @@
 # Builds <base-rev> from a `git archive` snapshot under ${TMPDIR:-/tmp}
 # with the generator, CMAKE_BUILD_TYPE and LAKE_NATIVE_ARCH of the
 # current build tree (default build/; a mismatch changes float codegen),
-# runs every bench/fig* and bench/table* of both builds in an empty
-# directory and diffs stdout and exit code. Exits 1 on any difference,
-# 2 on a usage or build error.
+# runs every bench/fig* and bench/table* plus ablation_hardware,
+# `fleet_scaling --smoke` and `serve_slo --smoke` of both builds in an
+# empty directory and diffs stdout and exit code. Exits 1 on any
+# difference, 2 on a usage or build error.
 set -euo pipefail
 
 [[ $# == 1 || $# == 2 ]] || { echo "usage: $0 <base-rev> [build-dir]" >&2; exit 2; }
@@ -31,28 +32,32 @@ build cmake -S "$WORK/src" -B "$WORK/build" -G "$(var CMAKE_GENERATOR)" \
 build cmake --build "$WORK/build" -j "$(nproc)"
 build cmake --build "$BUILD" -j "$(nproc)"
 
-# run <binary> <out>: stdout and exit code of <binary> into <out>.
+# run <out> <binary> [args...]: stdout and exit code into <out>.
 run() {
-    local rc=0
-    mkdir -p "$2.cwd"
-    (cd "$2.cwd" && "$1") > "$2" 2> /dev/null || rc=$?
-    echo "exit $rc" >> "$2"
+    local out="$1" rc=0
+    shift
+    mkdir -p "$out.cwd"
+    (cd "$out.cwd" && "$@") > "$out" 2> /dev/null || rc=$?
+    echo "exit $rc" >> "$out"
 }
 
-status=0
+entries=(ablation_hardware "fleet_scaling --smoke" "serve_slo --smoke")
 for exe in "$BUILD"/bench/fig* "$BUILD"/bench/table*; do
-    [[ -f "$exe" && -x "$exe" ]] || continue
-    name="$(basename "$exe")"
+    [[ -f "$exe" && -x "$exe" ]] && entries+=("$(basename "$exe")")
+done
+status=0
+for entry in "${entries[@]}"; do
+    read -r name args <<< "$entry"
     if [[ ! -x "$WORK/build/bench/$name" ]]; then
-        echo "NEW   $name"
+        echo "NEW   $entry"
         continue
     fi
-    run "$WORK/build/bench/$name" "$WORK/$name.base"
-    run "$exe" "$WORK/$name.cur"
+    run "$WORK/$name.base" "$WORK/build/bench/$name" $args
+    run "$WORK/$name.cur" "$BUILD/bench/$name" $args
     if diff -u "$WORK/$name.base" "$WORK/$name.cur"; then
-        echo "SAME  $name"
+        echo "SAME  $entry"
     else
-        echo "DIFF  $name"
+        echo "DIFF  $entry"
         status=1
     fi
 done

@@ -31,12 +31,13 @@ main()
     gpu::Device &dev = lake.device();
 
     // ---- native form of the Fig. 3 policy ----------------------------
-    policy::ContentionAwarePolicy::Config cfg;
+    policy::ContentionConfig cfg;
     cfg.probe_interval = 5_ms;   // "...5 ms elapsed since last check..."
     cfg.avg_window = 4;          // moving average of utilization
     cfg.exec_threshold = 40.0;   // % GPU busy considered contended
     cfg.batch_threshold = 8;     // Table 3 crossover for the NN
-    policy::ContentionAwarePolicy native(lake.nvmlProbe(), cfg);
+    policy::FleetPlacementPolicy native({lake.nvmlProbe()},
+                                        {.contention = cfg});
 
     // ---- the same policy as eBPF bytecode ----------------------------
     // The verifier statically checks it: forward-only jumps, bounded

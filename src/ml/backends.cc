@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 
 #include "base/logging.h"
 #include "ml/gpu_kernels.h"
@@ -277,6 +278,46 @@ LakeMlp::tryClassifyStreamed(const Matrix &x)
         }
     }
     return labels;
+}
+
+FleetMlp::FleetMlp(const Mlp &model, remote::FleetRouter &router,
+                   bool sync_copy, std::size_t max_batch)
+    : router_(router)
+{
+    remote::ShardFleet &shards = router_.shards();
+    for (std::size_t d = 0; d < shards.deviceCount(); ++d) {
+        remote::LakeShard &sh = shards.shardFor(d);
+        std::lock_guard<std::mutex> lock(sh.mu());
+        check(sh.activate(shards.localIndex(d)), "activate device");
+        mlps_.push_back(std::make_unique<LakeMlp>(model, sh.lib(),
+                                                  sync_copy, max_batch));
+    }
+}
+
+FleetMlp::Served
+FleetMlp::classify(const std::string &key, const Matrix &x,
+                   CpuMlp &fallback)
+{
+    remote::ShardFleet &shards = router_.shards();
+    std::size_t dev = router_.lastPlacement(key);
+    router_.noteDispatch(dev, x.rows());
+    remote::LakeShard &sh = shards.shardFor(dev);
+    std::vector<int> labels;
+    bool ok = false;
+    {
+        std::lock_guard<std::mutex> lock(sh.mu());
+        if (sh.activate(shards.localIndex(dev)) == CuResult::Success) {
+            Result<std::vector<int>> res = mlps_[dev]->tryClassify(x);
+            ok = res.isOk();
+            if (ok)
+                labels = res.takeValue();
+        }
+    }
+    router_.noteDone(dev);
+    if (ok)
+        return {std::move(labels), dev};
+    sh.health().fallbacks.fetch_add(1);
+    return {fallback.classify(x), std::nullopt};
 }
 
 std::vector<int>

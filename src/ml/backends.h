@@ -17,6 +17,9 @@
  */
 
 #include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "base/status.h"
@@ -26,6 +29,7 @@
 #include "ml/lstm.h"
 #include "ml/mlp.h"
 #include "remote/daemon.h"
+#include "remote/fleet.h"
 #include "remote/lakelib.h"
 #include "remote/streampool.h"
 #include "shm/arena.h"
@@ -155,6 +159,50 @@ class LakeMlp
     gpu::DevicePtr d_out_ = 0;
     shm::ShmOffset h_in_ = shm::kNullOffset;
     shm::ShmOffset h_out_ = shm::kNullOffset;
+};
+
+/**
+ * One MLP over a device fleet: the one dispatch path from a placement
+ * key to a device's LakeMlp, with the mid-batch CPU fallback
+ * (DESIGN.md §13). Lock order: router key map (leaf), then one shard
+ * mutex; the placement policy is never consulted under a shard mutex.
+ */
+class FleetMlp
+{
+  public:
+    struct Served
+    {
+        std::vector<int> labels;
+        /** Fleet device that served the batch; empty for the CPU. */
+        std::optional<std::size_t> device;
+    };
+
+    /**
+     * Uploads one LakeMlp per device, in device order, each under its
+     * shard's mutex with the device active (asserts on a failed
+     * switch). @p router must outlive this object; the other
+     * parameters are LakeMlp's.
+     */
+    FleetMlp(const Mlp &model, remote::FleetRouter &router, bool sync_copy,
+             std::size_t max_batch);
+
+    FleetMlp(const FleetMlp &) = delete;
+    FleetMlp &operator=(const FleetMlp &) = delete;
+
+    /**
+     * Classifies @p x on the device the router placed @p key on. A
+     * failed switch or mid-batch remoting failure counts one fallback
+     * on that device's shard and finishes on @p fallback.
+     */
+    Served classify(const std::string &key, const Matrix &x,
+                    CpuMlp &fallback);
+
+    /** Fleet device @p d's model. */
+    LakeMlp &device(std::size_t d) { return *mlps_.at(d); }
+
+  private:
+    remote::FleetRouter &router_;
+    std::vector<std::unique_ptr<LakeMlp>> mlps_;
 };
 
 /** CPU k-NN classifier. */

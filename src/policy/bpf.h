@@ -161,7 +161,7 @@ enum BpfCtxSlot : std::size_t
 class BpfPolicy final : public ExecPolicy
 {
   public:
-    /** Probe rate-limit / smoothing knobs (as ContentionAwarePolicy). */
+    /** Probe rate-limit / smoothing knobs (as ContentionConfig). */
     struct Config
     {
         Nanos probe_interval = 5_ms;

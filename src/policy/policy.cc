@@ -61,7 +61,7 @@ Engine
 FallbackPolicy::decide(const PolicyInput &in)
 {
     // Consult the health probe first: while degraded, skip the inner
-    // policy entirely — a ContentionAwarePolicy would otherwise issue
+    // policy entirely — a FleetPlacementPolicy would otherwise issue
     // remoted NVML probes over the very path that is failing.
     if (degraded_()) {
         std::uint64_t overrides =
@@ -108,27 +108,6 @@ UtilSmoother::sample(const UtilProbe &probe, Nanos now,
     return avg_.value();
 }
 
-ContentionAwarePolicy::ContentionAwarePolicy(UtilProbe probe, Config config)
-    : probe_(std::move(probe)), cfg_(config), smoother_(config)
-{
-    LAKE_ASSERT(probe_ != nullptr,
-                "contention policy needs a utilization probe");
-}
-
-Engine
-ContentionAwarePolicy::decide(const PolicyInput &in)
-{
-    double util = smoother_.sample(probe_, in.now, cfg_);
-    bool uncontended = util < cfg_.exec_threshold;
-    bool profitable = in.batch_size >= cfg_.batch_threshold;
-    Engine out = (uncontended && profitable) ? Engine::Gpu : Engine::Cpu;
-    // The smoothed utilization is the input the paper's Fig. 3 policy
-    // acts on; export it in permille so the trace stays integer-only.
-    observeDecision("policy.contention_aware", in, out,
-                    static_cast<std::uint64_t>(util * 10.0), true);
-    return out;
-}
-
 FleetPlacementPolicy::FleetPlacementPolicy(std::vector<UtilProbe> probes,
                                            Config config)
     : probes_(std::move(probes)), cfg_(config)
@@ -162,8 +141,8 @@ FleetPlacementPolicy::place(const PolicyInput &in, std::size_t sticky)
 
     if (!vetoed(sticky)) {
         // Sample the sticky device first, on *every* decision — the
-        // Fig. 3 probe cadence — so a one-device fleet is
-        // decision-identical to ContentionAwarePolicy.
+        // Fig. 3 probe cadence — so a one-device fleet makes exactly
+        // the Fig. 3 decisions.
         double score = scoreOf(sticky);
         if (profitable && score < threshold) {
             out = {Engine::Gpu, sticky};

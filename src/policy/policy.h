@@ -217,37 +217,6 @@ class UtilSmoother
     bool probed_once_ = false;
 };
 
-/**
- * The Fig. 3 policy: contention management + profitability.
- *
- * Queries GPU utilization at most once per rate-limit period, smooths
- * readings with a moving average, and uses the GPU only when both the
- * smoothed utilization is below the contention threshold and the batch
- * is big enough to be profitable.
- */
-class ContentionAwarePolicy final : public ExecPolicy
-{
-  public:
-    using Config = ContentionConfig;
-
-    /**
-     * @param probe  utilization source (remoted NVML)
-     * @param config thresholds
-     */
-    ContentionAwarePolicy(UtilProbe probe, Config config);
-
-    Engine decide(const PolicyInput &in) override;
-    const char *name() const override { return "contention-aware"; }
-
-    /** Most recent smoothed utilization, for telemetry. */
-    double smoothedUtilization() const { return smoother_.value(); }
-
-  private:
-    UtilProbe probe_;
-    Config cfg_;
-    UtilSmoother smoother_;
-};
-
 /** A placement: the engine and, when Gpu, which fleet device. */
 struct Placement
 {
@@ -256,11 +225,12 @@ struct Placement
 };
 
 /**
- * The Fig. 3 policy extended across a device fleet: one UtilSmoother
- * per device (bugfix: a single blended MovingAverage cannot steer
- * between devices), a pending-dispatch depth signal per device, and
- * sticky placement so a registry's captures keep landing on the device
- * that already holds its model.
+ * The Fig. 3 policy (contention management + profitability) across a
+ * device fleet; built with one probe it is the single-GPU policy. One
+ * UtilSmoother per device (bugfix: a single blended MovingAverage
+ * cannot steer between devices), a pending-dispatch depth signal per
+ * device, and sticky placement so a registry's captures keep landing
+ * on the device that already holds its model.
  *
  * Thread-safe: shard worker threads may call place()/decide()
  * concurrently. Lock order is policy mutex -> shard mutex (the probes
@@ -297,8 +267,8 @@ class FleetPlacementPolicy final : public ExecPolicy
      * caller's current placement). Samples the sticky device's
      * smoother on every decision — the exact Fig. 3 probe cadence —
      * and hunts across the other devices only when the sticky one is
-     * contended, so a single-device fleet is decision-identical to
-     * ContentionAwarePolicy.
+     * contended, so a single-device fleet makes exactly the Fig. 3
+     * decisions.
      */
     Placement place(const PolicyInput &in, std::size_t sticky);
 
@@ -308,7 +278,7 @@ class FleetPlacementPolicy final : public ExecPolicy
     std::size_t deviceCount() const { return probes_.size(); }
 
     /** Device @p d's current smoothed utilization (telemetry). */
-    double smoothedUtilization(std::size_t d);
+    double smoothedUtilization(std::size_t d = 0);
 
   private:
     std::vector<UtilProbe> probes_;

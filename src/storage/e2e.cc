@@ -79,8 +79,8 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
     std::uint64_t rr = 0; // round-robin reroute cursor
     RunningStat batch_sizes;
 
-    // Optional GPU backend (LakeNn only).
-    std::unique_ptr<ml::LakeMlp> lake_mlp;
+    // Optional GPU backend (LakeNn only), over Lake's fleet of one.
+    std::unique_ptr<ml::FleetMlp> lake_mlp;
     std::unique_ptr<ml::CpuMlp> cpu_mlp;
     if (config.mode != E2eMode::Baseline) {
         cpu_mlp = std::make_unique<ml::CpuMlp>(*config.model,
@@ -89,11 +89,11 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
     bool lake_mode = config.mode == E2eMode::LakeNn ||
                      config.mode == E2eMode::LakeAdaptive;
     if (lake_mode) {
-        lake_mlp = std::make_unique<ml::LakeMlp>(
-            *config.model, lake.lib(), /*sync_copy=*/false,
+        lake_mlp = std::make_unique<ml::FleetMlp>(
+            *config.model, lake.router(), /*sync_copy=*/false,
             config.batch_max);
         if (lake.streaming() != nullptr)
-            lake_mlp->enableStreaming(lake.streaming());
+            lake_mlp->device(0).enableStreaming(lake.streaming());
     }
     // Arm faults only after the model upload so boot staging is clean;
     // everything from here on must survive a misbehaving channel.
@@ -143,27 +143,21 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                 });
             // GPU dispatch uploads to the device regardless; gather the
             // strided rows into the staging matrix directly (no
-            // FeatureVector materialization).
+            // FeatureVector materialization). A remoting failure
+            // mid-batch must not kill the I/O path: FleetMlp finishes
+            // that batch on the CPU and counts the fallback.
             devs[d].reg->registerViewClassifier(
                 registry::Arch::Gpu,
-                [&lake_mlp, &cpu_mlp, &lake](const registry::FvBatchView &v) {
+                [&lake_mlp, &cpu_mlp,
+                 key = devs[d].dev->name()](const registry::FvBatchView &v) {
                     ml::Matrix x(v.size(), kLinnosFeatures);
                     std::size_t r = 0;
                     for (const ml::MatrixView &mv : v.matrixViews())
                         for (std::size_t i = 0; i < mv.rows(); ++i, ++r)
                             std::copy(mv.row(i), mv.row(i) + mv.cols(),
                                       x.row(r));
-                    // A remoting failure mid-batch must not kill the
-                    // I/O path: finish this batch on the CPU and count
-                    // the fallback.
-                    Result<std::vector<int>> res = lake_mlp->tryClassify(x);
-                    std::vector<int> c;
-                    if (res.isOk()) {
-                        c = res.takeValue();
-                    } else {
-                        lake.noteFallback();
-                        c = cpu_mlp->classify(x);
-                    }
+                    std::vector<int> c =
+                        lake_mlp->classify(key, x, *cpu_mlp).labels;
                     return std::vector<float>(c.begin(), c.end());
                 });
             devs[d].reg->beginFvCapture(0);

@@ -70,6 +70,18 @@ featurizeLinnos(const std::vector<registry::FeatureVector> &fvs)
     return x;
 }
 
+registry::FeatureVector
+randomLinnosRequest(Rng &rng, Nanos now)
+{
+    registry::FeatureVector fv;
+    fv.ts_begin = now;
+    fv.ts_end = now;
+    fv.values[registry::featureKey("pend_ios")] = {rng.uniformInt(0, 31)};
+    for (const std::string &f : kLinnosLatFeatures)
+        fv.values[registry::featureKey(f)] = {rng.uniformInt(50, 2000)};
+    return fv;
+}
+
 void
 encodeLinnosRow(const registry::SoaStore::RowReader &row, float *out)
 {

@@ -60,6 +60,13 @@ registry::Schema linnosSchema();
 ml::Matrix featurizeLinnos(const std::vector<registry::FeatureVector> &fvs);
 
 /**
+ * One LinnOS-shaped request stamped at @p now: "pend_ios" uniform in
+ * [0, 31], then each kLinnosLatFeatures latency uniform in [50, 2000]
+ * us, drawn from @p rng in that order.
+ */
+registry::FeatureVector randomLinnosRequest(Rng &rng, Nanos now);
+
+/**
  * The same 31 inputs as a SoA seal-time encoder
  * (SoaStore::setFloatEncoder with kLinnosFeatures floats) for a
  * registry created with linnosSchema().

@@ -11,7 +11,8 @@
 //
 // Plus the fleet contract itself: CuSetDevice muxing (including a
 // lost CuSetDevice response), the 1-device fleet's bit-identity with
-// the classic stack, core::Lake as a fleet of one (and of many), and a
+// the classic stack, FleetMlp's dispatch (placement and the mid-batch
+// CPU fallback), core::Lake as a fleet of one (and of many), and a
 // TSan-exercised K-shard concurrent dispatch stress under the
 // multi-tenant generator.
 
@@ -19,7 +20,7 @@
 
 #include <cstdlib>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -351,8 +352,8 @@ TEST(ShardFleetTest, OneDeviceFleetIsBitIdenticalToPlainStack)
             *last = static_cast<double>(u.gpu);
         return *last;
     };
-    policy::ContentionAwarePolicy pol_a(probe_a,
-                                        policy::ContentionConfig{});
+    policy::FleetPlacementPolicy pol_a(
+        {probe_a}, {.contention = policy::ContentionConfig{}});
 
     // ...versus a 1-device, 1-shard fleet routed by the placement
     // policy. Identical decisions, scores, wire traffic and virtual
@@ -415,6 +416,99 @@ TEST(ShardFleetTest, OneDeviceFleetIsBitIdenticalToPlainStack)
     EXPECT_EQ(a.lib.calls(), sh.lib().calls());
     EXPECT_EQ(a.dev.launches(), fleet.at(0).launches());
     EXPECT_EQ(router.migrations(), 0u);
+}
+
+// ---- FleetMlp: the one fleet dispatch path --------------------------
+
+/**
+ * 4 devices behind 2 shards: device 2 shares shard 0 with device 0 at
+ * daemon-local index 1, so reaching it after a device-0 batch takes a
+ * CuSetDevice on the wire. Round-robin seeding pins "d0" to device 0,
+ * "d1" to 1 and "pinned" to 2.
+ */
+class FleetMlpTest : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        ASSERT_EQ(router.lastPlacement("d0"), 0u);
+        ASSERT_EQ(router.lastPlacement("d1"), 1u);
+        ASSERT_EQ(router.lastPlacement("pinned"), 2u);
+    }
+
+    ml::Matrix
+    batch()
+    {
+        ml::Matrix x(16, model.config().input);
+        for (std::size_t r = 0; r < x.rows(); ++r)
+            for (std::size_t c = 0; c < x.cols(); ++c)
+                x.at(r, c) = static_cast<float>(drive.uniform(0.0, 1.0));
+        return x;
+    }
+
+    gpu::DeviceFleet fleet{fleetConfig(4, 2)};
+    remote::ShardFleet shards{fleet, 2, remote::ShardParams{}};
+    remote::FleetRouter router{shards,
+                               policy::FleetPlacementPolicy::Config{}};
+    Rng model_rng{42};
+    ml::Mlp model{ml::MlpConfig::linnos(), model_rng};
+    ml::FleetMlp mlp{model, router, /*sync_copy=*/true, /*max_batch=*/32};
+    Clock cpu_clock;
+    ml::KernelCpu cpu{cpu_clock, gpu::CpuSpec::xeonGold6226R()};
+    ml::CpuMlp cpu_mlp{model, cpu};
+    Rng drive{7};
+};
+
+TEST_F(FleetMlpTest, ServesOnThePinnedDeviceOnly)
+{
+    ml::Matrix x0 = batch();
+    ml::FleetMlp::Served first = mlp.classify("d0", x0, cpu_mlp);
+    ASSERT_EQ(first.device, std::optional<std::size_t>(0));
+    EXPECT_EQ(first.labels, cpu_mlp.classify(x0));
+
+    std::vector<std::uint64_t> launches;
+    for (std::size_t d = 0; d < fleet.size(); ++d)
+        launches.push_back(fleet.at(d).launches());
+    ml::Matrix x = batch();
+    ml::FleetMlp::Served s = mlp.classify("pinned", x, cpu_mlp);
+
+    ASSERT_EQ(s.device, std::optional<std::size_t>(2));
+    EXPECT_EQ(s.labels, cpu_mlp.classify(x));
+    for (std::size_t d = 0; d < fleet.size(); ++d) {
+        if (d == 2)
+            EXPECT_GT(fleet.at(d).launches(), launches[d]);
+        else
+            EXPECT_EQ(fleet.at(d).launches(), launches[d]) << "device " << d;
+        EXPECT_EQ(router.pendingDepth(d), 0u);
+    }
+    EXPECT_EQ(shards.shard(0).health().fallbacks.load(), 0u);
+}
+
+TEST_F(FleetMlpTest, MidBatchFaultFinishesOnCpu)
+{
+    // Device 2's shard goes dark after the upload.
+    remote::LakeShard &sick = shards.shardFor(2);
+    remote::LakeShard &other = shards.shard(1);
+    ASSERT_NE(&sick, &other);
+    FaultSpec spec;
+    spec.drop = 1.0;
+    sick.channel().installFaults(spec);
+    std::uint64_t other_calls = other.lib().calls();
+    Nanos other_now = other.clock().now();
+    std::uint64_t fallbacks = sick.health().fallbacks.load();
+
+    ml::Matrix x = batch();
+    ml::FleetMlp::Served s = mlp.classify("pinned", x, cpu_mlp);
+
+    EXPECT_FALSE(s.device.has_value());
+    EXPECT_EQ(s.labels, cpu_mlp.classify(x));
+    EXPECT_EQ(sick.health().fallbacks.load(), fallbacks + 1);
+    EXPECT_EQ(router.pendingDepth(2), 0u);
+    EXPECT_EQ(other.lib().calls(), other_calls);
+    EXPECT_EQ(other.clock().now(), other_now);
+    EXPECT_EQ(other.health().fallbacks.load(), 0u);
+    EXPECT_FALSE(other.health().degraded.load());
 }
 
 // ---- core::Lake over the fleet -------------------------------------
@@ -483,13 +577,19 @@ TEST(ShardFleetTest, ConcurrentShardDispatchUnderMultiTenantLoad)
     remote::ShardFleet shards(fleet, kShards, params);
     remote::FleetRouter router(shards,
                                policy::FleetPlacementPolicy::Config{});
+    Rng model_rng(42);
+    ml::Mlp model(ml::MlpConfig::linnos(), model_rng);
+    ml::FleetMlp mlp(model, router, /*sync_copy=*/true,
+                     registry::ScoringConfig{}.max_batch);
 
     // One serving stack per worker thread: its own clock, manager and
     // tenant population. The threads meet in the router (placement) and
-    // in each other's shards (probes cross shard mutexes), which is
-    // exactly the surface TSan must see clean.
+    // in each other's shards (probes and FleetMlp dispatches cross
+    // shard mutexes), which is exactly the surface TSan must see clean.
     auto worker = [&](std::size_t k) {
         Clock clock;
+        ml::KernelCpu cpu(clock, gpu::CpuSpec::xeonGold6226R());
+        ml::CpuMlp cpu_mlp(model, cpu);
         registry::RegistryManager mgr(clock);
         std::string key = "worker" + std::to_string(k);
         const char *kSys = "fleet_stress";
@@ -500,23 +600,9 @@ TEST(ShardFleetTest, ConcurrentShardDispatchUnderMultiTenantLoad)
             };
         registry::Classifier gpu_classify =
             [&, key](const std::vector<registry::FeatureVector> &fvs) {
-                std::size_t dev = router.lastPlacement(key);
-                router.noteDispatch(dev, fvs.size());
-                remote::LakeShard &sh = shards.shardFor(dev);
-                {
-                    std::lock_guard<std::mutex> lock(sh.mu());
-                    if (sh.activate(shards.localIndex(dev)) ==
-                        CuResult::Success) {
-                        DevicePtr p = 0;
-                        if (sh.lib().cuMemAlloc(&p, fvs.size() * 64) ==
-                            CuResult::Success) {
-                            sh.lib().cuCtxSynchronize();
-                            sh.lib().cuMemFree(p);
-                        }
-                    }
-                }
-                router.noteDone(dev);
-                return std::vector<float>(fvs.size(), 1.0f);
+                ml::Matrix x(fvs.size(), model.config().input);
+                std::vector<int> c = mlp.classify(key, x, cpu_mlp).labels;
+                return std::vector<float>(c.begin(), c.end());
             };
 
         registry::Schema schema;

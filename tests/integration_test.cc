@@ -230,12 +230,13 @@ TEST(ContentionFlowTest, AdaptivePolicySwitchesAndReclaims)
     core::Lake lake;
     gpu::Device &dev = lake.device();
 
-    policy::ContentionAwarePolicy::Config pcfg;
+    policy::ContentionConfig pcfg;
     pcfg.probe_interval = 5_ms;
     pcfg.avg_window = 2;
     pcfg.exec_threshold = 40.0;
     pcfg.batch_threshold = 4;
-    policy::ContentionAwarePolicy policy(lake.nvmlProbe(), pcfg);
+    policy::FleetPlacementPolicy policy({lake.nvmlProbe()},
+                                        {.contention = pcfg});
 
     Clock &clock = lake.clock();
     auto decide = [&](std::size_t batch) {

@@ -35,17 +35,16 @@ TEST(ContentionPolicyTest, FallsBackUnderContention)
 {
     double util = 0.0;
     int probes = 0;
-    ContentionAwarePolicy::Config cfg;
+    ContentionConfig cfg;
     cfg.probe_interval = 5_ms;
     cfg.avg_window = 2;
     cfg.exec_threshold = 40.0;
     cfg.batch_threshold = 4;
-    ContentionAwarePolicy p(
-        [&](Nanos) {
-            ++probes;
-            return util;
-        },
-        cfg);
+    FleetPlacementPolicy p({[&](Nanos) {
+                               ++probes;
+                               return util;
+                           }},
+                           {.contention = cfg});
 
     PolicyInput in;
     in.batch_size = 16;
@@ -70,14 +69,13 @@ TEST(ContentionPolicyTest, FallsBackUnderContention)
 TEST(ContentionPolicyTest, ProbeRateLimited)
 {
     int probes = 0;
-    ContentionAwarePolicy::Config cfg;
+    ContentionConfig cfg;
     cfg.probe_interval = 5_ms;
-    ContentionAwarePolicy p(
-        [&](Nanos) {
-            ++probes;
-            return 0.0;
-        },
-        cfg);
+    FleetPlacementPolicy p({[&](Nanos) {
+                               ++probes;
+                               return 0.0;
+                           }},
+                           {.contention = cfg});
 
     PolicyInput in;
     in.batch_size = 100;
@@ -99,13 +97,14 @@ TEST(ContentionPolicyTest, ProbeRateLimited)
 TEST(ContentionPolicyTest, DropsStaleWindowAfterIdleGap)
 {
     double util = 90.0;
-    ContentionAwarePolicy::Config cfg;
+    ContentionConfig cfg;
     cfg.probe_interval = 5_ms;
     cfg.avg_window = 4;
     cfg.exec_threshold = 40.0;
     cfg.batch_threshold = 4;
     cfg.stale_windows = 8; // window is stale after 40 ms unprobed
-    ContentionAwarePolicy p([&](Nanos) { return util; }, cfg);
+    FleetPlacementPolicy p({[&](Nanos) { return util; }},
+                           {.contention = cfg});
 
     PolicyInput in;
     in.batch_size = 16;
@@ -129,13 +128,14 @@ TEST(ContentionPolicyTest, DropsStaleWindowAfterIdleGap)
 TEST(ContentionPolicyTest, StaleResetDisabledKeepsWindow)
 {
     double util = 90.0;
-    ContentionAwarePolicy::Config cfg;
+    ContentionConfig cfg;
     cfg.probe_interval = 5_ms;
     cfg.avg_window = 4;
     cfg.exec_threshold = 40.0;
     cfg.batch_threshold = 4;
     cfg.stale_windows = 0; // opt out: pre-fix smoothing semantics
-    ContentionAwarePolicy p([&](Nanos) { return util; }, cfg);
+    FleetPlacementPolicy p({[&](Nanos) { return util; }},
+                           {.contention = cfg});
 
     PolicyInput in;
     in.batch_size = 16;
@@ -156,15 +156,14 @@ TEST(ContentionPolicyTest, StaleResetDisabledKeepsWindow)
 TEST(ContentionPolicyTest, NonMonotoneNowDoesNotWrapProbeInterval)
 {
     int probes = 0;
-    ContentionAwarePolicy::Config cfg;
+    ContentionConfig cfg;
     cfg.probe_interval = 5_ms;
     cfg.avg_window = 4;
-    ContentionAwarePolicy p(
-        [&](Nanos) {
-            ++probes;
-            return 0.0;
-        },
-        cfg);
+    FleetPlacementPolicy p({[&](Nanos) {
+                               ++probes;
+                               return 0.0;
+                           }},
+                           {.contention = cfg});
 
     PolicyInput in;
     in.batch_size = 100;
@@ -185,9 +184,10 @@ TEST(ContentionPolicyTest, NonMonotoneNowDoesNotWrapProbeInterval)
 
 TEST(ContentionPolicyTest, SmallBatchStaysOnCpu)
 {
-    ContentionAwarePolicy::Config cfg;
+    ContentionConfig cfg;
     cfg.batch_threshold = 8;
-    ContentionAwarePolicy p([](Nanos) { return 0.0; }, cfg);
+    FleetPlacementPolicy p({[](Nanos) { return 0.0; }},
+                           {.contention = cfg});
     PolicyInput in;
     in.batch_size = 3;
     EXPECT_EQ(p.decide(in), Engine::Cpu);
@@ -492,7 +492,7 @@ class Fig3EquivalenceTest
 TEST_P(Fig3EquivalenceTest, BytecodeMatchesNativePolicy)
 {
     // The bytecode Fig. 3 policy must agree with the native
-    // ContentionAwarePolicy decision for the same inputs.
+    // FleetPlacementPolicy decision for the same inputs.
     auto [batch, util_pct] = GetParam();
 
     BpfVm vm;
