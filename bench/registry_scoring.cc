@@ -4,10 +4,12 @@
 // argument applied to the registry itself.
 //
 // Four same-subsystem registries (the case study's per-device layout)
-// share one LinnOS MLP, and every arm's timed loop runs the complete
-// capture→commit→score data path an instrumentation site pays, over
-// the same column stores (DESIGN.md §12). The arms differ only in
-// dispatch shape and payload:
+// share one LinnOS MLP behind one classifier over float windows, and
+// every arm's timed loop runs the complete capture→commit→score data
+// path an instrumentation site pays, over the same column stores
+// (DESIGN.md §12). The arms differ only in dispatch shape and payload
+// (the vector arms' rows reach the classifier borrowed, encoded by the
+// store's LinnOS encoder at score time):
 //
 //  - sync-vector: commit, read the committed vector back
 //    (getFeatures(ts)) and call scoreFeatures per vector — every I/O
@@ -98,17 +100,10 @@ main(int argc, char **argv)
     soa_cfg.slack = max_batch * 2;
     soa_cfg.applyEnv();
     registry::RegistryManager mgr(clock, nullptr, soa_cfg);
-    registry::Classifier classify =
-        [&mlp](const std::vector<registry::FeatureVector> &fvs) {
-            ml::Matrix x = storage::featurizeLinnos(fvs);
-            std::vector<int> c = mlp.classify(x);
-            return std::vector<float>(c.begin(), c.end());
-        };
-    registry::ViewClassifier view_classify =
-        [&mlp](const registry::FvBatchView &v) {
-            std::vector<int> c = mlp.classify(v.matrixViews());
-            return std::vector<float>(c.begin(), c.end());
-        };
+    registry::Classifier classify = [&mlp](const registry::FvBatchView &v) {
+        std::vector<int> c = mlp.classify(v.matrixViews());
+        return std::vector<float>(c.begin(), c.end());
+    };
     std::vector<std::string> names;
     std::vector<registry::Registry *> regs;
     std::vector<registry::CaptureHandle> caps;
@@ -122,14 +117,12 @@ main(int argc, char **argv)
             return 1;
         }
         registry::Registry *reg = mgr.find(names[d], kSys);
-        // Seal-time encoder: the LinnOS digit encoding runs once per
-        // commit, so the view arm reads finished float rows.
+        // The LinnOS encoder runs once per commit for the view arm,
+        // and once per scored vector for the vector arms' borrowed
+        // rows.
         reg->soa().setFloatEncoder(storage::kLinnosFeatures,
                                    storage::encodeLinnosRow);
         st = reg->registerClassifier(registry::Arch::Cpu, classify);
-        if (st.isOk())
-            st = reg->registerViewClassifier(registry::Arch::Cpu,
-                                             view_classify);
         if (!st.isOk()) {
             std::fprintf(stderr, "registerClassifier: %s\n",
                          st.toString().c_str());

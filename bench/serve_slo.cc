@@ -64,8 +64,8 @@ struct Stack
     init(registry::ScoringConfig scfg)
     {
         registry::Classifier classify =
-            [this](const std::vector<registry::FeatureVector> &fvs) {
-                ml::Matrix x = storage::featurizeLinnos(fvs);
+            [this](const registry::FvBatchView &v) {
+                std::vector<ml::MatrixView> x = v.matrixViews();
                 Nanos t0 = clock.now();
                 std::vector<int> c = mlp.classify(x);
                 busy += clock.now() - t0;
@@ -77,8 +77,12 @@ struct Stack
             if (!mgr.createRegistry(shards.back(), kSys, schema, 8)
                      .isOk())
                 return false;
-            if (!mgr.find(shards.back(), kSys)
-                     ->registerClassifier(registry::Arch::Cpu, classify)
+            registry::Registry *reg = mgr.find(shards.back(), kSys);
+            // Requests arrive as caller-built vectors; the store's
+            // LinnOS encoder turns them into the views' float rows.
+            reg->soa().setFloatEncoder(storage::kLinnosFeatures,
+                                       storage::encodeLinnosRow);
+            if (!reg->registerClassifier(registry::Arch::Cpu, classify)
                      .isOk())
                 return false;
         }

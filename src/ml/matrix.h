@@ -131,6 +131,13 @@ class Matrix
     }
 
     /**
+     * Dense copy of @p views' rows stacked in order: the one gather a
+     * consumer that needs contiguous input (a device upload) pays.
+     * Every view must have the same width.
+     */
+    static Matrix pack(const std::vector<MatrixView> &views);
+
+    /**
      * Gaussian-initialized matrix (He-style scale for ReLU nets when
      * @p scale is sqrt(2/fan_in)).
      */

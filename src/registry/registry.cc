@@ -231,6 +231,24 @@ Registry::registerClassifier(Arch arch, Classifier fn)
                       "(policy::Engine has no Xpu leg)");
 }
 
+Status
+Registry::registerClassifier(Arch arch, VectorClassifier fn)
+{
+    if (!fn)
+        return registerClassifier(arch, Classifier());
+    return registerClassifier(
+        arch, [fn = std::move(fn)](const FvBatchView &view) {
+            if (const std::vector<FeatureVector> *fvs = view.wholeBorrowed())
+                return fn(*fvs);
+            // Pinned rows pay the gather here; borrowed rows were
+            // counted when the batch was dispatched.
+            auto &m = obs::Metrics::global();
+            if (m.enabled())
+                m.reg_pack_bytes.add(view.packBytes(/*borrowed=*/false));
+            return fn(view.materialize());
+        });
+}
+
 bool
 Registry::hasClassifier(Arch arch) const
 {
@@ -242,94 +260,10 @@ Registry::hasClassifier(Arch arch) const
     return false;
 }
 
-Status
-Registry::registerViewClassifier(Arch arch, ViewClassifier fn)
-{
-    switch (arch) {
-      case Arch::Cpu:
-        cpu_view_classifier_ = std::move(fn);
-        return Status::ok();
-      case Arch::Gpu:
-        gpu_view_classifier_ = std::move(fn);
-        return Status::ok();
-      case Arch::Xpu:
-        break;
-    }
-    return Status(Code::InvalidArgument,
-                  sys_ + "/" + name_ +
-                      ": Arch::Xpu classifiers are not dispatchable "
-                      "(policy::Engine has no Xpu leg)");
-}
-
-bool
-Registry::hasViewClassifier(Arch arch) const
-{
-    switch (arch) {
-      case Arch::Cpu: return cpu_view_classifier_ != nullptr;
-      case Arch::Gpu: return gpu_view_classifier_ != nullptr;
-      case Arch::Xpu: return false;
-    }
-    return false;
-}
-
 void
 Registry::registerPolicy(std::unique_ptr<policy::ExecPolicy> p)
 {
     policy_ = std::move(p);
-}
-
-policy::Engine
-Registry::decideEngine(std::size_t batch, Nanos now)
-{
-    policy::Engine engine = policy::Engine::Cpu;
-    if (policy_) {
-        policy::PolicyInput in;
-        in.batch_size = batch;
-        in.now = now;
-        engine = policy_->decide(in);
-    } else if (gpu_classifier_ || gpu_view_classifier_) {
-        engine = policy::Engine::Gpu;
-    }
-    return engine;
-}
-
-std::vector<float>
-Registry::scoreFeatures(const std::vector<FeatureVector> &fvs, Nanos now)
-{
-    if (fvs.empty())
-        return {};
-    LAKE_ASSERT(cpu_classifier_ != nullptr,
-                "%s/%s: scoreFeatures without a CPU classifier",
-                sys_.c_str(), name_.c_str());
-
-    policy::Engine engine = decideEngine(fvs.size(), now);
-    if (engine == policy::Engine::Gpu && !gpu_classifier_)
-        engine = policy::Engine::Cpu; // no GPU variant installed
-
-    last_engine_ = engine;
-    auto &m = obs::Metrics::global();
-    if (m.enabled()) {
-        m.reg_scores.add();
-        // A vector batch stages every vector's map payload into the
-        // classifier's featurize/pack step; the view path moves 0.
-        std::size_t staged = 0;
-        for (const FeatureVector &fv : fvs)
-            for (const auto &[key, entries] : fv.values)
-                staged += entries.size() * sizeof(std::uint64_t);
-        m.reg_pack_bytes.add(staged);
-    }
-    auto &tr = obs::Tracer::global();
-    if (tr.enabled())
-        tr.instant(obs::Side::Runtime, "registry", "fv.score", now,
-                   obs::kNoId, "batch", fvs.size(),
-                   engine == policy::Engine::Gpu ? "gpu" : "cpu", 1);
-    Classifier &fn = engine == policy::Engine::Gpu ? gpu_classifier_
-                                                   : cpu_classifier_;
-    std::vector<float> scores = fn(fvs);
-    LAKE_ASSERT(scores.size() == fvs.size(),
-                "%s/%s: classifier returned %zu scores for %zu vectors",
-                sys_.c_str(), name_.c_str(), scores.size(), fvs.size());
-    return scores;
 }
 
 std::vector<float>
@@ -337,52 +271,50 @@ Registry::scoreFeatures(const FvBatchView &view, Nanos now)
 {
     if (view.empty())
         return {};
-    LAKE_ASSERT(cpu_view_classifier_ != nullptr ||
-                    cpu_classifier_ != nullptr,
-                "%s/%s: scoreFeatures(view) without a CPU classifier",
+    LAKE_ASSERT(cpu_classifier_ != nullptr,
+                "%s/%s: scoreFeatures without a CPU classifier",
                 sys_.c_str(), name_.c_str());
 
-    policy::Engine engine = decideEngine(view.size(), now);
-    if (engine == policy::Engine::Gpu && !gpu_view_classifier_ &&
-        !gpu_classifier_)
-        engine = policy::Engine::Cpu;
+    policy::Engine engine = policy::Engine::Cpu;
+    if (policy_) {
+        policy::PolicyInput in;
+        in.batch_size = view.size();
+        in.now = now;
+        engine = policy_->decide(in);
+    } else if (gpu_classifier_) {
+        engine = policy::Engine::Gpu;
+    }
+    if (engine == policy::Engine::Gpu && !gpu_classifier_)
+        engine = policy::Engine::Cpu; // no GPU variant installed
 
     last_engine_ = engine;
     auto &m = obs::Metrics::global();
-    bool use_view = engine == policy::Engine::Gpu
-                        ? gpu_view_classifier_ != nullptr
-                        : cpu_view_classifier_ != nullptr;
     if (m.enabled()) {
         m.reg_scores.add();
-        // Zero-copy dispatch stages nothing; the materialize fallback
-        // counts the same staged bytes a vector batch would.
-        if (!use_view)
-            m.reg_pack_bytes.add(view.packBytesAvoided());
+        // Borrowed rows staged their map payload into the caller's
+        // vectors; pinned slots stage nothing unless a vector
+        // classifier materializes them (counted there).
+        m.reg_pack_bytes.add(view.packBytes(/*borrowed=*/true));
     }
     auto &tr = obs::Tracer::global();
     if (tr.enabled())
         tr.instant(obs::Side::Runtime, "registry", "fv.score", now,
                    obs::kNoId, "batch", view.size(),
                    engine == policy::Engine::Gpu ? "gpu" : "cpu", 1);
-
-    std::vector<float> scores;
-    if (use_view) {
-        ViewClassifier &fn = engine == policy::Engine::Gpu
-                                 ? gpu_view_classifier_
-                                 : cpu_view_classifier_;
-        scores = fn(view);
-    } else {
-        // A registry with only a vector classifier still scores view
-        // batches, paying the gather the view path eliminates.
-        Classifier &fn = engine == policy::Engine::Gpu
-                             ? gpu_classifier_
-                             : cpu_classifier_;
-        scores = fn(view.materialize());
-    }
+    Classifier &fn = engine == policy::Engine::Gpu ? gpu_classifier_
+                                                   : cpu_classifier_;
+    std::vector<float> scores = fn(view);
     LAKE_ASSERT(scores.size() == view.size(),
                 "%s/%s: classifier returned %zu scores for %zu vectors",
                 sys_.c_str(), name_.c_str(), scores.size(), view.size());
     return scores;
+}
+
+std::vector<float>
+Registry::scoreFeatures(const std::vector<FeatureVector> &fvs, Nanos now)
+{
+    return scoreFeatures(FvBatchView::borrow(*soa_, fvs, 0, fvs.size()),
+                         now);
 }
 
 } // namespace lake::registry

@@ -9,7 +9,9 @@
  * Every registry stores its vectors in one SoaStore (registry/soa.h):
  * the open vector is a row of relaxed-atomic live lanes, one per
  * column, and a commit seals a copy of it into a slot of the window
- * ring.
+ * ring. Scoring has one classifier type over one batch type: every
+ * batch reaches the classifier as an FvBatchView, whether its rows are
+ * committed slots or caller-built vectors.
  *
  * Concurrency model, per §5.3: while a capture is open, any thread may
  * call captureFeature / captureFeatureIncr — each is one relaxed-atomic
@@ -60,20 +62,22 @@ enum class Arch
 };
 
 /**
- * Batch inference callback: scores one batch of feature vectors.
- * Registered per Arch; the active execution policy picks which runs.
+ * Batch inference callback (Table 1's classifier): scores one batch,
+ * one score per row. Registered per Arch; the active execution policy
+ * picks which runs. The batch is always an FvBatchView — pinned
+ * committed slots, caller-built vectors borrowed for the call, or both
+ * — typically consumed through view.matrixViews() by the strided
+ * GEMM/kNN substrate. The batch, and whatever the classifier derives
+ * from it (select() views, MatrixViews), is valid only for the call.
  */
-using Classifier =
-    std::function<std::vector<float>(const std::vector<FeatureVector> &)>;
+using Classifier = std::function<std::vector<float>(const FvBatchView &)>;
 
 /**
- * Zero-copy batch inference callback: scores a pinned batch view
- * directly (typically via view.matrixViews() into the strided GEMM/kNN
- * substrate). Registered alongside the vector Classifier;
- * scoreFeatures(view) prefers it and falls back to materializing the
- * view for a registry with only a vector classifier.
+ * The FeatureVector-batch callback shape the frozen benchmark drivers
+ * register; registerClassifier adapts it to a Classifier.
  */
-using ViewClassifier = std::function<std::vector<float>(const FvBatchView &)>;
+using VectorClassifier =
+    std::function<std::vector<float>(const std::vector<FeatureVector> &)>;
 
 /**
  * A feature registry.
@@ -207,37 +211,35 @@ class Registry
      */
     Status registerClassifier(Arch arch, Classifier fn);
 
+    /**
+     * Frozen-compat overload for FeatureVector-batch callbacks. The
+     * installed adapter hands @p fn the caller's own vector, by
+     * reference, when the batch is exactly one whole borrowed vector
+     * (no copy, no re-encode); any other batch is materialized, and
+     * the pinned rows' staged bytes count into reg_pack_bytes then.
+     */
+    Status registerClassifier(Arch arch, VectorClassifier fn);
+
     /** True when a classifier is installed for @p arch. */
     bool hasClassifier(Arch arch) const;
-
-    /** Installs the zero-copy batch-view classifier for @p arch (same
-     *  Arch::Xpu rejection as registerClassifier). */
-    Status registerViewClassifier(Arch arch, ViewClassifier fn);
-
-    /** True when a view classifier is installed for @p arch. */
-    bool hasViewClassifier(Arch arch) const;
 
     /** Installs the execution policy (owned by the registry). */
     void registerPolicy(std::unique_ptr<policy::ExecPolicy> p);
 
     /**
-     * Runs inference on @p fvs: consults the policy (batch size = the
-     * batch), dispatches to the chosen arch's classifier (falling back
-     * to the CPU one when the GPU variant is absent), and returns one
-     * score per vector.
+     * Runs inference on @p view: consults the policy (batch size =
+     * view.size()), dispatches to the chosen arch's classifier (falling
+     * back to the CPU one when the GPU variant is absent), and returns
+     * one score per row. Borrowed rows count their staged bytes into
+     * reg_pack_bytes here; pinned rows stage nothing.
      * @param now virtual time, given to the policy
      */
+    std::vector<float> scoreFeatures(const FvBatchView &view, Nanos now);
+
+    /** Scores caller-built vectors: borrows @p fvs as one view for
+     *  the call. */
     std::vector<float> scoreFeatures(const std::vector<FeatureVector> &fvs,
                                      Nanos now);
-
-    /**
-     * Zero-copy batch-view overload: same policy decision (batch size =
-     * view.size()), dispatched to the engine's view classifier when one
-     * is registered — no gather, no pack, reg_pack_bytes += 0 — and
-     * otherwise materialized through the vector classifier (which
-     * counts its staged bytes).
-     */
-    std::vector<float> scoreFeatures(const FvBatchView &view, Nanos now);
 
     /** Engine the last scoreFeatures dispatch used. */
     policy::Engine lastEngine() const { return last_engine_; }
@@ -245,9 +247,6 @@ class Registry
     /// @}
 
   private:
-    /** Picks the engine for a batch of @p batch vectors at @p now. */
-    policy::Engine decideEngine(std::size_t batch, Nanos now);
-
     /** Column of @p key; panics on a key the schema does not declare. */
     std::uint32_t columnOrDie(std::uint64_t key) const;
     /** Panics on a column index outside the schema. */
@@ -265,8 +264,6 @@ class Registry
 
     Classifier cpu_classifier_;
     Classifier gpu_classifier_;
-    ViewClassifier cpu_view_classifier_;
-    ViewClassifier gpu_view_classifier_;
     std::unique_ptr<policy::ExecPolicy> policy_;
     policy::Engine last_engine_ = policy::Engine::Cpu;
 };

@@ -1,5 +1,7 @@
 #include "registry/scoreserver.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "base/env.h"
@@ -68,39 +70,31 @@ ScoreServer::submit(const std::string &name, const std::string &sys,
                     std::vector<FeatureVector> fvs, Nanos deadline,
                     ScoreCallback cb)
 {
-    if (fvs.empty())
-        return Status(Code::InvalidArgument, "empty score batch");
-    const std::size_t n = fvs.size();
-    Request req;
-    req.fvs = std::move(fvs);
-    req.deadline = deadline;
-    req.cb = std::move(cb);
-    return submitImpl(name, sys, std::move(req), n, /*is_view=*/false);
+    return submitImpl(name, sys, Request{.fvs = std::move(fvs)}, deadline,
+                      std::move(cb));
 }
 
 Status
 ScoreServer::submitView(const std::string &name, const std::string &sys,
                         FvBatchView view, Nanos deadline, ScoreCallback cb)
 {
-    if (view.empty())
-        return Status(Code::InvalidArgument, "empty score batch");
-    const std::size_t n = view.size();
-    Request req;
-    req.view = std::move(view);
-    req.deadline = deadline;
-    req.cb = std::move(cb);
-    return submitImpl(name, sys, std::move(req), n, /*is_view=*/true);
+    return submitImpl(name, sys, Request{.view = std::move(view)}, deadline,
+                      std::move(cb));
 }
 
 Status
 ScoreServer::submitImpl(const std::string &name, const std::string &sys,
-                        Request req, std::size_t n, bool is_view)
+                        Request req, Nanos deadline, ScoreCallback cb)
 {
+    const std::size_t n = req.size();
+    if (n == 0)
+        return Status(Code::InvalidArgument, "empty score batch");
     Nanos now = clock_.now();
-    if (req.deadline == 0)
-        req.deadline = now + cfg_.max_delay;
+    if (deadline == 0)
+        deadline = now + cfg_.max_delay;
+    req.deadline = deadline;
     req.enqueued = now;
-    const Nanos deadline = req.deadline;
+    req.cb = std::move(cb);
 
     std::vector<Request> to_shed;
     bool trigger = false;
@@ -115,12 +109,7 @@ ScoreServer::submitImpl(const std::string &name, const std::string &sys,
         if (reg == nullptr)
             return Status(Code::InvalidArgument,
                           "no registry " + sys + "/" + name);
-        // A view request can also ride the zero-copy view classifier;
-        // either CPU leg admits it (dispatch materializes if needed).
-        bool admissible =
-            reg->hasClassifier(Arch::Cpu) ||
-            (is_view && reg->hasViewClassifier(Arch::Cpu));
-        if (!admissible)
+        if (!reg->hasClassifier(Arch::Cpu))
             return Status(Code::InvalidArgument,
                           sys + "/" + name + " has no CPU classifier");
         req.reg = reg;
@@ -241,16 +230,14 @@ ScoreServer::flushWhere(Nanos now, bool due_only)
     FlushScope in_flush(this);
     std::size_t batches = 0;
     for (;;) {
-        std::string sys;
         std::vector<Request> reqs;
         {
             std::lock_guard<std::mutex> lock(mu_);
-            for (auto &[s, g] : groups_) {
+            for (auto &[sys, g] : groups_) {
                 if (g.depth == 0)
                     continue;
                 if (due_only && g.due > now && g.depth < cfg_.max_batch)
                     continue;
-                sys = s;
                 reqs = drainGroupLocked(g);
                 break;
             }
@@ -260,7 +247,7 @@ ScoreServer::flushWhere(Nanos now, bool due_only)
             }
             updateDepthGauge(pending_);
         }
-        dispatch(sys, std::move(reqs), now);
+        dispatch(std::move(reqs), now);
         ++batches;
     }
 }
@@ -278,17 +265,11 @@ ScoreServer::flushAll(Nanos now)
 }
 
 void
-ScoreServer::dispatch(const std::string &sys, std::vector<Request> reqs,
-                      Nanos now)
+ScoreServer::dispatch(std::vector<Request> reqs, Nanos now)
 {
-    (void)sys;
     std::size_t total = 0;
-    bool all_views = true;
-    for (const Request &r : reqs) {
+    for (const Request &r : reqs)
         total += r.size();
-        if (r.view.empty())
-            all_views = false;
-    }
 
     // The first name-ordered registry dispatches for the whole
     // subsystem: registries under one subsystem share classifier
@@ -306,57 +287,32 @@ ScoreServer::dispatch(const std::string &sys, std::vector<Request> reqs,
     // 2^64-scale histogram sample.
     Registry *rep = reqs.front().reg;
     Nanos start = std::max(now, clock_.now());
-    std::vector<float> scores;
-    if (all_views) {
-        // Pure-view flush: append() coalesces the pinned windows (same-
-        // store consecutive runs merge, so a steady capture stream
-        // yields one strided MatrixView) and the batch dispatches with
-        // zero bytes gathered.
-        FvBatchView combined;
-        // Request sizes are recorded first — append() steals the rows.
-        std::vector<std::size_t> sizes;
-        sizes.reserve(reqs.size());
-        for (Request &r : reqs) {
-            sizes.push_back(r.view.size());
-            combined.append(std::move(r.view));
-        }
-        scores = rep->scoreFeatures(combined, start);
-        Nanos scored = std::max(start, clock_.now());
-        finish(reqs, sizes, scores, rep, total, start, scored);
-        return;
-    }
 
+    // One combined view, in request order: pinned views append their
+    // slots (same-store consecutive runs merge into one strided
+    // MatrixView), and vector requests move their rows into one batch
+    // that the view borrows range by range — so an all-vector flush is
+    // one whole borrowed vector.
     std::vector<FeatureVector> batch;
     batch.reserve(total);
-    // Elements are moved out individually (views materialized), so
-    // r.size() recorded here stays valid for the scatter offsets.
+    FvBatchView combined;
+    // Request sizes are recorded first — append() steals view rows.
     std::vector<std::size_t> sizes;
     sizes.reserve(reqs.size());
     for (Request &r : reqs) {
         sizes.push_back(r.size());
-        for (FeatureVector &fv : r.fvs)
-            batch.push_back(std::move(fv));
-        if (!r.view.empty()) {
-            // Mixed flush: a vector-batch sibling forces the gather
-            // this view was built to avoid; count the staged bytes.
-            auto &m = obs::Metrics::global();
-            if (m.enabled())
-                m.reg_pack_bytes.add(r.view.packBytesAvoided());
-            for (FeatureVector &fv : r.view.materialize())
-                batch.push_back(std::move(fv));
+        if (r.fvs.empty()) {
+            combined.append(std::move(r.view));
+            continue;
         }
+        std::size_t first = batch.size();
+        std::move(r.fvs.begin(), r.fvs.end(), std::back_inserter(batch));
+        combined.append(
+            FvBatchView::borrow(rep->soa(), batch, first, r.fvs.size()));
     }
-    scores = rep->scoreFeatures(batch, start);
+    std::vector<float> scores = rep->scoreFeatures(combined, start);
     Nanos scored = std::max(start, clock_.now());
-    finish(reqs, sizes, scores, rep, total, start, scored);
-}
 
-void
-ScoreServer::finish(std::vector<Request> &reqs,
-                    const std::vector<std::size_t> &sizes,
-                    const std::vector<float> &scores, Registry *rep,
-                    std::size_t total, Nanos start, Nanos scored)
-{
     flushes_.fetch_add(1, std::memory_order_relaxed);
     auto &m = obs::Metrics::global();
     if (m.enabled()) {
@@ -434,25 +390,23 @@ ScoreServer::failPending(const std::string &name, const std::string &sys)
 }
 
 std::vector<float>
-ScoreServer::scoreSync(Registry &reg, const std::vector<FeatureVector> &fvs,
-                       Nanos now)
+ScoreServer::scoreSync(Registry &reg, const FvBatchView &view, Nanos now)
 {
     // A score callback already runs under this thread's flush lock —
     // dispatch is serialized by construction, so score directly rather
     // than self-deadlocking on the re-lock.
     if (tls_flushing == this)
-        return reg.scoreFeatures(fvs, now);
-    std::lock_guard<std::mutex> flock(flush_mu_);
-    return reg.scoreFeatures(fvs, now);
-}
-
-std::vector<float>
-ScoreServer::scoreSync(Registry &reg, const FvBatchView &view, Nanos now)
-{
-    if (tls_flushing == this)
         return reg.scoreFeatures(view, now);
     std::lock_guard<std::mutex> flock(flush_mu_);
     return reg.scoreFeatures(view, now);
+}
+
+std::vector<float>
+ScoreServer::scoreSync(Registry &reg, const std::vector<FeatureVector> &fvs,
+                       Nanos now)
+{
+    return scoreSync(reg, FvBatchView::borrow(reg.soa(), fvs, 0, fvs.size()),
+                     now);
 }
 
 std::size_t

@@ -45,6 +45,11 @@
  *    on this thread picks it up before returning. A callback must not
  *    call poll()/flushAll()/destroy_registry (asserted: re-locking the
  *    non-recursive flush lock would deadlock).
+ *  - One scoring path: a flush appends every request's rows, in
+ *    request order, into one FvBatchView — vector requests as rows
+ *    borrowed from one batch, view requests as their pinned slots —
+ *    and calls Registry::scoreFeatures once. Each row's staged bytes
+ *    count into reg_pack_bytes once.
  *  - Synchronous scoring coexists with the service: the Table 1
  *    `score_features` facade routes through scoreSync(), which takes
  *    the same flush lock, so registry policies and classifiers never
@@ -151,7 +156,8 @@ class ScoreServer
      * batch, an unknown registry, or a registry with no CPU
      * classifier; ResourceExhausted when the registry's queue is full
      * (after shedding, if configured). On Ok the callback will fire
-     * exactly once, from a later flush.
+     * exactly once, from a later flush, which borrows the vectors
+     * into its batch view.
      *
      * @param deadline absolute virtual-time flush deadline; 0 means
      *        "now + max_delay"
@@ -161,14 +167,10 @@ class ScoreServer
                   ScoreCallback cb);
 
     /**
-     * Queues a pinned batch view for batched scoring — the
-     * zero-copy fast path. Same admission/coalescing/deadline contract
-     * as submit(); a flush whose requests are all views append()s them
-     * into one combined view and dispatches through
-     * Registry::scoreFeatures(view) (no gather, no pack), falling back
-     * to materializing when vector-batch requests are coalesced into
-     * the same flush. Admission additionally accepts a registry that
-     * only has a *view* classifier. The view's slots stay pinned until
+     * Queues a pinned batch view for batched scoring — the zero-copy
+     * fast path. Same admission/coalescing/deadline contract as
+     * submit(); the flush appends the view's slots to its combined
+     * view (no gather, no pack). The view's slots stay pinned until
      * its request completes (scored, shed, or failed).
      */
     Status submitView(const std::string &name, const std::string &sys,
@@ -195,16 +197,16 @@ class ScoreServer
     /**
      * Synchronous scoring serialized against async flushes: takes the
      * flush lock (unless already held by this thread's flush, i.e.
-     * called from a score callback) and dispatches @p fvs through
+     * called from a score callback) and dispatches @p view through
      * @p reg. The `score_features` facade routes here while the
      * service is enabled so sync and async dispatch never race.
      */
-    std::vector<float> scoreSync(Registry &reg,
-                                 const std::vector<FeatureVector> &fvs,
+    std::vector<float> scoreSync(Registry &reg, const FvBatchView &view,
                                  Nanos now);
 
-    /** Zero-copy synchronous overload, same serialization contract. */
-    std::vector<float> scoreSync(Registry &reg, const FvBatchView &view,
+    /** Caller-built vectors: scoreSync over @p fvs borrowed as a view. */
+    std::vector<float> scoreSync(Registry &reg,
+                                 const std::vector<FeatureVector> &fvs,
                                  Nanos now);
 
     /// @name Introspection (exact under quiescence)
@@ -224,17 +226,18 @@ class ScoreServer
     /** One queued submit() / submitView(). */
     struct Request
     {
-        Registry *reg;
-        /** Vector payload; empty on the view path. */
-        std::vector<FeatureVector> fvs;
-        /** View payload; empty (unpinned) on the vector path. Dropping
+        Registry *reg = nullptr;
+        /** submit()'s vectors: only storage until the flush borrows
+         *  them; empty for submitView(). */
+        std::vector<FeatureVector> fvs = {};
+        /** submitView()'s pinned view; empty for submit(). Dropping
          *  the request — shed, teardown — unpins it via its dtor. */
-        FvBatchView view;
-        Nanos enqueued;
+        FvBatchView view = {};
+        Nanos enqueued = 0;
         /** Absolute flush deadline, kept so shedding/teardown can
          *  recompute the group's earliest deadline from survivors. */
-        Nanos deadline;
-        ScoreCallback cb;
+        Nanos deadline = 0;
+        ScoreCallback cb = {};
 
         /** Vectors this request contributes to depth accounting. */
         std::size_t size() const { return fvs.size() + view.size(); }
@@ -260,9 +263,9 @@ class ScoreServer
         Nanos due = 0;
     };
 
-    /** Shared enqueue behind submit()/submitView(). */
+    /** Shared admission and enqueue behind submit()/submitView(). */
     Status submitImpl(const std::string &name, const std::string &sys,
-                      Request req, std::size_t n, bool is_view);
+                      Request req, Nanos deadline, ScoreCallback cb);
 
     /** Pops every pending request of @p g, oldest-deadline bookkeeping reset. */
     std::vector<Request> drainGroupLocked(Group &g);
@@ -270,15 +273,9 @@ class ScoreServer
     /** Earliest deadline among @p g's surviving requests; 0 if none. */
     static Nanos minDueLocked(const Group &g);
 
-    /** Dispatches one coalesced batch; caller holds flush_mu_ only. */
-    void dispatch(const std::string &sys, std::vector<Request> reqs,
-                  Nanos now);
-
-    /** Post-dispatch bookkeeping + callback scatter (by @p sizes). */
-    void finish(std::vector<Request> &reqs,
-                const std::vector<std::size_t> &sizes,
-                const std::vector<float> &scores, Registry *rep,
-                std::size_t total, Nanos start, Nanos scored);
+    /** Scores one coalesced batch with one Registry::scoreFeatures
+     *  call and scatters the scores; caller holds flush_mu_ only. */
+    void dispatch(std::vector<Request> reqs, Nanos now);
 
     /** Flushes subsystems selected by @p due_only; see poll/flushAll. */
     std::size_t flushWhere(Nanos now, bool due_only);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
+#include <numeric>
 #include <utility>
 
 #include "base/env.h"
@@ -162,9 +163,27 @@ SoaStore::RowReader::value(std::uint32_t col, std::uint32_t entry) const
     LAKE_ASSERT(col < store_->cols_.size() &&
                     entry < store_->cols_[col].entries,
                 "row reader (%u, %u) out of schema range", col, entry);
+    if (fv_ != nullptr) {
+        auto it = fv_->values.find(store_->keys_[col]);
+        if (it == fv_->values.end() || entry >= it->second.size())
+            return 0;
+        return it->second[entry];
+    }
     if (!store_->presentAt(slot_, col))
         return 0;
     return store_->lane(col, entry, slot_);
+}
+
+void
+SoaStore::encodeRow(const RowReader &row, float *out) const
+{
+    if (encoder_) {
+        encoder_(row, out);
+        return;
+    }
+    for (std::size_t c = 0; c < float_cols_; ++c)
+        out[c] = static_cast<float>(
+            row.value(static_cast<std::uint32_t>(c), 0));
 }
 
 std::size_t
@@ -203,15 +222,8 @@ SoaStore::seal(Nanos ts_begin, Nanos ts_end)
     // Encode the float row once, at seal: score time is pure view
     // consumption (zero bytes moved per scored vector).
     ensureFloatPlane();
-    float *frow = fplane_ + static_cast<std::size_t>(s) * float_stride_;
-    RowReader row(this, s);
-    if (encoder_) {
-        encoder_(row, frow);
-    } else {
-        for (std::size_t c = 0; c < float_cols_; ++c)
-            frow[c] = static_cast<float>(
-                row.value(static_cast<std::uint32_t>(c), 0));
-    }
+    encodeRow(RowReader(this, s),
+              fplane_ + static_cast<std::size_t>(s) * float_stride_);
 
     // Refresh the shadow from the just-sealed lanes.
     for (std::size_t c = 0; c < cols_.size(); ++c) {
@@ -292,25 +304,6 @@ SoaStore::retiredCount() const
 }
 
 FvBatchView
-SoaStore::viewAll()
-{
-    FvBatchView v;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (ring_.size() == 0)
-        return v;
-    std::vector<std::uint32_t> slots;
-    slots.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-        std::uint32_t s = ring_.at(i);
-        ++pins_[s];
-        slots.push_back(s);
-    }
-    v.rows_ = slots.size();
-    v.blocks_.push_back(FvBatchView::Block{this, std::move(slots)});
-    return v;
-}
-
-FvBatchView
 SoaStore::viewTail(std::size_t n)
 {
     FvBatchView v;
@@ -326,8 +319,7 @@ SoaStore::viewTail(std::size_t n)
         ++pins_[s];
         slots.push_back(s);
     }
-    v.rows_ = slots.size();
-    v.blocks_.push_back(FvBatchView::Block{this, std::move(slots)});
+    v.pushBlock({.store = this, .rows = std::move(slots)});
     return v;
 }
 
@@ -396,16 +388,14 @@ SoaStore::unpinSlots(const std::vector<std::uint32_t> &slots)
 
 FvBatchView::~FvBatchView()
 {
-    for (Block &b : blocks_)
-        b.store->unpinSlots(b.slots);
+    release();
 }
 
 FvBatchView &
 FvBatchView::operator=(FvBatchView &&other) noexcept
 {
     if (this != &other) {
-        for (Block &b : blocks_)
-            b.store->unpinSlots(b.slots);
+        release();
         blocks_ = std::move(other.blocks_);
         rows_ = other.rows_;
         other.blocks_.clear();
@@ -414,16 +404,71 @@ FvBatchView::operator=(FvBatchView &&other) noexcept
     return *this;
 }
 
+void
+FvBatchView::release()
+{
+    for (Block &b : blocks_)
+        if (b.fvs == nullptr)
+            b.store->unpinSlots(b.rows);
+}
+
+FvBatchView
+FvBatchView::borrow(SoaStore &store, const std::vector<FeatureVector> &fvs,
+                    std::size_t first, std::size_t n)
+{
+    LAKE_ASSERT(first + n <= fvs.size(),
+                "borrowed rows [%zu, %zu) past a %zu-vector batch", first,
+                first + n, fvs.size());
+    FvBatchView v;
+    if (n > 0) {
+        std::vector<std::uint32_t> rows(n);
+        std::iota(rows.begin(), rows.end(),
+                  static_cast<std::uint32_t>(first));
+        v.pushBlock({.store = &store, .rows = std::move(rows), .fvs = &fvs});
+    }
+    return v;
+}
+
+const std::vector<FeatureVector> *
+FvBatchView::wholeBorrowed() const
+{
+    if (blocks_.size() != 1 || blocks_[0].fvs == nullptr ||
+        rows_ != blocks_[0].fvs->size())
+        return nullptr;
+    for (std::size_t i = 0; i < rows_; ++i)
+        if (blocks_[0].rows[i] != i)
+            return nullptr;
+    return blocks_[0].fvs;
+}
+
+void
+FvBatchView::pushBlock(Block b)
+{
+    rows_ += b.rows.size();
+    // Merge same-source blocks so consecutive slots sealed across
+    // requests still coalesce into one MatrixView run, and adjacent
+    // borrowed ranges stay one block (an all-vector flush is one whole
+    // borrowed vector).
+    if (!blocks_.empty() && blocks_.back().store == b.store &&
+        blocks_.back().fvs == b.fvs) {
+        Block &last = blocks_.back();
+        last.rows.insert(last.rows.end(), b.rows.begin(), b.rows.end());
+        last.floats.clear();
+        return;
+    }
+    blocks_.push_back(std::move(b));
+}
+
 const FvBatchView::Block &
 FvBatchView::blockOf(std::size_t row, std::size_t *idx) const
 {
     LAKE_ASSERT(row < rows_, "view row %zu out of range", row);
     for (const Block &b : blocks_) {
-        if (row < b.slots.size()) {
-            *idx = row;
+        if (row < b.rows.size()) {
+            *idx = b.rows[row];
             return b;
         }
-        row -= b.slots.size();
+        row -= b.rows.size();
     }
     fatal("batch view row accounting corrupt");
 }
@@ -433,7 +478,7 @@ FvBatchView::tsBegin(std::size_t row) const
 {
     std::size_t i;
     const Block &b = blockOf(row, &i);
-    return b.store->ts_begin_[b.slots[i]];
+    return b.fvs ? (*b.fvs)[i].ts_begin : b.store->ts_begin_[i];
 }
 
 Nanos
@@ -441,15 +486,14 @@ FvBatchView::tsEnd(std::size_t row) const
 {
     std::size_t i;
     const Block &b = blockOf(row, &i);
-    return b.store->ts_end_[b.slots[i]];
+    return b.fvs ? (*b.fvs)[i].ts_end : b.store->ts_end_[i];
 }
 
 std::uint64_t
 FvBatchView::get(std::size_t row, std::uint64_t key) const
 {
     std::size_t i;
-    const Block &b = blockOf(row, &i);
-    std::uint32_t col = b.store->schema_.columnOf(key);
+    std::uint32_t col = blockOf(row, &i).store->schema_.columnOf(key);
     if (col == Schema::kNoColumn)
         return 0;
     return value(row, col, 0);
@@ -461,13 +505,10 @@ FvBatchView::value(std::size_t row, std::uint32_t col,
 {
     std::size_t i;
     const Block &b = blockOf(row, &i);
-    std::uint32_t slot = b.slots[i];
-    LAKE_ASSERT(col < b.store->cols_.size() &&
-                    entry < b.store->cols_[col].entries,
-                "view value (%u, %u) out of schema range", col, entry);
-    if (!b.store->presentAt(slot, col))
-        return 0;
-    return b.store->lane(col, entry, slot);
+    if (b.fvs != nullptr)
+        return SoaStore::RowReader(b.store, &(*b.fvs)[i]).value(col, entry);
+    return SoaStore::RowReader(b.store, static_cast<std::uint32_t>(i))
+        .value(col, entry);
 }
 
 std::vector<ml::MatrixView>
@@ -476,18 +517,31 @@ FvBatchView::matrixViews() const
     std::vector<ml::MatrixView> out;
     for (const Block &b : blocks_) {
         const SoaStore *st = b.store;
-        if (st->fplane_ == nullptr || b.slots.empty())
+        if (b.fvs != nullptr) {
+            // Borrowed rows have no float plane: encode them densely,
+            // once, with the encoder a seal would run.
+            const std::size_t cols = st->float_cols_;
+            if (b.floats.empty()) {
+                b.floats.assign(b.rows.size() * cols, 0.0f);
+                for (std::size_t r = 0; r < b.rows.size(); ++r)
+                    st->encodeRow(
+                        SoaStore::RowReader(st, &(*b.fvs)[b.rows[r]]),
+                        b.floats.data() + r * cols);
+            }
+            out.emplace_back(b.floats.data(), b.rows.size(), cols, cols);
+            continue;
+        }
+        if (st->fplane_ == nullptr || b.rows.empty())
             continue;
         // Maximal runs of consecutive slot ids share one uniform row
         // stride: each run is one strided window, zero bytes gathered.
         std::size_t run_start = 0;
-        for (std::size_t i = 1; i <= b.slots.size(); ++i) {
-            if (i < b.slots.size() &&
-                b.slots[i] == b.slots[i - 1] + 1)
+        for (std::size_t i = 1; i <= b.rows.size(); ++i) {
+            if (i < b.rows.size() && b.rows[i] == b.rows[i - 1] + 1)
                 continue;
             out.emplace_back(
                 st->fplane_ +
-                    static_cast<std::size_t>(b.slots[run_start]) *
+                    static_cast<std::size_t>(b.rows[run_start]) *
                         st->float_stride_,
                 i - run_start, st->float_cols_, st->float_stride_);
             run_start = i;
@@ -503,32 +557,21 @@ FvBatchView::select(const std::vector<std::size_t> &rows) const
     for (std::size_t row : rows) {
         std::size_t i;
         const Block &b = blockOf(row, &i);
-        if (!v.blocks_.empty() && v.blocks_.back().store == b.store)
-            v.blocks_.back().slots.push_back(b.slots[i]);
-        else
-            v.blocks_.push_back(Block{b.store, {b.slots[i]}});
+        v.pushBlock({.store = b.store,
+                     .rows = {static_cast<std::uint32_t>(i)},
+                     .fvs = b.fvs});
     }
-    for (Block &b : v.blocks_) {
-        b.store->pinSlots(b.slots);
-        v.rows_ += b.slots.size();
-    }
+    for (const Block &b : v.blocks_)
+        if (b.fvs == nullptr)
+            b.store->pinSlots(b.rows);
     return v;
 }
 
 void
 FvBatchView::append(FvBatchView other)
 {
-    rows_ += other.rows_;
-    for (Block &b : other.blocks_) {
-        // Merge same-store blocks so consecutive slots sealed across
-        // requests still coalesce into one MatrixView run.
-        if (!blocks_.empty() && blocks_.back().store == b.store) {
-            blocks_.back().slots.insert(blocks_.back().slots.end(),
-                                        b.slots.begin(), b.slots.end());
-        } else {
-            blocks_.push_back(std::move(b));
-        }
-    }
+    for (Block &b : other.blocks_)
+        pushBlock(std::move(b));
     other.blocks_.clear(); // pins transferred, not released
     other.rows_ = 0;
 }
@@ -539,22 +582,37 @@ FvBatchView::materialize() const
     std::vector<FeatureVector> out;
     out.reserve(rows_);
     for (const Block &b : blocks_)
-        for (std::uint32_t slot : b.slots)
-            out.push_back(b.store->materializeSlot(slot));
+        for (std::uint32_t i : b.rows)
+            out.push_back(b.fvs ? (*b.fvs)[i]
+                                : b.store->materializeSlot(i));
     return out;
 }
 
 std::size_t
 FvBatchView::packBytesAvoided() const
 {
+    return packBytes(true) + packBytes(false);
+}
+
+std::size_t
+FvBatchView::packBytes(bool borrowed) const
+{
     std::size_t bytes = 0;
-    for (const Block &b : blocks_)
-        for (std::uint32_t slot : b.slots)
+    for (const Block &b : blocks_) {
+        if ((b.fvs != nullptr) != borrowed)
+            continue;
+        for (std::uint32_t i : b.rows) {
+            if (borrowed) {
+                for (const auto &[key, entries] : (*b.fvs)[i].values)
+                    bytes += entries.size() * sizeof(std::uint64_t);
+                continue;
+            }
             for (std::size_t c = 0; c < b.store->cols_.size(); ++c)
-                if (b.store->presentAt(slot,
-                                       static_cast<std::uint32_t>(c)))
+                if (b.store->presentAt(i, static_cast<std::uint32_t>(c)))
                     bytes += b.store->cols_[c].entries *
                              sizeof(std::uint64_t);
+        }
+    }
     return bytes;
 }
 

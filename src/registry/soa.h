@@ -20,7 +20,11 @@
  *  - a ScoreServer batch is an FvBatchView: a pinned, zero-copy window
  *    over committed slots whose float rows feed the blocked GEMM and
  *    batched kNN substrate as strided MatrixViews, with no gather/pack
- *    step (reg_pack_bytes stays 0 on this path).
+ *    step (reg_pack_bytes stays 0 on this path). FvBatchView is also
+ *    the only batch a classifier ever sees: caller-built FeatureVectors
+ *    reach it as *borrowed* rows of the same view type, encoded with
+ *    the store's float encoder only if the classifier asks for floats.
+ *    Only FvBatchView knows the two row formats.
  *
  * Slot lifecycle: free → open (while a seal fills it) → sealed (in the
  * window ring) → recycled. Recycling a slot still referenced by an
@@ -78,13 +82,19 @@ struct SoaConfig
 };
 
 /**
- * A pinned, zero-copy batch window over committed slots.
+ * The batch a classifier scores: rows that are either pinned committed
+ * slots or borrowed caller FeatureVectors, in view order.
  *
  * Move-only RAII: every referenced slot stays unrecycled (its bytes
  * immutable) until the view destructs. Views are cheap to create —
  * pinning is a counter bump — and compose: ScoreServer coalescing
  * append()s per-request views into one dispatch view, and selection
  * (e2e's timestamp matching) re-pins a row subset.
+ *
+ * Borrowed rows point at caller-owned vectors and are not pinned, so
+ * only Registry and ScoreServer may build them (borrow() is private):
+ * each keeps its borrowed view alive for exactly one score call, inside
+ * the lifetime of the vectors it reads.
  */
 class FvBatchView
 {
@@ -103,7 +113,7 @@ class FvBatchView
     FvBatchView(const FvBatchView &) = delete;
     FvBatchView &operator=(const FvBatchView &) = delete;
 
-    /** Total committed vectors (rows) in the view. */
+    /** Total vectors (rows) in the view. */
     std::size_t size() const { return rows_; }
     bool empty() const { return rows_ == 0; }
 
@@ -111,8 +121,8 @@ class FvBatchView
     Nanos tsBegin(std::size_t row) const;
     Nanos tsEnd(std::size_t row) const;
 
-    /** Scalar read by schema key: lane 0, 0 when never captured —
-     *  exactly FeatureVector::get. */
+    /** Scalar read by schema key: lane 0, 0 when never captured or
+     *  outside the schema. */
     std::uint64_t get(std::size_t row, std::uint64_t key) const;
 
     /** Lane read by column index (entry 0 = most recent). */
@@ -120,9 +130,10 @@ class FvBatchView
                         std::uint32_t entry = 0) const;
 
     /**
-     * The zero-copy float windows: one strided MatrixView per maximal
-     * run of consecutive slots, in row order. Feeding these to the
-     * view-classifier GEMM path moves zero bytes per scored vector.
+     * The float windows, in row order: one strided MatrixView per
+     * maximal run of consecutive slots (zero bytes moved), and one per
+     * borrowed block, whose rows the store's float encoder writes on
+     * the first call.
      */
     std::vector<ml::MatrixView> matrixViews() const;
 
@@ -140,15 +151,48 @@ class FvBatchView
 
   private:
     friend class SoaStore;
+    friend class Registry;
+    friend class ScoreServer;
 
-    /** Rows from one store: slots in view order, each pinned. */
+    /** Rows from one store: its pinned slots, or rows of a borrowed
+     *  vector read with its schema and float encoder. */
     struct Block
     {
         SoaStore *store;
-        std::vector<std::uint32_t> slots;
+        /** Slot ids (pinned) or indices into *fvs (borrowed), in view
+         *  order. */
+        std::vector<std::uint32_t> rows;
+        /** The borrowed vector; nullptr for pinned slots. */
+        const std::vector<FeatureVector> *fvs = nullptr;
+        /**
+         * Borrowed rows' float encoding, filled by the first
+         * matrixViews(). Not synchronized: a view is read by one
+         * thread at a time, like every other view accessor.
+         */
+        mutable std::vector<float> floats = {};
     };
 
+    /** A view borrowing rows [first, first + n) of @p fvs, read with
+     *  @p store's schema and float encoder. */
+    static FvBatchView borrow(SoaStore &store,
+                              const std::vector<FeatureVector> &fvs,
+                              std::size_t first, std::size_t n);
+
+    /** The caller's vector when the view is exactly one whole borrowed
+     *  vector in order, else nullptr. */
+    const std::vector<FeatureVector> *wholeBorrowed() const;
+
+    /** packBytesAvoided() of the borrowed (@p borrowed) or the pinned
+     *  rows only. */
+    std::size_t packBytes(bool borrowed) const;
+
+    /** The block holding view row @p row; *idx = its Block::rows entry. */
     const Block &blockOf(std::size_t row, std::size_t *idx) const;
+    /** Appends @p b, merged into the last block when both read the
+     *  same store and the same rows source. */
+    void pushBlock(Block b);
+    /** Unpins every pinned block. */
+    void release();
 
     std::vector<Block> blocks_;
     std::size_t rows_ = 0;
@@ -177,7 +221,8 @@ class FvBatchView
 class SoaStore
 {
   public:
-    /** Reads one sealing slot's lanes for the float encoder. */
+    /** Reads one row's lanes for the float encoder: a sealing slot,
+     *  or a borrowed FeatureVector read through the schema. */
     class RowReader
     {
       public:
@@ -187,17 +232,24 @@ class SoaStore
 
       private:
         friend class SoaStore;
+        friend class FvBatchView;
         RowReader(const SoaStore *store, std::uint32_t slot)
             : store_(store), slot_(slot)
         {}
+        RowReader(const SoaStore *store, const FeatureVector *fv)
+            : store_(store), fv_(fv)
+        {}
         const SoaStore *store_;
-        std::uint32_t slot_;
+        std::uint32_t slot_ = 0;
+        /** The borrowed row; nullptr for a slot. */
+        const FeatureVector *fv_ = nullptr;
     };
 
     /**
-     * Seal-time float-row encoder: writes floatCols() floats for the
-     * sealing slot. The default encodes lane 0 of every column in
-     * schema order (featureCount floats).
+     * Float-row encoder: writes floatCols() floats for one row (a
+     * sealing slot, or a borrowed vector the first time its view's
+     * matrixViews() runs). The default encodes lane 0 of every column
+     * in schema order (featureCount floats).
      */
     using FloatEncoder =
         std::function<void(const RowReader &row, float *out)>;
@@ -276,7 +328,7 @@ class SoaStore
     std::size_t sealedCount() const;
 
     /** Pinned view over every sealed slot, oldest first. */
-    FvBatchView viewAll();
+    FvBatchView viewAll() { return viewTail(SIZE_MAX); }
 
     /** Pinned view over the newest @p n sealed slots, oldest first. */
     FvBatchView viewTail(std::size_t n);
@@ -363,6 +415,8 @@ class SoaStore
                 (col & 63)) & 1u;
     }
 
+    /** Writes floatCols() floats for @p row (encoder or default). */
+    void encodeRow(const RowReader &row, float *out) const;
     void *carve(std::size_t bytes, shm::ShmOffset &off);
     void release(void *p, shm::ShmOffset off);
     void ensureFloatPlane();

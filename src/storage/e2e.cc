@@ -135,7 +135,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                                                encodeLinnosRow);
             // Zero-copy CPU dispatch: the strided windows feed the GEMM
             // substrate in place.
-            devs[d].reg->registerViewClassifier(
+            devs[d].reg->registerClassifier(
                 registry::Arch::Cpu,
                 [&cpu_mlp](const registry::FvBatchView &v) {
                     std::vector<int> c = cpu_mlp->classify(v.matrixViews());
@@ -146,18 +146,15 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
             // FeatureVector materialization). A remoting failure
             // mid-batch must not kill the I/O path: FleetMlp finishes
             // that batch on the CPU and counts the fallback.
-            devs[d].reg->registerViewClassifier(
+            devs[d].reg->registerClassifier(
                 registry::Arch::Gpu,
                 [&lake_mlp, &cpu_mlp,
                  key = devs[d].dev->name()](const registry::FvBatchView &v) {
-                    ml::Matrix x(v.size(), kLinnosFeatures);
-                    std::size_t r = 0;
-                    for (const ml::MatrixView &mv : v.matrixViews())
-                        for (std::size_t i = 0; i < mv.rows(); ++i, ++r)
-                            std::copy(mv.row(i), mv.row(i) + mv.cols(),
-                                      x.row(r));
                     std::vector<int> c =
-                        lake_mlp->classify(key, x, *cpu_mlp).labels;
+                        lake_mlp
+                            ->classify(key, ml::Matrix::pack(v.matrixViews()),
+                                       *cpu_mlp)
+                            .labels;
                     return std::vector<float>(c.begin(), c.end());
                 });
             devs[d].reg->beginFvCapture(0);

@@ -47,29 +47,6 @@ linnosSchema()
     return schema;
 }
 
-ml::Matrix
-featurizeLinnos(const std::vector<registry::FeatureVector> &fvs)
-{
-    // Interned once, outside the hot loop: per-row get() by name would
-    // re-hash every feature string for every scored vector.
-    static const std::uint64_t pend_key = registry::featureKey("pend_ios");
-    static const std::array<std::uint64_t, kLinnosHistory> lat_keys = [] {
-        std::array<std::uint64_t, kLinnosHistory> keys{};
-        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-            keys[h] = registry::featureKey(kLinnosLatFeatures[h]);
-        return keys;
-    }();
-    ml::Matrix x(fvs.size(), kLinnosFeatures);
-    for (std::size_t r = 0; r < fvs.size(); ++r) {
-        std::array<std::uint32_t, kLinnosHistory> hist{};
-        for (std::size_t h = 0; h < kLinnosHistory; ++h)
-            hist[h] = static_cast<std::uint32_t>(fvs[r].get(lat_keys[h]));
-        encodeLinnosFeatures(static_cast<std::uint32_t>(fvs[r].get(pend_key)),
-                             hist, x.row(r));
-    }
-    return x;
-}
-
 registry::FeatureVector
 randomLinnosRequest(Rng &rng, Nanos now)
 {

@@ -20,7 +20,6 @@
 
 #include "base/rng.h"
 #include "base/time.h"
-#include "ml/matrix.h"
 #include "ml/mlp.h"
 #include "registry/registry.h"
 #include "registry/schema.h"
@@ -54,12 +53,6 @@ extern const std::array<std::string, kLinnosHistory> kLinnosLatFeatures;
 registry::Schema linnosSchema();
 
 /**
- * Builds the 31-input matrix of @p fvs, one row per feature vector
- * captured under linnosSchema().
- */
-ml::Matrix featurizeLinnos(const std::vector<registry::FeatureVector> &fvs);
-
-/**
  * One LinnOS-shaped request stamped at @p now: "pend_ios" uniform in
  * [0, 31], then each kLinnosLatFeatures latency uniform in [50, 2000]
  * us, drawn from @p rng in that order.
@@ -67,9 +60,11 @@ ml::Matrix featurizeLinnos(const std::vector<registry::FeatureVector> &fvs);
 registry::FeatureVector randomLinnosRequest(Rng &rng, Nanos now);
 
 /**
- * The same 31 inputs as a SoA seal-time encoder
- * (SoaStore::setFloatEncoder with kLinnosFeatures floats) for a
- * registry created with linnosSchema().
+ * The LinnOS featurizer: the 31 inputs of one row of a registry created
+ * with linnosSchema(), as its store's float encoder
+ * (SoaStore::setFloatEncoder with kLinnosFeatures floats). It encodes
+ * committed slots at seal time and caller-built vectors the first time
+ * a classifier reads their FvBatchView::matrixViews().
  */
 void encodeLinnosRow(const registry::SoaStore::RowReader &row, float *out);
 

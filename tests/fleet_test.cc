@@ -595,12 +595,12 @@ TEST(ShardFleetTest, ConcurrentShardDispatchUnderMultiTenantLoad)
         const char *kSys = "fleet_stress";
 
         registry::Classifier cpu_classify =
-            [](const std::vector<registry::FeatureVector> &fvs) {
-                return std::vector<float>(fvs.size(), 0.0f);
+            [](const registry::FvBatchView &v) {
+                return std::vector<float>(v.size(), 0.0f);
             };
         registry::Classifier gpu_classify =
-            [&, key](const std::vector<registry::FeatureVector> &fvs) {
-                ml::Matrix x(fvs.size(), model.config().input);
+            [&, key](const registry::FvBatchView &v) {
+                ml::Matrix x(v.size(), model.config().input);
                 std::vector<int> c = mlp.classify(key, x, cpu_mlp).labels;
                 return std::vector<float>(c.begin(), c.end());
             };

@@ -101,30 +101,26 @@ TEST(RegistryInferenceFlowTest, Listing4EndToEnd)
     registry::Registry *reg = lake.registries().find("sda1", "bio");
     ASSERT_NE(reg, nullptr);
 
-    auto featurize = [](const std::vector<registry::FeatureVector> &fvs) {
-        ml::Matrix x(fvs.size(), 31);
-        for (std::size_t r = 0; r < fvs.size(); ++r) {
-            x.at(r, 0) =
-                static_cast<float>(fvs[r].get("pend_ios")) * 0.1f;
-            const auto &lat =
-                fvs[r].values.count(registry::featureKey("lat"))
-                    ? fvs[r].values.at(registry::featureKey("lat"))
-                    : std::vector<std::uint64_t>(4, 0);
-            for (std::size_t h = 0; h < lat.size() && h < 4; ++h)
-                x.at(r, 1 + h) = static_cast<float>(lat[h]) * 1e-3f;
+    auto featurize = [](const registry::FvBatchView &v) {
+        ml::Matrix x(v.size(), 31);
+        for (std::size_t r = 0; r < v.size(); ++r) {
+            x.at(r, 0) = static_cast<float>(v.get(
+                             r, registry::featureKey("pend_ios"))) *
+                         0.1f;
+            // Column 1 is "lat": entry h is the h-th latest latency.
+            for (std::uint32_t h = 0; h < 4; ++h)
+                x.at(r, 1 + h) = static_cast<float>(v.value(r, 1, h)) * 1e-3f;
         }
         return x;
     };
     reg->registerClassifier(
-        registry::Arch::Cpu,
-        [&](const std::vector<registry::FeatureVector> &fvs) {
-            auto cls = cpu_backend->classify(featurize(fvs));
+        registry::Arch::Cpu, [&](const registry::FvBatchView &v) {
+            auto cls = cpu_backend->classify(featurize(v));
             return std::vector<float>(cls.begin(), cls.end());
         });
     reg->registerClassifier(
-        registry::Arch::Gpu,
-        [&](const std::vector<registry::FeatureVector> &fvs) {
-            auto cls = gpu_backend->classify(featurize(fvs));
+        registry::Arch::Gpu, [&](const registry::FvBatchView &v) {
+            auto cls = gpu_backend->classify(featurize(v));
             return std::vector<float>(cls.begin(), cls.end());
         });
     reg->registerPolicy(
@@ -154,7 +150,8 @@ TEST(RegistryInferenceFlowTest, Listing4EndToEnd)
     scores = reg->scoreFeatures(fvs, lake.clock().now());
     EXPECT_EQ(reg->lastEngine(), policy::Engine::Gpu);
 
-    auto cpu_scores_check = cpu_backend->classify(featurize(fvs));
+    auto cpu_scores_check =
+        cpu_backend->classify(featurize(reg->batchView()));
     for (std::size_t i = 0; i < scores.size(); ++i)
         EXPECT_FLOAT_EQ(scores[i],
                         static_cast<float>(cpu_scores_check[i]));

@@ -18,13 +18,16 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/time.h"
 #include "core/lake.h"
 #include "ml/knn.h"
+#include "ml/matrix.h"
 #include "ml/mlp.h"
+#include "obs/metrics.h"
 #include "registry/manager.h"
 #include "registry/registry.h"
 #include "registry/schema.h"
@@ -392,7 +395,7 @@ TEST(SoaLakeShmTest, RegistryLifecycleReturnsArenaToBaseline)
     RegistryManager &mgr = lake.registries();
     ScoreServer *server = mgr.scorer();
     ASSERT_NE(server, nullptr);
-    ViewClassifier view_fn = [](const FvBatchView &v) {
+    Classifier view_fn = [](const FvBatchView &v) {
         return std::vector<float>(v.size(), 1.0f);
     };
     const std::vector<std::string> names = {"sda1", "sdb1", "sdc1"};
@@ -400,7 +403,7 @@ TEST(SoaLakeShmTest, RegistryLifecycleReturnsArenaToBaseline)
         ASSERT_TRUE(mgr.createRegistry(name, "sys", historySchema(), 8)
                         .isOk());
         ASSERT_TRUE(mgr.find(name, "sys")
-                        ->registerViewClassifier(Arch::Cpu, view_fn)
+                        ->registerClassifier(Arch::Cpu, view_fn)
                         .isOk());
     }
     EXPECT_GT(arena.liveAllocs(), allocs0);
@@ -630,9 +633,58 @@ TEST(SoaViewTest, SelectRepinsRowSubsetInOrder)
     EXPECT_EQ(mat[2].get("x"), 1u);
 }
 
-// scoreFeatures(view) must agree with the vector batch entry point:
-// through the registered view classifier when one exists, and through
-// materialization when only a vector classifier is installed.
+// Caller-built vectors reach a classifier as borrowed rows: every view
+// accessor reads the caller's FeatureVector through the schema, and
+// matrixViews() encodes the rows with the store's float encoder.
+TEST(SoaViewTest, BorrowedRowsReadCallerVectors)
+{
+    Schema s;
+    s.add("x");
+    s.add("h", 8, 2);
+    Registry reg("sda1", "sys", s, 8);
+    std::vector<FeatureVector> fvs(2);
+    fvs[0].ts_begin = 5;
+    fvs[0].ts_end = 9;
+    fvs[0].values[featureKey("x")] = {3};
+    fvs[0].values[featureKey("h")] = {7, 6};
+    fvs[1].values[featureKey("h")] = {4};     // one history entry
+    fvs[1].values[featureKey("other")] = {1}; // outside the schema
+
+    bool checked = false;
+    ASSERT_TRUE(
+        reg.registerClassifier(Arch::Cpu, [&](const FvBatchView &v) {
+               EXPECT_EQ(v.size(), 2u);
+               EXPECT_EQ(v.tsBegin(0), 5u);
+               EXPECT_EQ(v.tsEnd(0), 9u);
+               EXPECT_EQ(v.get(0, featureKey("x")), 3u);
+               EXPECT_EQ(v.get(1, featureKey("x")), 0u);
+               EXPECT_EQ(v.get(1, featureKey("other")), 0u);
+               EXPECT_EQ(v.value(0, 1, 1), 6u);
+               EXPECT_EQ(v.value(1, 1, 1), 0u);
+               // The default encoder: lane 0 of every column.
+               std::vector<ml::MatrixView> mv = v.matrixViews();
+               EXPECT_EQ(mv.size(), 1u);
+               EXPECT_EQ(ml::Matrix::pack(mv).at(1, 1), 4.0f);
+               EXPECT_EQ(mv[0].at(0, 0), 3.0f);
+               EXPECT_EQ(mv[0].at(0, 1), 7.0f);
+               EXPECT_EQ(mv[0].at(1, 0), 0.0f);
+               // Row 0 stages x (8 B) and h (16 B); row 1 h and other.
+               EXPECT_EQ(v.packBytesAvoided(), 40u);
+               std::vector<FeatureVector> mat = v.select({1, 0}).materialize();
+               EXPECT_EQ(mat.size(), 2u);
+               EXPECT_EQ(mat[0].values, fvs[1].values);
+               EXPECT_EQ(mat[1].values, fvs[0].values);
+               checked = true;
+               return std::vector<float>(v.size(), 0.0f);
+           })
+            .isOk());
+    reg.scoreFeatures(fvs, 0);
+    EXPECT_TRUE(checked);
+}
+
+// One classifier type, one answer: scoreFeatures gives the same scores
+// for every pairing of {vector-registered, view-registered} classifier
+// and {getFeatures() vectors, batchView()} input.
 TEST(SoaScoreTest, ViewScoringMatchesLegacyScoring)
 {
     auto build = [](SoaRig &soa) {
@@ -647,17 +699,18 @@ TEST(SoaScoreTest, ViewScoringMatchesLegacyScoring)
     Schema s;
     s.add("a");
     s.add("b");
-    Schema s2 = s;
 
-    Classifier vector_fn =
-        [](const std::vector<FeatureVector> &fvs) {
+    const std::vector<FeatureVector> *seen = nullptr;
+    VectorClassifier vector_fn =
+        [&seen](const std::vector<FeatureVector> &fvs) {
+            seen = &fvs;
             std::vector<float> out;
             for (const FeatureVector &fv : fvs)
                 out.push_back(static_cast<float>(fv.get("a")) +
                               2.0f * static_cast<float>(fv.get("b")));
             return out;
         };
-    ViewClassifier view_fn = [](const FvBatchView &v) {
+    Classifier view_fn = [](const FvBatchView &v) {
         std::vector<float> out;
         for (std::size_t r = 0; r < v.size(); ++r)
             out.push_back(
@@ -666,26 +719,189 @@ TEST(SoaScoreTest, ViewScoringMatchesLegacyScoring)
         return out;
     };
 
-    SoaRig both(std::move(s), 16);
+    SoaRig vector_reg(s, 16);
     ASSERT_TRUE(
-        both.reg.registerClassifier(Arch::Cpu, vector_fn).isOk());
-    ASSERT_TRUE(
-        both.reg.registerViewClassifier(Arch::Cpu, view_fn).isOk());
-    build(both);
-    std::vector<float> via_view =
-        both.reg.scoreFeatures(both.reg.batchView(), 200);
-    std::vector<float> via_vectors =
-        both.reg.scoreFeatures(both.reg.getFeatures(), 200);
-    EXPECT_EQ(via_view, via_vectors);
+        vector_reg.reg.registerClassifier(Arch::Cpu, vector_fn).isOk());
+    build(vector_reg);
+    SoaRig view_reg(s, 16);
+    ASSERT_TRUE(view_reg.reg.registerClassifier(Arch::Cpu, view_fn).isOk());
+    build(view_reg);
 
-    // Vector-only registry: the view overload materializes.
-    SoaRig vector_only(std::move(s2), 16);
+    std::vector<FeatureVector> in = vector_reg.reg.getFeatures();
+    std::vector<float> via_vectors = vector_reg.reg.scoreFeatures(in, 200);
+    // The frozen-compat adapter hands a vector classifier the caller's
+    // own batch: a silent copy would show up here.
+    EXPECT_EQ(seen, &in);
+    ASSERT_EQ(via_vectors.size(), 10u);
+    EXPECT_EQ(vector_reg.reg.scoreFeatures(vector_reg.reg.batchView(), 200),
+              via_vectors);
+    EXPECT_EQ(view_reg.reg.scoreFeatures(view_reg.reg.getFeatures(), 200),
+              via_vectors);
+    std::vector<float> via_view =
+        view_reg.reg.scoreFeatures(view_reg.reg.batchView(), 200);
+    EXPECT_EQ(via_view, via_vectors);
+}
+
+/** Score of a two-column row: a + 2b, read from the float windows. */
+std::vector<float>
+scoreWindows(const FvBatchView &v)
+{
+    std::vector<float> out;
+    for (const ml::MatrixView &mv : v.matrixViews())
+        for (std::size_t r = 0; r < mv.rows(); ++r)
+            out.push_back(mv.at(r, 0) + 2.0f * mv.at(r, 1));
+    return out;
+}
+
+/** Caller-built two-feature vectors (x, y) = pairs[i]. */
+std::vector<FeatureVector>
+callerVectors(
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> &pairs)
+{
+    std::vector<FeatureVector> out;
+    for (const auto &[x, y] : pairs) {
+        FeatureVector fv;
+        fv.values[featureKey("x")] = {x};
+        fv.values[featureKey("y")] = {y};
+        out.push_back(std::move(fv));
+    }
+    return out;
+}
+
+// A registry whose only classifier reads float windows still scores
+// caller-built vectors on all three vector entry points — async
+// submit, the service-off score_features_async, and sync scoreFeatures
+// — with the scores the same rows get as committed slots.
+TEST(SoaScoreTest, WindowClassifierScoresCallerVectors)
+{
+    Clock clock;
+    RegistryManager mgr(clock);
+    Schema s;
+    s.add("x");
+    s.add("y");
+    ASSERT_TRUE(mgr.createRegistry("sda1", "sys", s, 16).isOk());
+    Registry *reg = mgr.find("sda1", "sys");
     ASSERT_TRUE(
-        vector_only.reg.registerClassifier(Arch::Cpu, vector_fn).isOk());
-    build(vector_only);
-    EXPECT_EQ(
-        vector_only.reg.scoreFeatures(vector_only.reg.batchView(), 200),
-        via_vectors);
+        reg->registerClassifier(Arch::Cpu, Classifier(scoreWindows))
+            .isOk());
+
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs = {
+        {3, 1}, {40, 7}, {5, 90}};
+    reg->beginFvCapture(0);
+    for (const auto &[x, y] : pairs) {
+        reg->captureFeature("x", x);
+        reg->captureFeature("y", y);
+        reg->commitFvCapture(clock.now());
+    }
+    const std::vector<float> expect =
+        reg->scoreFeatures(reg->batchView(), 0);
+    ASSERT_EQ(expect, (std::vector<float>{5.0f, 54.0f, 185.0f}));
+
+    // 1. Async submit through the scoring service.
+    ScoringConfig cfg;
+    cfg.enabled = true;
+    ASSERT_TRUE(mgr.enableScoring(cfg).isOk());
+    std::vector<float> async_scores;
+    ASSERT_TRUE(mgr.scorer()
+                    ->submit("sda1", "sys", callerVectors(pairs), 0,
+                             [&](const ScoreResult &r) {
+                                 EXPECT_TRUE(r.status.isOk());
+                                 async_scores = r.scores;
+                             })
+                    .isOk());
+    mgr.scorer()->flushAll(clock.now());
+    EXPECT_EQ(async_scores, expect);
+    mgr.disableScoring();
+
+    // 2. score_features_async with the service off: inline scoring.
+    std::vector<float> inline_scores;
+    ASSERT_TRUE(score_features_async(mgr, "sda1", "sys",
+                                     callerVectors(pairs), 0,
+                                     [&](const ScoreResult &r) {
+                                         inline_scores = r.scores;
+                                     })
+                    .isOk());
+    EXPECT_EQ(inline_scores, expect);
+
+    // 3. Sync scoreFeatures over caller-owned vectors.
+    EXPECT_EQ(reg->scoreFeatures(callerVectors(pairs), 0), expect);
+}
+
+// A flush that coalesces a vector submit() with a submitView() counts
+// every row's staged bytes in reg_pack_bytes exactly once, and scatters
+// each request the scores its rows get on the sync path.
+TEST(SoaScoreTest, MixedFlushCountsEachRowOnce)
+{
+    Clock clock;
+    RegistryManager mgr(clock);
+    Schema s;
+    s.add("x");
+    s.add("y");
+    ASSERT_TRUE(mgr.createRegistry("sda1", "sys", s, 16).isOk());
+    Registry *reg = mgr.find("sda1", "sys");
+    // A vector classifier: the pinned rows must be materialized for it.
+    ASSERT_TRUE(reg->registerClassifier(
+                       Arch::Cpu,
+                       [](const std::vector<FeatureVector> &fvs) {
+                           std::vector<float> out;
+                           for (const FeatureVector &fv : fvs)
+                               out.push_back(
+                                   static_cast<float>(fv.get("x")) +
+                                   2.0f * static_cast<float>(fv.get("y")));
+                           return out;
+                       })
+                    .isOk());
+
+    // Three committed rows with both columns: 3 x 2 x 8 bytes.
+    reg->beginFvCapture(0);
+    for (std::uint64_t i = 0; i < 3; ++i) {
+        reg->captureFeature("x", 10 + i);
+        reg->captureFeature("y", i);
+        reg->commitFvCapture(10 * (i + 1));
+    }
+    // Two caller rows: one feature, then two (8 + 16 bytes).
+    std::vector<FeatureVector> fvs(2);
+    fvs[0].values[featureKey("x")] = {7};
+    fvs[1].values[featureKey("x")] = {8};
+    fvs[1].values[featureKey("y")] = {1};
+    const std::size_t view_bytes = 3 * 2 * sizeof(std::uint64_t);
+    const std::size_t vector_bytes = 3 * sizeof(std::uint64_t);
+
+    const std::vector<float> sync_vectors = reg->scoreFeatures(fvs, 100);
+    const std::vector<float> sync_view =
+        reg->scoreFeatures(reg->batchView(), 100);
+    ASSERT_EQ(sync_vectors, (std::vector<float>{7.0f, 10.0f}));
+    ASSERT_EQ(sync_view, (std::vector<float>{10.0f, 13.0f, 16.0f}));
+
+    ScoringConfig cfg;
+    cfg.enabled = true;
+    ASSERT_TRUE(mgr.enableScoring(cfg).isOk());
+    auto &met = obs::Metrics::global();
+    met.setEnabled(true);
+    const std::uint64_t pack0 = met.reg_pack_bytes.get();
+    std::vector<float> got_vectors, got_view;
+    std::size_t batch = 0;
+    ASSERT_TRUE(mgr.scorer()
+                    ->submit("sda1", "sys", fvs, 0,
+                             [&](const ScoreResult &r) {
+                                 got_vectors = r.scores;
+                                 batch = r.batch;
+                             })
+                    .isOk());
+    ASSERT_TRUE(mgr.scorer()
+                    ->submitView("sda1", "sys", reg->batchView(), 0,
+                                 [&](const ScoreResult &r) {
+                                     got_view = r.scores;
+                                 })
+                    .isOk());
+    EXPECT_EQ(mgr.scorer()->flushAll(clock.now()), 1u);
+    const std::uint64_t packed = met.reg_pack_bytes.get() - pack0;
+    met.setEnabled(false);
+
+    EXPECT_EQ(batch, 5u);
+    EXPECT_EQ(packed, view_bytes + vector_bytes);
+    EXPECT_EQ(got_vectors, sync_vectors);
+    EXPECT_EQ(got_view, sync_view);
 }
 
 // submitView through the ScoreServer: single-row views coalesce across
@@ -697,7 +913,7 @@ TEST(SoaScoreTest, ScoreServerCoalescesSubmittedViews)
     shm::ShmArena arena(8ull << 20);
     RegistryManager mgr(clock, &arena);
 
-    ViewClassifier view_fn = [](const FvBatchView &v) {
+    Classifier view_fn = [](const FvBatchView &v) {
         std::vector<float> out;
         for (std::size_t r = 0; r < v.size(); ++r)
             out.push_back(static_cast<float>(v.value(r, 0)));
@@ -709,7 +925,7 @@ TEST(SoaScoreTest, ScoreServerCoalescesSubmittedViews)
         ASSERT_TRUE(
             mgr.createRegistry(name, "sys", s, 64).isOk());
         ASSERT_TRUE(mgr.find(name, "sys")
-                        ->registerViewClassifier(Arch::Cpu, view_fn)
+                        ->registerClassifier(Arch::Cpu, view_fn)
                         .isOk());
     }
     ScoringConfig cfg;

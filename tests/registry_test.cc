@@ -194,16 +194,14 @@ TEST(RegistryScoreTest, DispatchesByPolicy)
 {
     Registry reg("r", "s", Schema().add("x"), 8);
     int cpu_calls = 0, gpu_calls = 0;
-    reg.registerClassifier(
-        Arch::Cpu, [&](const std::vector<FeatureVector> &fvs) {
-            ++cpu_calls;
-            return std::vector<float>(fvs.size(), 0.0f);
-        });
-    reg.registerClassifier(
-        Arch::Gpu, [&](const std::vector<FeatureVector> &fvs) {
-            ++gpu_calls;
-            return std::vector<float>(fvs.size(), 1.0f);
-        });
+    reg.registerClassifier(Arch::Cpu, [&](const FvBatchView &v) {
+        ++cpu_calls;
+        return std::vector<float>(v.size(), 0.0f);
+    });
+    reg.registerClassifier(Arch::Gpu, [&](const FvBatchView &v) {
+        ++gpu_calls;
+        return std::vector<float>(v.size(), 1.0f);
+    });
     reg.registerPolicy(std::make_unique<policy::BatchThresholdPolicy>(4));
 
     std::vector<FeatureVector> small(2), big(8);
@@ -219,11 +217,10 @@ TEST(RegistryScoreTest, FallsBackToCpuWithoutGpuClassifier)
 {
     Registry reg("r", "s", Schema().add("x"), 8);
     int cpu_calls = 0;
-    reg.registerClassifier(
-        Arch::Cpu, [&](const std::vector<FeatureVector> &fvs) {
-            ++cpu_calls;
-            return std::vector<float>(fvs.size(), 0.0f);
-        });
+    reg.registerClassifier(Arch::Cpu, [&](const FvBatchView &v) {
+        ++cpu_calls;
+        return std::vector<float>(v.size(), 0.0f);
+    });
     reg.registerPolicy(std::make_unique<policy::AlwaysGpuPolicy>());
     std::vector<FeatureVector> fvs(4);
     reg.scoreFeatures(fvs, 0);
@@ -242,19 +239,18 @@ TEST(RegistryScoreTest, XpuClassifierIsRejected)
     // Regression: Arch::Xpu used to land in a write-only member that
     // no scoreFeatures dispatch could ever reach.
     Registry reg("r", "s", Schema().add("x"), 8);
-    Status st = reg.registerClassifier(
-        Arch::Xpu, [](const std::vector<FeatureVector> &fvs) {
-            return std::vector<float>(fvs.size(), 0.0f);
-        });
+    Status st = reg.registerClassifier(Arch::Xpu, [](const FvBatchView &v) {
+        return std::vector<float>(v.size(), 0.0f);
+    });
     EXPECT_EQ(st.code(), Code::InvalidArgument);
     EXPECT_FALSE(reg.hasClassifier(Arch::Xpu));
     EXPECT_FALSE(reg.hasClassifier(Arch::Cpu));
 
-    EXPECT_TRUE(reg.registerClassifier(
-                       Arch::Cpu,
-                       [](const std::vector<FeatureVector> &fvs) {
-                           return std::vector<float>(fvs.size(), 0.0f);
-                       })
+    EXPECT_TRUE(reg.registerClassifier(Arch::Cpu,
+                                       [](const FvBatchView &v) {
+                                           return std::vector<float>(
+                                               v.size(), 0.0f);
+                                       })
                     .isOk());
     EXPECT_TRUE(reg.hasClassifier(Arch::Cpu));
     EXPECT_FALSE(reg.hasClassifier(Arch::Gpu));
@@ -361,14 +357,13 @@ class ScoreServerTest : public ::testing::Test
         Registry *reg = mgr_.find(name, sys);
         ASSERT_TRUE(reg->registerClassifier(
                            Arch::Cpu,
-                           [batches](const std::vector<FeatureVector>
-                                         &fvs) {
+                           [batches](const FvBatchView &v) {
                                if (batches)
-                                   batches->push_back(fvs.size());
+                                   batches->push_back(v.size());
                                std::vector<float> out;
-                               for (const FeatureVector &fv : fvs)
+                               for (std::size_t r = 0; r < v.size(); ++r)
                                    out.push_back(static_cast<float>(
-                                       fv.get("x")));
+                                       v.get(r, featureKey("x"))));
                                return out;
                            })
                         .isOk());
@@ -760,9 +755,8 @@ TEST_F(ScoreServerTest, DestroyRacesSubmitSafely)
         ASSERT_TRUE(mgr.find("r", "blk")
                         ->registerClassifier(
                             Arch::Cpu,
-                            [](const std::vector<FeatureVector> &fvs) {
-                                return std::vector<float>(fvs.size(),
-                                                          1.0f);
+                            [](const FvBatchView &v) {
+                                return std::vector<float>(v.size(), 1.0f);
                             })
                         .isOk());
         ScoringConfig cfg;

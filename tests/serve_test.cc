@@ -49,10 +49,10 @@ struct Harness
                      registry::ScoringConfig scfg = {})
     {
         registry::Classifier classify =
-            [this, cost](const std::vector<registry::FeatureVector> &fvs) {
+            [this, cost](const registry::FvBatchView &v) {
                 if (cost > 0)
                     clock.advance(cost);
-                return std::vector<float>(fvs.size(), 1.0f);
+                return std::vector<float>(v.size(), 1.0f);
             };
         registry::Schema schema;
         schema.add("tenant");
