@@ -208,7 +208,8 @@ BM_MlpForwardLinnos(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(net.forward(x));
 }
-BENCHMARK(BM_MlpForwardLinnos)->Arg(1)->Arg(32)->Arg(256);
+// 1-4 rows: the linnos_io batch sizes, where the GEMM's row tail runs.
+BENCHMARK(BM_MlpForwardLinnos)->DenseRange(1, 4)->Arg(32)->Arg(256);
 
 // Seed scalar affine loop, preserved as the GEMM host-time baseline;
 // compare against BM_GemmBlocked256 (ratio is the substrate speedup).
@@ -251,7 +252,7 @@ BM_GemmBlocked256(benchmark::State &state)
     for (float &v : w)
         v = static_cast<float>(rng.uniform(-1.0, 1.0));
     for (auto _ : state) {
-        ml::compute::affine(x.data(), n, in, w.data(), out, b.data(),
+        ml::compute::affine(x.data(), n, in, in, w.data(), out, b.data(),
                             y.data());
         benchmark::DoNotOptimize(y.data());
     }

@@ -1,7 +1,7 @@
 // Host-time benchmark of the vectorized ML compute substrate
 // (ml/compute.h + base::ThreadPool) against the seed's scalar loops:
 //
-//  - GEMM: 256x256x256 Matrix::affine-shaped y = x*W^T + b
+//  - GEMM: 256x256x256 dense layer y = x*W^T + b (compute::affine)
 //  - kNN:  Fig. 12 shape — 4096 queries vs 16384 refs, 1024 dims, k=16
 //
 // Each is measured at 1, 2 and LAKE_CPU_THREADS (hardware) threads and
@@ -125,8 +125,8 @@ main(int argc, char **argv)
             base::ThreadPool::resetGlobal(threads);
             double s = timeIt(
                 [&] {
-                    ml::compute::affine(x.data(), n, in, w.data(), out,
-                                        b.data(), y.data());
+                    ml::compute::affine(x.data(), n, in, in, w.data(),
+                                        out, b.data(), y.data());
                 },
                 1.0);
             double gflops = flops / s / 1e9;

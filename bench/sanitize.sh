@@ -89,3 +89,10 @@ ctest --test-dir "$BUILD" --output-on-failure -L fleet
 # the T-table and 256-entry GHASH-table indexing, the four-lane CTR
 # buffers and the 56-bit shifts are what ASan/UBSan should sweep.
 ctest --test-dir "$BUILD" --output-on-failure -L crypto
+
+# The ML suite (ctest -L ml) runs every dense layer through the one
+# packed path: packTranspose's ld/padding stride arithmetic, strided
+# MatrixView batches, training on the inference layers, and the
+# mlp_forward body reading its input rows in place from device memory
+# — the indexing ASan/UBSan should sweep.
+ctest --test-dir "$BUILD" --output-on-failure -L ml

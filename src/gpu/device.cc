@@ -127,7 +127,8 @@ Device::resolve(DevicePtr ptr, std::size_t bytes)
         return nullptr;
     --it;
     std::uint64_t off = ptr - it->first;
-    if (off + bytes > it->second.size())
+    // Written so that no untrusted length can wrap the bounds check.
+    if (off > it->second.size() || bytes > it->second.size() - off)
         return nullptr;
     return it->second.data() + off;
 }

@@ -40,26 +40,15 @@ cuStatus(CuResult r, const char *what)
 } // namespace
 
 std::vector<int>
-CpuMlp::classify(const Matrix &x)
-{
-    // Wide square matmuls (the +1/+2 models' 256x256 layers) amortize
-    // loop overhead and auto-vectorize where the skinny input layer
-    // cannot; model that as up to 4x (SSE-width) higher efficiency,
-    // which reproduces Fig. 8's gently-converging CPU curves.
-    double flops_per_sample = model_.flopsPerSample();
-    double efficiency =
-        std::clamp(flops_per_sample / 17000.0, 1.0, 4.0);
-    cpu_.charge(flops_per_sample * static_cast<double>(x.rows()) /
-                efficiency);
-    return model_.classify(x);
-}
-
-std::vector<int>
 CpuMlp::classify(const std::vector<MatrixView> &xs)
 {
     std::size_t rows = 0;
     for (const MatrixView &v : xs)
         rows += v.rows();
+    // Wide square matmuls (the +1/+2 models' 256x256 layers) amortize
+    // loop overhead and auto-vectorize where the skinny input layer
+    // cannot; model that as up to 4x (SSE-width) higher efficiency,
+    // which reproduces Fig. 8's gently-converging CPU curves.
     double flops_per_sample = model_.flopsPerSample();
     double efficiency =
         std::clamp(flops_per_sample / 17000.0, 1.0, 4.0);

@@ -78,16 +78,19 @@ class CpuMlp
     /** @param model shared model; must outlive the wrapper */
     CpuMlp(const Mlp &model, KernelCpu &cpu) : model_(model), cpu_(cpu) {}
 
-    /** Classifies a batch, charging CPU time. */
-    std::vector<int> classify(const Matrix &x);
-
     /**
-     * Zero-copy variant over strided windows (SoA slot batches). The
-     * views' rows form one batch: virtual time is charged exactly as a
-     * single classify(Matrix) of the same total row count (one FPU
-     * bracket), and scores are bit-identical to packing the rows.
+     * Classifies a batch given as strided windows (SoA slot batches),
+     * charging CPU time. The views' rows form one batch: virtual time
+     * is charged once for the total row count (one FPU bracket), and
+     * scores do not depend on how the rows are split into views.
      */
     std::vector<int> classify(const std::vector<MatrixView> &xs);
+
+    /** classify() of one dense batch. */
+    std::vector<int> classify(const Matrix &x)
+    {
+        return classify({x.view()});
+    }
 
   private:
     const Mlp &model_;

@@ -19,6 +19,10 @@ constexpr std::size_t kRegTile = 16;
 constexpr std::size_t kGemmGrain = 2 * kRowBlock;
 /** parallelFor grain (queries) for the kNN top-k pass. */
 constexpr std::size_t kKnnGrain = 8;
+/** packTranspose stripe floor: columns, and floats per stripe. A
+ *  31x256 LinnOS layer (7,936 floats) packs inline. */
+constexpr std::size_t kPackGrain = 64;
+constexpr std::size_t kPackMinFloats = std::size_t{1} << 16;
 
 /**
  * 4-row x 16-column register-tile microkernel. The k-loop accumulates
@@ -94,24 +98,44 @@ tailKernel(const float *__restrict x, std::size_t nrows, std::size_t in,
     }
 }
 
+/**
+ * Parallel row-block GEMM over a packed transpose: the one dense-layer
+ * driver behind affine() and affinePacked().
+ */
+void
+gemmRows(const float *x, std::size_t n, std::size_t in,
+         std::size_t x_stride, const float *wt, std::size_t out,
+         const float *bias, float *y)
+{
+    base::ThreadPool::global().parallelFor(
+        0, n, kGemmGrain, [&](std::size_t b, std::size_t e) {
+            gemmBlock(x + b * x_stride, e - b, in, x_stride, wt, out,
+                      bias, y + b * out);
+        });
+}
+
 } // namespace
 
 void
 packTranspose(const float *w, std::size_t rows, std::size_t cols,
-              float *wt)
+              std::size_t ld, float *wt)
 {
-    // Tiled transpose so both sides stay cache-friendly at kNN scale
-    // (rows up to tens of thousands).
-    constexpr std::size_t kT = 64;
-    for (std::size_t r0 = 0; r0 < rows; r0 += kT) {
-        std::size_t r1 = std::min(rows, r0 + kT);
-        for (std::size_t c0 = 0; c0 < cols; c0 += kT) {
-            std::size_t c1 = std::min(cols, c0 + kT);
-            for (std::size_t r = r0; r < r1; ++r)
-                for (std::size_t c = c0; c < c1; ++c)
-                    wt[c * rows + r] = w[r * cols + c];
-        }
-    }
+    LAKE_ASSERT(ld >= rows, "packTranspose ld=%zu below rows=%zu", ld,
+                rows);
+    // Column stripe [c0, c1) owns wt rows c0..c1-1, padding included.
+    auto stripe = [&](std::size_t c0, std::size_t c1) {
+        for (std::size_t r = 0; r < rows; ++r)
+            for (std::size_t c = c0; c < c1; ++c)
+                wt[c * ld + r] = w[r * cols + c];
+        for (std::size_t c = c0; c < c1; ++c)
+            std::fill(wt + c * ld + rows, wt + (c + 1) * ld, 0.0f);
+    };
+    const std::size_t grain =
+        std::max(kPackGrain, kPackMinFloats / std::max<std::size_t>(1, rows));
+    if (cols <= grain)
+        stripe(0, cols);
+    else
+        base::ThreadPool::global().parallelFor(0, cols, grain, stripe);
 }
 
 void
@@ -140,31 +164,13 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
 }
 
 void
-gemmBlock(const float *x, std::size_t n, std::size_t in, const float *wt,
-          std::size_t out, const float *bias, float *y)
-{
-    gemmBlock(x, n, in, in, wt, out, bias, y);
-}
-
-void
 affine(const float *x, std::size_t n, std::size_t in,
        std::size_t x_stride, const float *w, std::size_t out,
        const float *bias, float *y)
 {
     std::vector<float> wt(in * out);
-    packTranspose(w, out, in, wt.data());
-    base::ThreadPool::global().parallelFor(
-        0, n, kGemmGrain, [&](std::size_t b, std::size_t e) {
-            gemmBlock(x + b * x_stride, e - b, in, x_stride, wt.data(),
-                      out, bias, y + b * out);
-        });
-}
-
-void
-affine(const float *x, std::size_t n, std::size_t in, const float *w,
-       std::size_t out, const float *bias, float *y)
-{
-    affine(x, n, in, in, w, out, bias, y);
+    packTranspose(w, out, in, out, wt.data());
+    gemmRows(x, n, in, x_stride, wt.data(), out, bias, y);
 }
 
 std::size_t
@@ -181,11 +187,7 @@ affinePacked(const float *x, std::size_t n, std::size_t in,
     LAKE_ASSERT(out % kRegTile == 0,
                 "affinePacked out=%zu is not tile-padded (see padTile)",
                 out);
-    base::ThreadPool::global().parallelFor(
-        0, n, kGemmGrain, [&](std::size_t b, std::size_t e) {
-            gemmBlock(x + b * x_stride, e - b, in, x_stride, wt, out,
-                      bias, y + b * out);
-        });
+    gemmRows(x, n, in, x_stride, wt, out, bias, y);
 }
 
 void
@@ -211,11 +213,7 @@ knnNeighbors(const float *queries, std::size_t n, std::size_t dim,
 
     // refs^T packed once: the cross-term GEMM streams it unit-stride.
     std::vector<float> rt(dim * n_refs);
-    pool.parallelFor(0, dim, 64, [&](std::size_t b, std::size_t e) {
-        for (std::size_t r = 0; r < n_refs; ++r)
-            for (std::size_t c = b; c < e; ++c)
-                rt[c * n_refs + r] = refs[r * dim + c];
-    });
+    packTranspose(refs, n_refs, dim, n_refs, rt.data());
 
     pool.parallelFor(0, n, kKnnGrain, [&](std::size_t qb, std::size_t qe) {
         std::size_t rows = qe - qb;
@@ -257,14 +255,6 @@ knnNeighbors(const float *queries, std::size_t n, std::size_t dim,
             std::copy(best.begin(), best.end(), out + q * k);
         }
     });
-}
-
-void
-knnNeighbors(const float *queries, std::size_t n, std::size_t dim,
-             const float *refs, std::size_t n_refs, std::size_t k,
-             Neighbor *out)
-{
-    knnNeighbors(queries, n, dim, dim, refs, n_refs, k, out);
 }
 
 } // namespace lake::ml::compute

@@ -44,43 +44,27 @@ snapshotBlob(const Device &dev, gpu::DevicePtr ptr, std::size_t bytes)
     return std::vector<std::uint8_t>(u8, u8 + bytes);
 }
 
-/** Parses the MLP blob header into full layer widths. */
+/**
+ * count * width * elem_bytes into @p bytes; false when the product
+ * overflows size_t. Launch scalars are untrusted: a wrapped byte size
+ * would resolve a short range and the body would then read past it.
+ */
 bool
-mlpDims(const Device &dev, gpu::DevicePtr model,
-        std::vector<std::uint32_t> *dims)
+byteSize(std::uint64_t count, std::uint64_t width, std::size_t elem_bytes,
+         std::size_t *bytes)
 {
-    std::uint32_t magic = 0, input = 0, nhidden = 0;
-    if (!peek32(dev, model, 0, &magic) || magic != 0x4d4c504dU)
-        return false;
-    if (!peek32(dev, model, 4, &input) || !peek32(dev, model, 8, &nhidden))
-        return false;
-    if (nhidden > 64)
-        return false;
-    dims->clear();
-    dims->push_back(input);
-    for (std::uint32_t i = 0; i < nhidden; ++i) {
-        std::uint32_t h = 0;
-        if (!peek32(dev, model, 12 + 4 * i, &h))
-            return false;
-        dims->push_back(h);
-    }
-    std::uint32_t output = 0;
-    if (!peek32(dev, model, 12 + 4 * nhidden, &output))
-        return false;
-    dims->push_back(output);
-    return true;
+    std::size_t elems = 0;
+    return !__builtin_mul_overflow(count, width, &elems) &&
+           !__builtin_mul_overflow(elems, elem_bytes, bytes);
 }
 
-/** Byte length of an MLP blob with the given widths. */
-std::size_t
-mlpBlobBytes(const std::vector<std::uint32_t> &dims)
+/** The header of the MLP blob at device pointer @p model. */
+Result<Mlp::BlobLayout>
+mlpLayout(const Device &dev, gpu::DevicePtr model)
 {
-    std::size_t bytes = 12 + 4 * (dims.size() - 2) + 4; // header
-    for (std::size_t l = 0; l + 1 < dims.size(); ++l)
-        bytes += (static_cast<std::size_t>(dims[l]) * dims[l + 1] +
-                  dims[l + 1]) *
-                 sizeof(float);
-    return bytes;
+    return Mlp::parseBlobHeader([&](std::size_t pos, std::uint32_t *v) {
+        return peek32(dev, model, pos, v);
+    });
 }
 
 double
@@ -100,43 +84,51 @@ mlpForwardBody(Device &dev, const LaunchConfig &cfg)
     gpu::DevicePtr model = cfg.u64Arg(0);
     std::uint64_t batch = cfg.u64Arg(3);
 
-    std::vector<std::uint32_t> dims;
-    if (!mlpDims(dev, model, &dims))
+    Result<Mlp::BlobLayout> layout = mlpLayout(dev, model);
+    if (!layout.isOk())
         return CuResult::LaunchFailed;
     std::vector<std::uint8_t> blob =
-        snapshotBlob(dev, model, mlpBlobBytes(dims));
+        snapshotBlob(dev, model, layout.value().bytes);
     if (blob.empty())
         return CuResult::LaunchFailed;
     Result<Mlp> net = Mlp::deserialize(blob);
     if (!net.isOk())
         return CuResult::LaunchFailed;
 
-    std::uint32_t in_w = dims.front(), out_w = dims.back();
-    const auto *in = static_cast<const float *>(
-        dev.resolve(cfg.u64Arg(1), batch * in_w * sizeof(float)));
-    auto *out = static_cast<float *>(
-        dev.resolve(cfg.u64Arg(2), batch * out_w * sizeof(float)));
+    std::uint32_t in_w = layout.value().dims.front();
+    std::uint32_t out_w = layout.value().dims.back();
+    std::size_t in_bytes = 0, out_bytes = 0;
+    if (!byteSize(batch, in_w, sizeof(float), &in_bytes) ||
+        !byteSize(batch, out_w, sizeof(float), &out_bytes))
+        return CuResult::InvalidValue;
+    const auto *in =
+        static_cast<const float *>(dev.resolve(cfg.u64Arg(1), in_bytes));
+    auto *out = static_cast<float *>(dev.resolve(cfg.u64Arg(2), out_bytes));
     if (!in || !out)
         return CuResult::LaunchFailed;
+    // The forward pass reads the input rows in place as floats.
+    if (reinterpret_cast<std::uintptr_t>(in) % alignof(float) != 0)
+        return CuResult::InvalidValue;
 
-    Matrix x(batch, in_w);
-    std::memcpy(x.data(), in, batch * in_w * sizeof(float));
-    Matrix logits = net.value().forward(x);
-    std::memcpy(out, logits.data(), batch * out_w * sizeof(float));
+    Matrix logits = net.value().forward({MatrixView(in, batch, in_w, in_w)});
+    std::memcpy(out, logits.data(), out_bytes);
     return CuResult::Success;
 }
 
 Nanos
 mlpForwardCost(const Device &dev, const LaunchConfig &cfg)
 {
-    std::vector<std::uint32_t> dims;
-    if (cfg.args.size() != 4 || !mlpDims(dev, cfg.u64Arg(0), &dims))
+    if (cfg.args.size() != 4)
         return 0;
+    Result<Mlp::BlobLayout> layout = mlpLayout(dev, cfg.u64Arg(0));
+    if (!layout.isOk())
+        return 0;
+    const std::vector<std::uint32_t> &dims = layout.value().dims;
     std::uint64_t batch = cfg.u64Arg(3);
     double flops = mlpFlops(dims) * static_cast<double>(batch);
     // Every weight is streamed from device memory at least once per
     // launch; small batches are bandwidth-bound on exactly this.
-    std::size_t bytes = mlpBlobBytes(dims) +
+    std::size_t bytes = layout.value().bytes +
                         batch * (dims.front() + dims.back()) *
                             sizeof(float);
     return dev.computeTime(flops, bytes);
@@ -180,10 +172,14 @@ lstmForwardBody(Device &dev, const LaunchConfig &cfg)
         return CuResult::LaunchFailed;
 
     std::size_t per = static_cast<std::size_t>(seq) * input;
-    const auto *in_p = static_cast<const float *>(
-        dev.resolve(cfg.u64Arg(1), batch * per * sizeof(float)));
-    auto *out_p = static_cast<std::int32_t *>(
-        dev.resolve(cfg.u64Arg(2), batch * sizeof(std::int32_t)));
+    std::size_t in_bytes = 0, out_bytes = 0;
+    if (!byteSize(batch, per, sizeof(float), &in_bytes) ||
+        !byteSize(batch, 1, sizeof(std::int32_t), &out_bytes))
+        return CuResult::InvalidValue;
+    const auto *in_p =
+        static_cast<const float *>(dev.resolve(cfg.u64Arg(1), in_bytes));
+    auto *out_p =
+        static_cast<std::int32_t *>(dev.resolve(cfg.u64Arg(2), out_bytes));
     if (!in_p || !out_p)
         return CuResult::LaunchFailed;
 
@@ -241,14 +237,24 @@ knnQueryBody(Device &dev, const LaunchConfig &cfg)
                                ? std::max<std::uint64_t>(1, cfg.u64Arg(8))
                                : 1;
 
-    const auto *refs = static_cast<const float *>(
-        dev.resolve(cfg.u64Arg(0), n_refs * dim * sizeof(float)));
+    // Knn needs a nonempty reference set and positive dim and k.
+    if (n_refs == 0 || dim == 0 || k == 0)
+        return CuResult::InvalidValue;
+    std::size_t ref_bytes = 0, label_bytes = 0, query_bytes = 0,
+                out_bytes = 0;
+    if (!byteSize(n_refs, dim, sizeof(float), &ref_bytes) ||
+        !byteSize(n_refs, 1, sizeof(std::int32_t), &label_bytes) ||
+        !byteSize(n_queries, dim, sizeof(float), &query_bytes) ||
+        !byteSize(n_queries, 1, sizeof(std::int32_t), &out_bytes))
+        return CuResult::InvalidValue;
+    const auto *refs =
+        static_cast<const float *>(dev.resolve(cfg.u64Arg(0), ref_bytes));
     const auto *labels = static_cast<const std::int32_t *>(
-        dev.resolve(cfg.u64Arg(1), n_refs * sizeof(std::int32_t)));
+        dev.resolve(cfg.u64Arg(1), label_bytes));
     const auto *queries = static_cast<const float *>(
-        dev.resolve(cfg.u64Arg(2), n_queries * dim * sizeof(float)));
+        dev.resolve(cfg.u64Arg(2), query_bytes));
     auto *out = static_cast<std::int32_t *>(
-        dev.resolve(cfg.u64Arg(3), n_queries * sizeof(std::int32_t)));
+        dev.resolve(cfg.u64Arg(3), out_bytes));
     if (!refs || !labels || !queries || !out)
         return CuResult::LaunchFailed;
 

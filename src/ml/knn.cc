@@ -96,26 +96,6 @@ Knn::classify(const float *query) const
 }
 
 std::vector<int>
-Knn::classifyBatch(const float *queries, std::size_t n) const
-{
-    LAKE_ASSERT(!labels_.empty(), "knn classify with no references");
-    if (n == 0)
-        return {};
-    std::size_t k = std::min(k_, labels_.size());
-
-    // One GEMM (||q-r||^2 decomposition) plus a top-k pass per query,
-    // parallel over queries — see compute::knnNeighbors.
-    std::vector<compute::Neighbor> nb(n * k);
-    compute::knnNeighbors(queries, n, dim_, refs_.data(), labels_.size(),
-                          k, nb.data());
-
-    std::vector<int> out(n);
-    for (std::size_t q = 0; q < n; ++q)
-        out[q] = voteNearest(nb.data() + q * k, k, labels_);
-    return out;
-}
-
-std::vector<int>
 Knn::classifyBatch(const MatrixView &queries) const
 {
     LAKE_ASSERT(!labels_.empty(), "knn classify with no references");
@@ -126,6 +106,8 @@ Knn::classifyBatch(const MatrixView &queries) const
     std::size_t n = queries.rows();
     std::size_t k = std::min(k_, labels_.size());
 
+    // One GEMM (||q-r||^2 decomposition) plus a top-k pass per query,
+    // parallel over queries — see compute::knnNeighbors.
     std::vector<compute::Neighbor> nb(n * k);
     compute::knnNeighbors(queries.data(), n, dim_, queries.stride(),
                           refs_.data(), labels_.size(), k, nb.data());

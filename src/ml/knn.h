@@ -49,21 +49,20 @@ class Knn
     int classify(const float *query) const;
 
     /**
-     * Classifies @p n queries (concatenated dim-float vectors) through
-     * the batched path: one blocked GEMM over the ||q-r||^2
-     * decomposition plus a top-k pass, parallel over queries (see
-     * ml/compute.h). Same voting rule as classify().
-     */
-    std::vector<int> classifyBatch(const float *queries,
-                                   std::size_t n) const;
-
-    /**
-     * Zero-copy batch classification over a strided window (see
-     * ml/matrix.h MatrixView): query q starts at queries.row(q). With
-     * stride == dim this is classifyBatch(queries.data(), rows),
-     * bit-identically.
+     * Classifies every row of @p queries (a strided window, see
+     * ml/matrix.h MatrixView) through the batched path: one blocked
+     * GEMM over the ||q-r||^2 decomposition plus a top-k pass,
+     * parallel over queries (see ml/compute.h). Same voting rule as
+     * classify().
      */
     std::vector<int> classifyBatch(const MatrixView &queries) const;
+
+    /** classifyBatch() of @p n concatenated dim-float queries. */
+    std::vector<int>
+    classifyBatch(const float *queries, std::size_t n) const
+    {
+        return classifyBatch(MatrixView(queries, n, dim_, dim_));
+    }
 
     /** FLOPs of one query (distances + selection bookkeeping). */
     double flopsPerQuery() const;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ml/compute.h"
-
 namespace lake::ml {
 
 Matrix
@@ -30,35 +28,6 @@ Matrix::pack(const std::vector<MatrixView> &views)
         for (std::size_t i = 0; i < v.rows(); ++i, ++r)
             std::copy(v.row(i), v.row(i) + cols, m.row(r));
     return m;
-}
-
-Matrix
-Matrix::affine(const Matrix &x, const Matrix &w, const std::vector<float> &b)
-{
-    LAKE_ASSERT(x.cols() == w.cols(),
-                "affine shape mismatch: x %zux%zu, w %zux%zu", x.rows(),
-                x.cols(), w.rows(), w.cols());
-    LAKE_ASSERT(b.size() == w.rows(), "bias length mismatch");
-
-    Matrix y(x.rows(), w.rows());
-    compute::affine(x.data(), x.rows(), x.cols(), w.data(), w.rows(),
-                    b.data(), y.data());
-    return y;
-}
-
-Matrix
-Matrix::affine(const MatrixView &x, const Matrix &w,
-               const std::vector<float> &b)
-{
-    LAKE_ASSERT(x.cols() == w.cols(),
-                "affine shape mismatch: view %zux%zu, w %zux%zu",
-                x.rows(), x.cols(), w.rows(), w.cols());
-    LAKE_ASSERT(b.size() == w.rows(), "bias length mismatch");
-
-    Matrix y(x.rows(), w.rows());
-    compute::affine(x.data(), x.rows(), x.cols(), x.stride(), w.data(),
-                    w.rows(), b.data(), y.data());
-    return y;
 }
 
 } // namespace lake::ml

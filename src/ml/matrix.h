@@ -4,17 +4,20 @@
 /**
  * @file
  * Dense row-major float matrix — the only tensor type the in-kernel
- * models need. affine() routes through the blocked, vectorized,
- * multithreaded compute layer (ml/compute.h) for *host* speed; the
- * CpuSpec calibration still models the unvectorized float routines a
- * kernel module runs between kernel_fpu_begin/end, so every *virtual*
- * time charge is unchanged from the seed scalar loops.
+ * models need — and MatrixView, the one batch form the model ops take.
  *
- * MatrixView is the zero-copy companion: a non-owning window over
- * row-major float storage whose rows may be further apart than cols
- * (a row *stride*). The SoA feature plane hands committed slots to the
- * GEMM substrate as MatrixViews, so a coalesced score batch needs no
- * gather/pack step (DESIGN.md §12).
+ * MatrixView is a non-owning window over row-major float storage whose
+ * rows may be further apart than cols (a row *stride*). Every batched
+ * op (Mlp::forward, Knn::classifyBatch, the simulated-GPU kernel
+ * bodies) has one body written over views; a dense Matrix enters
+ * through view() (stride == cols). The SoA feature plane hands
+ * committed slots over as views, so a coalesced score batch needs no
+ * gather/pack step (DESIGN.md §12), and a kernel body reads device
+ * memory in place. Matrix owns storage and does no layer math: dense
+ * layers live in ml/compute.h, which makes them fast for *host* time
+ * only; the CpuSpec calibration still models the unvectorized float
+ * routines a kernel module runs between kernel_fpu_begin/end, so every
+ * *virtual* time charge is unchanged from the seed scalar loops.
  */
 
 #include <cstddef>
@@ -143,14 +146,6 @@ class Matrix
      */
     static Matrix randn(std::size_t rows, std::size_t cols, Rng &rng,
                         double scale);
-
-    /** y = x * W^T + b for every row of @p x; W is (out x in). */
-    static Matrix affine(const Matrix &x, const Matrix &w,
-                         const std::vector<float> &b);
-
-    /** Strided-input overload: identical math, bit-identical results. */
-    static Matrix affine(const MatrixView &x, const Matrix &w,
-                         const std::vector<float> &b);
 
   private:
     std::size_t rows_ = 0;

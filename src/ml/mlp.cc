@@ -11,6 +11,9 @@ namespace lake::ml {
 
 namespace {
 
+/** serialize()'s leading magic, 'MLPM'. */
+constexpr std::uint32_t kBlobMagic = 0x4d4c504dU;
+
 /** Argmax per row of a logits matrix. */
 std::vector<int>
 argmaxRows(const Matrix &logits)
@@ -97,10 +100,9 @@ Mlp::repack()
     for (std::size_t l = 0; l < weights_.size(); ++l) {
         const Matrix &w = weights_[l]; // out x in
         std::size_t padded = compute::padTile(w.rows());
-        packed_[l].assign(w.cols() * padded, 0.0f);
-        for (std::size_t o = 0; o < w.rows(); ++o)
-            for (std::size_t i = 0; i < w.cols(); ++i)
-                packed_[l][i * padded + o] = w.at(o, i);
+        packed_[l].resize(w.cols() * padded);
+        compute::packTranspose(w.data(), w.rows(), w.cols(), padded,
+                               packed_[l].data());
         packed_bias_[l].assign(padded, 0.0f);
         std::copy(biases_[l].begin(), biases_[l].end(),
                   packed_bias_[l].begin());
@@ -130,27 +132,8 @@ Mlp::layerForward(std::size_t l, const float *x, std::size_t n,
 }
 
 Matrix
-Mlp::forward(const Matrix &x) const
-{
-    LAKE_ASSERT(x.cols() == config_.input,
-                "mlp input width %zu != expected %u", x.cols(),
-                config_.input);
-    Matrix a = x;
-    for (std::size_t l = 0; l < weights_.size(); ++l) {
-        Matrix next(a.rows(), weights_[l].rows());
-        layerForward(l, a.data(), a.rows(), a.cols(), next.data());
-        a = std::move(next);
-        if (l + 1 < weights_.size()) { // hidden layers: ReLU
-            for (std::size_t i = 0; i < a.rows(); ++i)
-                for (std::size_t j = 0; j < a.cols(); ++j)
-                    a.at(i, j) = std::max(0.0f, a.at(i, j));
-        }
-    }
-    return a;
-}
-
-Matrix
-Mlp::forward(const std::vector<MatrixView> &xs) const
+Mlp::run(const std::vector<MatrixView> &xs,
+         std::vector<Matrix> *hidden) const
 {
     std::size_t n = 0;
     for (const MatrixView &v : xs) {
@@ -161,11 +144,10 @@ Mlp::forward(const std::vector<MatrixView> &xs) const
     }
 
     // Layer 0 consumes each strided window in place, writing into the
-    // stacked activation matrix. Each row's reduction is identical to
-    // the contiguous path (the strided kernels only change where rows
-    // start), so results are bit-identical to packing first — and the
-    // cached weight transpose is shared across the views, so a
-    // multi-registry flush packs nothing at all.
+    // stacked activation matrix. Each row's reduction does not depend
+    // on where its row starts, so any split of the rows into views
+    // gives the same bits — and the cached weight transpose is shared
+    // across the views, so a multi-registry flush packs nothing.
     Matrix a(n, weights_[0].rows());
     std::size_t r0 = 0;
     for (const MatrixView &v : xs) {
@@ -175,25 +157,23 @@ Mlp::forward(const std::vector<MatrixView> &xs) const
         r0 += v.rows();
     }
 
-    for (std::size_t l = 0; l < weights_.size(); ++l) {
-        if (l > 0) {
-            Matrix next(a.rows(), weights_[l].rows());
-            layerForward(l, a.data(), a.rows(), a.cols(), next.data());
-            a = std::move(next);
-        }
-        if (l + 1 < weights_.size()) { // hidden layers: ReLU
-            for (std::size_t i = 0; i < a.rows(); ++i)
-                for (std::size_t j = 0; j < a.cols(); ++j)
-                    a.at(i, j) = std::max(0.0f, a.at(i, j));
-        }
+    for (std::size_t l = 1; l < weights_.size(); ++l) {
+        // a is layer l-1's output, a hidden layer: ReLU.
+        for (std::size_t i = 0; i < a.size(); ++i)
+            a.data()[i] = std::max(0.0f, a.data()[i]);
+        Matrix next(n, weights_[l].rows());
+        layerForward(l, a.data(), n, a.cols(), next.data());
+        if (hidden)
+            hidden->push_back(std::move(a));
+        a = std::move(next);
     }
     return a;
 }
 
-std::vector<int>
-Mlp::classify(const Matrix &x) const
+Matrix
+Mlp::forward(const std::vector<MatrixView> &xs) const
 {
-    return argmaxRows(forward(x));
+    return run(xs, nullptr);
 }
 
 std::vector<int>
@@ -227,21 +207,13 @@ Mlp::trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
     LAKE_ASSERT(labels.size() == x.rows(), "labels/batch size mismatch");
     std::size_t n = x.rows();
 
-    // Forward, keeping post-activation values per layer.
-    std::vector<Matrix> acts;
-    acts.push_back(x);
-    for (std::size_t l = 0; l < weights_.size(); ++l) {
-        Matrix a = Matrix::affine(acts.back(), weights_[l], biases_[l]);
-        if (l + 1 < weights_.size()) {
-            for (std::size_t i = 0; i < a.rows(); ++i)
-                for (std::size_t j = 0; j < a.cols(); ++j)
-                    a.at(i, j) = std::max(0.0f, a.at(i, j));
-        }
-        acts.push_back(std::move(a));
-    }
+    // Forward through the packed inference layers, keeping each hidden
+    // layer's post-ReLU activations for the backward pass.
+    std::vector<Matrix> hidden;
+    Matrix logits = run({x.view()}, &hidden);
 
     // Softmax cross-entropy loss and its gradient w.r.t. the logits.
-    Matrix probs = softmax(acts.back());
+    Matrix probs = softmax(logits);
     double loss = 0.0;
     Matrix delta(n, config_.output); // dL/dlogits
     for (std::size_t r = 0; r < n; ++r) {
@@ -258,7 +230,7 @@ Mlp::trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
 
     // Backward through each layer, applying SGD updates in place.
     for (std::size_t li = weights_.size(); li-- > 0;) {
-        const Matrix &a_in = acts[li];
+        const Matrix &a_in = li == 0 ? x : hidden[li - 1];
         Matrix &w = weights_[li];
         std::vector<float> &b = biases_[li];
 
@@ -272,8 +244,7 @@ Mlp::trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
                     for (std::size_t o = 0; o < w.rows(); ++o)
                         acc += delta.at(r, o) * w.at(o, i);
                     // ReLU gate of the previous layer's activation.
-                    next_delta.at(r, i) =
-                        acts[li].at(r, i) > 0.0f ? acc : 0.0f;
+                    next_delta.at(r, i) = a_in.at(r, i) > 0.0f ? acc : 0.0f;
                 }
             }
         }
@@ -343,7 +314,7 @@ Mlp::serialize() const
         blob.insert(blob.end(), bytes, bytes + n * sizeof(float));
     };
 
-    put32(0x4d4c504dU); // 'MLPM'
+    put32(kBlobMagic);
     put32(config_.input);
     put32(static_cast<std::uint32_t>(config_.hidden.size()));
     for (std::uint32_t h : config_.hidden)
@@ -356,65 +327,88 @@ Mlp::serialize() const
     return blob;
 }
 
+Result<Mlp::BlobLayout>
+Mlp::parseBlobHeader(const Read32 &read32)
+{
+    auto bad = [](const char *why) {
+        return Result<BlobLayout>(Status(Code::InvalidArgument, why));
+    };
+
+    std::uint32_t magic = 0, input = 0, nhidden = 0, output = 0;
+    if (!read32(0, &magic) || magic != kBlobMagic)
+        return bad("bad MLP magic");
+    if (!read32(4, &input) || !read32(8, &nhidden) || nhidden > 64)
+        return bad("bad MLP header");
+    BlobLayout layout;
+    layout.dims.push_back(input);
+    std::size_t pos = 12;
+    for (std::uint32_t i = 0; i < nhidden; ++i, pos += 4) {
+        std::uint32_t h = 0;
+        if (!read32(pos, &h))
+            return bad("truncated hidden widths");
+        layout.dims.push_back(h);
+    }
+    if (!read32(pos, &output))
+        return bad("truncated output width");
+    if (input == 0 || output == 0)
+        return bad("zero layer width");
+    layout.dims.push_back(output);
+
+    // Header, then per layer out*in weights and out biases. Widths are
+    // u32, so the float counts can overflow size_t arithmetic.
+    std::size_t bytes = pos + 4;
+    const std::vector<std::uint32_t> &d = layout.dims;
+    for (std::size_t l = 0; l + 1 < d.size(); ++l) {
+        std::size_t floats = 0, layer = 0;
+        if (__builtin_mul_overflow(std::size_t{d[l]} + 1, d[l + 1],
+                                   &floats) ||
+            __builtin_mul_overflow(floats, sizeof(float), &layer) ||
+            __builtin_add_overflow(bytes, layer, &bytes))
+            return bad("MLP blob length overflows");
+    }
+    layout.bytes = bytes;
+    return Result<BlobLayout>(std::move(layout));
+}
+
 Result<Mlp>
 Mlp::deserialize(const std::vector<std::uint8_t> &blob)
 {
-    std::size_t pos = 0;
-    auto get32 = [&](std::uint32_t *out) {
-        if (pos + 4 > blob.size())
-            return false;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(blob[pos + i]) << (8 * i);
-        pos += 4;
-        *out = v;
-        return true;
-    };
-
-    auto bad = [](const char *why) {
-        return Result<Mlp>(Status(Code::InvalidArgument, why));
-    };
-
-    std::uint32_t magic = 0;
-    if (!get32(&magic) || magic != 0x4d4c504dU)
-        return bad("bad MLP magic");
+    Result<BlobLayout> layout =
+        parseBlobHeader([&blob](std::size_t pos, std::uint32_t *out) {
+            if (pos > blob.size() || blob.size() - pos < 4)
+                return false;
+            std::uint32_t v = 0;
+            for (int i = 0; i < 4; ++i)
+                v |= static_cast<std::uint32_t>(blob[pos + i]) << (8 * i);
+            *out = v;
+            return true;
+        });
+    if (!layout.isOk())
+        return Result<Mlp>(layout.status());
+    // The header fixes the length: check it before allocating a layer.
+    const std::vector<std::uint32_t> &d = layout.value().dims;
+    if (blob.size() != layout.value().bytes)
+        return Result<Mlp>(Status(Code::InvalidArgument,
+                                  "MLP blob length does not match header"));
 
     MlpConfig cfg;
-    std::uint32_t nhidden = 0;
-    if (!get32(&cfg.input) || !get32(&nhidden) || nhidden > 64)
-        return bad("bad MLP header");
-    cfg.hidden.resize(nhidden);
-    for (std::uint32_t &h : cfg.hidden) {
-        if (!get32(&h))
-            return bad("truncated hidden widths");
-    }
-    if (!get32(&cfg.output))
-        return bad("truncated output width");
-    if (cfg.input == 0 || cfg.output == 0)
-        return bad("zero layer width");
-
+    cfg.input = d.front();
+    cfg.hidden.assign(d.begin() + 1, d.end() - 1);
+    cfg.output = d.back();
     Mlp net(cfg);
-    std::vector<std::uint32_t> d = net.dims();
+    std::size_t pos = 4 * (d.size() + 2); // past the header
+    auto take = [&](float *dst, std::size_t n) {
+        std::memcpy(dst, blob.data() + pos, n * sizeof(float));
+        pos += n * sizeof(float);
+    };
     for (std::size_t l = 0; l + 1 < d.size(); ++l) {
         Matrix w(d[l + 1], d[l]);
-        std::size_t wbytes = w.size() * sizeof(float);
-        if (pos + wbytes > blob.size())
-            return bad("truncated weights");
-        std::memcpy(w.data(), blob.data() + pos, wbytes);
-        pos += wbytes;
-
+        take(w.data(), w.size());
         std::vector<float> b(d[l + 1]);
-        std::size_t bbytes = b.size() * sizeof(float);
-        if (pos + bbytes > blob.size())
-            return bad("truncated biases");
-        std::memcpy(b.data(), blob.data() + pos, bbytes);
-        pos += bbytes;
-
+        take(b.data(), b.size());
         net.weights_.push_back(std::move(w));
         net.biases_.push_back(std::move(b));
     }
-    if (pos != blob.size())
-        return bad("trailing bytes in MLP blob");
     net.repack();
     return Result<Mlp>(std::move(net));
 }

@@ -11,9 +11,18 @@
  * KML's readahead classifier (§7.4). Hidden layers are ReLU; the output
  * layer is linear, classified by argmax / trained with softmax
  * cross-entropy.
+ *
+ * One dense-layer path: every layer runs on weights packed once per
+ * parameter change (compute::packTranspose with ld = padTile(out)),
+ * over a batch given as MatrixViews. Inference and the training
+ * forward run the same packed layers, so a trained model scores the
+ * same bits it was trained on. The serialize() blob format is read in
+ * one place too (parseBlobHeader), by deserialize and by the
+ * mlp_forward GPU kernel body.
  */
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "base/rng.h"
@@ -57,23 +66,26 @@ class Mlp
     /** Shape. */
     const MlpConfig &config() const { return config_; }
 
-    /** Forward pass: (n x input) -> logits (n x output). */
-    Matrix forward(const Matrix &x) const;
-
     /**
-     * Zero-copy forward pass over strided windows: the rows of all
-     * views (in order) form the batch. The first layer consumes each
-     * view in place — no gather/pack into a contiguous Matrix — and
-     * later layers run on the stacked activations. Bit-identical to
-     * copying the rows into one Matrix and calling forward(Matrix).
+     * Forward pass over strided windows: the rows of all views (in
+     * order) form the batch, (n x input) -> logits (n x output). The
+     * first layer consumes each view in place — no gather/pack into a
+     * contiguous Matrix — and later layers run on the stacked
+     * activations.
      */
     Matrix forward(const std::vector<MatrixView> &xs) const;
 
-    /** Argmax class per row. */
-    std::vector<int> classify(const Matrix &x) const;
+    /** forward() of one dense batch. */
+    Matrix forward(const Matrix &x) const { return forward({x.view()}); }
 
-    /** Argmax over a zero-copy view batch (see forward(views)). */
+    /** Argmax class per row (see forward). */
     std::vector<int> classify(const std::vector<MatrixView> &xs) const;
+
+    /** classify() of one dense batch. */
+    std::vector<int> classify(const Matrix &x) const
+    {
+        return classify({x.view()});
+    }
 
     /**
      * One SGD minibatch step with softmax cross-entropy loss.
@@ -94,8 +106,31 @@ class Mlp
     /** Serializes config + weights (the ModelStore blob format). */
     std::vector<std::uint8_t> serialize() const;
 
-    /** Reconstructs a network from serialize() output. */
+    /**
+     * Reconstructs a network from serialize() output. The length the
+     * header declares is checked against blob.size() before anything
+     * is allocated.
+     */
     static Result<Mlp> deserialize(const std::vector<std::uint8_t> &blob);
+
+    /** What a serialize() header declares. */
+    struct BlobLayout
+    {
+        std::vector<std::uint32_t> dims; //!< input, hidden..., output
+        std::size_t bytes = 0;           //!< whole blob, header included
+    };
+
+    /** Reads the little-endian u32 at byte offset pos; false past the
+     *  end of the blob. */
+    using Read32 = std::function<bool(std::size_t pos, std::uint32_t *)>;
+
+    /**
+     * Parses a serialize() header through @p read32, touching nothing
+     * past it: the one reader of the blob format. Fails with
+     * InvalidArgument on a bad magic, a truncated header, a zero input
+     * or output width, or a blob length that overflows size_t.
+     */
+    static Result<BlobLayout> parseBlobHeader(const Read32 &read32);
 
     /** Per-layer weight matrices, each (out x in). */
     const std::vector<Matrix> &weights() const { return weights_; }
@@ -136,6 +171,14 @@ class Mlp
      *  @p x_stride. y rows are contiguous (stride = layer output). */
     void layerForward(std::size_t l, const float *x, std::size_t n,
                       std::size_t x_stride, float *y) const;
+
+    /**
+     * The forward pass behind forward() and trainStep(): returns the
+     * logits and, when @p hidden is non-null, appends each hidden
+     * layer's post-ReLU activations (what backprop needs).
+     */
+    Matrix run(const std::vector<MatrixView> &xs,
+               std::vector<Matrix> *hidden) const;
 
     MlpConfig config_;
     std::vector<Matrix> weights_;

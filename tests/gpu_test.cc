@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -38,6 +39,9 @@ TEST_F(GpuTest, MemAllocResolveFree)
     // Out-of-bounds ranges do not.
     EXPECT_EQ(dev_.resolve(p + 100, 4000), nullptr);
     EXPECT_EQ(dev_.resolve(p - 1, 1), nullptr);
+    // Lengths that would wrap off + bytes past 2^64.
+    EXPECT_EQ(dev_.resolve(p + 100, SIZE_MAX), nullptr);
+    EXPECT_EQ(dev_.resolve(p + 4096, SIZE_MAX - 4095), nullptr);
 
     EXPECT_EQ(ctx_.memFree(p), CuResult::Success);
     EXPECT_EQ(dev_.memUsed(), 0u);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "base/thread_pool.h"
@@ -25,7 +26,9 @@ TEST(MatrixTest, AffineComputesXWtPlusB)
     std::copy(wv, wv + 6, w.data());
     std::vector<float> b = {10, 20};
 
-    Matrix y = Matrix::affine(x, w, b);
+    Matrix y(2, 2);
+    compute::affine(x.data(), x.rows(), x.cols(), x.cols(), w.data(),
+                    w.rows(), b.data(), y.data());
     ASSERT_EQ(y.rows(), 2u);
     ASSERT_EQ(y.cols(), 2u);
     EXPECT_FLOAT_EQ(y.at(0, 0), 11.0f); // 1 + 10
@@ -213,6 +216,47 @@ TEST(MlpTest, DeserializeRejectsGarbage)
     auto blob2 = net.serialize();
     blob2.push_back(0); // trailing bytes
     EXPECT_FALSE(Mlp::deserialize(blob2).isOk());
+
+    // A 20-byte header (a real blob's magic, then input, one hidden
+    // layer and output widths) declaring 2^31-wide layers: rejected on
+    // length before a single layer is allocated.
+    std::vector<std::uint8_t> huge(blob2.begin(), blob2.begin() + 4);
+    for (std::uint32_t v : {0x7fffffffU, 1U, 0x7fffffffU, 2U})
+        for (int i = 0; i < 4; ++i)
+            huge.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    ASSERT_EQ(huge.size(), 20u);
+    Result<Mlp> r = Mlp::deserialize(huge);
+    EXPECT_FALSE(r.isOk());
+    EXPECT_EQ(r.status().code(), Code::InvalidArgument);
+}
+
+TEST(MlpTest, TrainStepLossIsTheInferenceForwardLoss)
+{
+    // trainStep's forward is the inference forward: the loss it reports
+    // equals, bit for bit, the loss recomputed from forward() before
+    // the step, for every shape and batch size.
+    Rng rng(31);
+    for (MlpConfig cfg : {MlpConfig::linnos(), MlpConfig::linnos(1),
+                          MlpConfig::mllb(), MlpConfig::kml()}) {
+        Mlp net(cfg, rng);
+        for (std::size_t n : {1u, 2u, 3u, 5u, 17u}) {
+            Matrix x(n, cfg.input);
+            for (std::size_t i = 0; i < x.size(); ++i)
+                x.data()[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+            std::vector<int> y(n);
+            for (int &label : y)
+                label = static_cast<int>(rng.uniformInt(0, cfg.output - 1));
+
+            Matrix probs = softmax(net.forward(x));
+            double expect = 0.0;
+            for (std::size_t r = 0; r < n; ++r)
+                expect += -std::log(std::max(probs.at(r, y[r]), 1e-12f));
+            expect /= static_cast<double>(n);
+
+            EXPECT_EQ(net.trainStep(x, y, 0.05f), expect)
+                << cfg.input << "-wide model, batch " << n;
+        }
+    }
 }
 
 TEST(MlpTest, FlopsAndParamsMatchShape)
@@ -472,14 +516,26 @@ class ThreadSweepTest : public ::testing::Test
 
 TEST_F(ThreadSweepTest, AffineBitIdentical)
 {
+    // Dense and strided input (row stride 40 over 31 used floats), the
+    // ragged row counts the 4-row microkernel leaves to the tail
+    // kernel, and output widths below and past one register tile.
     Rng rng(21);
-    Matrix x = Matrix::randn(53, 31, rng, 1.0);
-    Matrix w = Matrix::randn(17, 31, rng, 1.0);
-    std::vector<float> b(17, 0.25f);
-    expectBitIdentical([&] {
-        Matrix y = Matrix::affine(x, w, b);
-        return std::vector<float>(y.data(), y.data() + y.size());
-    });
+    const std::size_t in = 31, stride = 40;
+    Matrix xs = Matrix::randn(53, stride, rng, 1.0);
+    for (std::size_t x_stride : {in, stride}) {
+        for (std::size_t rows : {1u, 2u, 3u, 5u, 53u}) {
+            for (std::size_t out : {2u, 17u}) {
+                Matrix w = Matrix::randn(out, in, rng, 1.0);
+                std::vector<float> b(out, 0.25f);
+                expectBitIdentical([&] {
+                    std::vector<float> y(rows * out);
+                    compute::affine(xs.data(), rows, in, x_stride,
+                                    w.data(), out, b.data(), y.data());
+                    return y;
+                });
+            }
+        }
+    }
 }
 
 TEST_F(ThreadSweepTest, KnnNeighborsBitIdentical)
@@ -493,7 +549,7 @@ TEST_F(ThreadSweepTest, KnnNeighborsBitIdentical)
         v = static_cast<float>(rng.uniform(-1.0, 1.0));
     expectBitIdentical([&] {
         std::vector<compute::Neighbor> nb(queries_n * k);
-        compute::knnNeighbors(queries.data(), queries_n, dim,
+        compute::knnNeighbors(queries.data(), queries_n, dim, dim,
                               refs.data(), refs_n, k, nb.data());
         std::vector<float> flat;
         flat.reserve(nb.size() * 2);
@@ -512,9 +568,22 @@ TEST_F(ThreadSweepTest, MlpForwardBitIdentical)
     Matrix x(33, 31);
     for (std::size_t i = 0; i < x.size(); ++i)
         x.data()[i] = static_cast<float>(i % 13) * 0.07f;
+    // The dense forward, then the same rows split into two views at
+    // every split point: each must match the single-thread dense run.
     expectBitIdentical([&] {
         Matrix y = net.forward(x);
-        return std::vector<float>(y.data(), y.data() + y.size());
+        std::vector<float> all(y.data(), y.data() + y.size());
+        for (std::size_t split = 0; split <= x.rows(); ++split) {
+            Matrix ys = net.forward(
+                {MatrixView(x.data(), split, x.cols(), x.cols()),
+                 MatrixView(x.row(split), x.rows() - split, x.cols(),
+                            x.cols())});
+            EXPECT_TRUE(std::equal(ys.data(), ys.data() + ys.size(),
+                                   y.data(), y.data() + y.size()))
+                << "views split at row " << split;
+            all.insert(all.end(), ys.data(), ys.data() + ys.size());
+        }
+        return all;
     });
 }
 

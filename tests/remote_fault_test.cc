@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "base/rng.h"
 #include "channel/fault.h"
 #include "core/lake.h"
+#include "gpu/context.h"
+#include "gpu/device.h"
+#include "ml/gpu_kernels.h"
+#include "ml/lstm.h"
 #include "ml/backends.h"
 #include "remote/streampool.h"
 #include "remote/wire.h"
@@ -600,6 +605,121 @@ TEST_F(MalformedCommandTest, ShmRangesOutsideLiveAllocationsRejected)
 
     EXPECT_GE(lake_.daemon().malformedRejected() - before, 4u);
     expectDaemonStillHealthy();
+}
+
+// ---------------------------------------------------------------------
+// Kernel bodies: untrusted launch scalars never wrap a byte size
+// ---------------------------------------------------------------------
+
+// On a standalone device every scalar >= kVaBase passes launchKernel's
+// foreign-pointer check, so a count like 2^62 reaches the kernel body,
+// where count * width * 4 wraps to a tiny byte size. Each body must
+// reject it rather than resolve the wrapped range and read past it.
+class KernelScalarTest : public ::testing::Test
+{
+  protected:
+    KernelScalarTest() : dev_(gpu::DeviceSpec::a100()), ctx_(dev_, clock_)
+    {
+        ml::registerMlKernels();
+    }
+
+    gpu::DevicePtr
+    upload(const void *src, std::size_t bytes)
+    {
+        gpu::DevicePtr p = 0;
+        EXPECT_EQ(ctx_.memAlloc(&p, bytes), CuResult::Success);
+        EXPECT_EQ(ctx_.memcpyHtoD(p, src, bytes), CuResult::Success);
+        return p;
+    }
+
+    gpu::DevicePtr
+    zeros(std::size_t bytes)
+    {
+        std::vector<std::uint8_t> z(bytes);
+        return upload(z.data(), bytes);
+    }
+
+    static constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+
+    Clock clock_;
+    gpu::Device dev_;
+    gpu::GpuContext ctx_;
+};
+
+TEST_F(KernelScalarTest, MlpForwardRejectsOverflowingBatch)
+{
+    Rng rng(3);
+    ml::Mlp net(ml::MlpConfig::linnos(), rng);
+    std::vector<std::uint8_t> blob = net.serialize();
+    gpu::DevicePtr model = upload(blob.data(), blob.size());
+    gpu::DevicePtr in = zeros(4 * 31 * sizeof(float));
+    gpu::DevicePtr out = zeros(4 * 2 * sizeof(float));
+
+    gpu::LaunchConfig ok;
+    ok.kernel = "mlp_forward";
+    ok.arg(model).arg(in).arg(out).arg(std::uint64_t{4}, nullptr);
+    ASSERT_EQ(ctx_.launchKernel(ok), CuResult::Success);
+
+    gpu::LaunchConfig cfg;
+    cfg.kernel = "mlp_forward";
+    cfg.arg(model).arg(in).arg(out).arg(kHuge, nullptr);
+    EXPECT_NE(ctx_.launchKernel(cfg), CuResult::Success);
+}
+
+TEST_F(KernelScalarTest, KnnQueryRejectsOverflowingCounts)
+{
+    const std::uint64_t n_refs = 8, dim = 4, k = 3;
+    std::vector<float> refs(n_refs * dim, 1.0f);
+    std::vector<std::int32_t> labels(n_refs, 1);
+    gpu::DevicePtr d_refs = upload(refs.data(), refs.size() * 4);
+    gpu::DevicePtr d_labels = upload(labels.data(), labels.size() * 4);
+    gpu::DevicePtr d_q = zeros(2 * dim * sizeof(float));
+    gpu::DevicePtr d_out = zeros(2 * sizeof(std::int32_t));
+
+    auto launch = [&](std::uint64_t refs_n, std::uint64_t queries_n,
+                      std::uint64_t dim_n, std::uint64_t k_n) {
+        gpu::LaunchConfig cfg;
+        cfg.kernel = "knn_query";
+        cfg.arg(d_refs).arg(d_labels).arg(d_q).arg(d_out);
+        cfg.arg(refs_n, nullptr)
+            .arg(queries_n, nullptr)
+            .arg(dim_n, nullptr)
+            .arg(k_n, nullptr);
+        return ctx_.launchKernel(cfg);
+    };
+    ASSERT_EQ(launch(n_refs, 2, dim, k), CuResult::Success);
+    EXPECT_NE(launch(n_refs, kHuge, dim, k), CuResult::Success);
+    EXPECT_NE(launch(kHuge, 2, dim, k), CuResult::Success);
+    // Shapes the host-side Knn cannot represent are rejected, too.
+    EXPECT_NE(launch(0, 2, dim, k), CuResult::Success);
+    EXPECT_NE(launch(n_refs, 2, 0, k), CuResult::Success);
+    EXPECT_NE(launch(n_refs, 2, dim, 0), CuResult::Success);
+}
+
+TEST_F(KernelScalarTest, LstmForwardRejectsOverflowingBatch)
+{
+    ml::LstmConfig lc;
+    lc.input = 2;
+    lc.hidden = 4;
+    lc.layers = 1;
+    lc.output = 2;
+    lc.seq_len = 4;
+    Rng rng(9);
+    ml::Lstm net(lc, rng);
+    std::vector<std::uint8_t> blob = net.serialize();
+    gpu::DevicePtr model = upload(blob.data(), blob.size());
+    gpu::DevicePtr in = zeros(2 * lc.seq_len * lc.input * sizeof(float));
+    gpu::DevicePtr out = zeros(2 * sizeof(std::int32_t));
+
+    gpu::LaunchConfig ok;
+    ok.kernel = "lstm_forward";
+    ok.arg(model).arg(in).arg(out).arg(std::uint64_t{2}, nullptr);
+    ASSERT_EQ(ctx_.launchKernel(ok), CuResult::Success);
+
+    gpu::LaunchConfig cfg;
+    cfg.kernel = "lstm_forward";
+    cfg.arg(model).arg(in).arg(out).arg(kHuge, nullptr);
+    EXPECT_NE(ctx_.launchKernel(cfg), CuResult::Success);
 }
 
 // ---------------------------------------------------------------------
