@@ -125,7 +125,8 @@ calibrateGpuVps()
             reg.captureFeature(key, entries[0]);
         reg.commitFvCapture(0);
     }
-    ml::Matrix x = ml::Matrix::pack(reg.batchView().matrixViews());
+    registry::FvBatchView batch = reg.batchView();
+    std::vector<ml::MatrixView> x = batch.matrixViews();
     Nanos t0 = lake.clock().now();
     mlp.classify(x);
     Nanos per_vector = (lake.clock().now() - t0) / kMaxBatch;
@@ -210,8 +211,7 @@ runArm(std::size_t devices, std::size_t nshards, double capacity_vps,
             registry::Classifier gpu_classify =
                 [&r, &sr, &mlp, key](const registry::FvBatchView &v) {
                     ml::FleetMlp::Served s =
-                        mlp.classify(key, ml::Matrix::pack(v.matrixViews()),
-                                     *sr.cpu_mlp);
+                        mlp.classify(key, v.matrixViews(), *sr.cpu_mlp);
                     if (s.device) {
                         r.per_device[*s.device].vectors += s.labels.size();
                         r.gpu_vectors += s.labels.size();

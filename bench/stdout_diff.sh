@@ -7,9 +7,11 @@
 # with the generator, CMAKE_BUILD_TYPE and LAKE_NATIVE_ARCH of the
 # current build tree (default build/; a mismatch changes float codegen),
 # runs every bench/fig* and bench/table* plus ablation_hardware,
-# `fleet_scaling --smoke` and `serve_slo --smoke` of both builds in an
-# empty directory and diffs stdout and exit code. Exits 1 on any
-# difference, 2 on a usage or build error.
+# `fleet_scaling --smoke`, `serve_slo --smoke` and the streamed arms
+# (`LAKE_STREAMS=4` fig07_linnos_e2e and fig14_ecryptfs) of both builds
+# in an empty directory and diffs stdout and exit code. An entry's
+# leading NAME=value words are set in the binary's environment. Exits 1
+# on any difference, 2 on a usage or build error.
 set -euo pipefail
 
 [[ $# == 1 || $# == 2 ]] || { echo "usage: $0 <base-rev> [build-dir]" >&2; exit 2; }
@@ -41,20 +43,29 @@ run() {
     echo "exit $rc" >> "$out"
 }
 
-entries=(ablation_hardware "fleet_scaling --smoke" "serve_slo --smoke")
+entries=(ablation_hardware "fleet_scaling --smoke" "serve_slo --smoke"
+         "LAKE_STREAMS=4 fig07_linnos_e2e" "LAKE_STREAMS=4 fig14_ecryptfs")
 for exe in "$BUILD"/bench/fig* "$BUILD"/bench/table*; do
     [[ -f "$exe" && -x "$exe" ]] && entries+=("$(basename "$exe")")
 done
 status=0
 for entry in "${entries[@]}"; do
-    read -r name args <<< "$entry"
+    read -r -a words <<< "$entry"
+    envs=()
+    while [[ "${words[0]}" == *=* ]]; do
+        envs+=("${words[0]}")
+        words=("${words[@]:1}")
+    done
+    name="${words[0]}"
+    args=("${words[@]:1}")
+    out="$WORK/${entry//[^A-Za-z0-9_.-]/_}"
     if [[ ! -x "$WORK/build/bench/$name" ]]; then
         echo "NEW   $entry"
         continue
     fi
-    run "$WORK/$name.base" "$WORK/build/bench/$name" $args
-    run "$WORK/$name.cur" "$BUILD/bench/$name" $args
-    if diff -u "$WORK/$name.base" "$WORK/$name.cur"; then
+    run "$out.base" env "${envs[@]}" "$WORK/build/bench/$name" "${args[@]}"
+    run "$out.cur" env "${envs[@]}" "$BUILD/bench/$name" "${args[@]}"
+    if diff -u "$out.base" "$out.cur"; then
         echo "SAME  $entry"
     else
         echo "DIFF  $entry"

@@ -4,7 +4,7 @@
 /**
  * @file
  * The one parser behind every LAKE_* count knob (LAKE_STREAMS,
- * LAKE_SCORE_MAX_BATCH, LAKE_SOA_SLACK, LAKE_DEVICES, ...).
+ * LAKE_SCORE_MAX_BATCH, LAKE_SOA_SLACK, ...).
  */
 
 #include <cstddef>

@@ -236,10 +236,6 @@ LakeGpuCipher::run(bool encrypt, const std::uint8_t iv[kGcmIvBytes],
 
     std::memcpy(arena_.at(h_buf_), in, len);
 
-    check(lib_.cuMemcpyHtoDShmAsync(d_ctl_, h_ctl_, kCtlBytes, 0),
-          "ctl HtoD");
-    check(lib_.cuMemcpyHtoDShmAsync(d_buf_, h_buf_, len, 0), "buf HtoD");
-
     gpu::LaunchConfig cfg;
     cfg.kernel = "aes_gcm";
     cfg.grid_x = static_cast<std::uint32_t>((len + 4095) / 4096);
@@ -247,10 +243,22 @@ LakeGpuCipher::run(bool encrypt, const std::uint8_t iv[kGcmIvBytes],
     cfg.arg(d_ctl_).arg(d_buf_)
         .arg(static_cast<std::uint64_t>(len), nullptr)
         .arg(static_cast<std::uint64_t>(key_bytes_), nullptr);
-    check(lib_.cuLaunchKernel(cfg, 0), "launch aes_gcm");
 
-    check(lib_.cuMemcpyDtoHShm(h_buf_, d_buf_, len), "buf DtoH");
-    check(lib_.cuMemcpyDtoHShm(h_ctl_, d_ctl_, kCtlBytes), "ctl DtoH");
+    // A failed remoted call (dropped or corrupt response, degraded
+    // transport) fails the extent the way a tag mismatch does: zeroed
+    // output and false. No further command is posted after it.
+    bool sent =
+        lib_.cuMemcpyHtoDShmAsync(d_ctl_, h_ctl_, kCtlBytes, 0) ==
+            CuResult::Success &&
+        lib_.cuMemcpyHtoDShmAsync(d_buf_, h_buf_, len, 0) ==
+            CuResult::Success &&
+        lib_.cuLaunchKernel(cfg, 0) == CuResult::Success &&
+        lib_.cuMemcpyDtoHShm(h_buf_, d_buf_, len) == CuResult::Success &&
+        lib_.cuMemcpyDtoHShm(h_ctl_, d_ctl_, kCtlBytes) == CuResult::Success;
+    if (!sent) {
+        std::memset(out, 0, len);
+        return false;
+    }
 
     std::memcpy(out, arena_.at(h_buf_), len);
     ctl = static_cast<std::uint8_t *>(arena_.at(h_ctl_));
@@ -312,13 +320,8 @@ LakeGpuCipher::runBatch(bool encrypt, ExtentOp *ops, std::size_t n)
         if (buf == nullptr) {
             // Slot bigger than the pool's largest class: this extent
             // takes the classic serial path (h_ctl_/h_buf_ still fit).
-            if (encrypt) {
-                run(true, op.iv, op.in, op.len, op.out, op.tag);
-                op.ok = true;
-            } else {
-                op.ok = run(false, op.iv, op.in, op.len, op.out, op.tag);
-                all = all && op.ok;
-            }
+            op.ok = run(encrypt, op.iv, op.in, op.len, op.out, op.tag);
+            all = all && op.ok;
             continue;
         }
 
@@ -382,7 +385,7 @@ LakeGpuCipher::encryptExtent(const std::uint8_t iv[kGcmIvBytes],
                              std::uint8_t tag[kGcmTagBytes])
 {
     bool ok = run(true, iv, plain, len, cipher, tag);
-    LAKE_ASSERT(ok, "GPU encrypt cannot fail");
+    LAKE_ASSERT(ok, "GPU encrypt failed (degraded transport?)");
 }
 
 bool

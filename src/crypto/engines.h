@@ -183,7 +183,11 @@ class LakeGpuCipher final : public CipherEngine
     bool decryptBatch(ExtentOp *ops, std::size_t n) override;
 
   private:
-    /** Shared transform: ships one extent through the GPU. */
+    /**
+     * Shared transform: ships one extent through the GPU.
+     * @return false, with @p out zeroed, on a failed tag check or a
+     *         failed remoted call
+     */
     bool run(bool encrypt, const std::uint8_t iv[kGcmIvBytes],
              const std::uint8_t *in, std::size_t len, std::uint8_t *out,
              std::uint8_t tag[kGcmTagBytes]);

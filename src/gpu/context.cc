@@ -103,74 +103,58 @@ GpuContext::memFreeAsync(DevicePtr ptr)
 CuResult
 GpuContext::memcpyHtoD(DevicePtr dst, const void *src, std::size_t bytes)
 {
-    chargeCall();
-    void *d = device_.resolve(dst, bytes);
-    if (!d || !src)
-        return CuResult::InvalidValue;
-    std::memcpy(d, src, bytes);
-    // Legacy default-stream semantics: synchronous copies serialize
-    // behind work previously queued on stream 0.
-    Nanos at = std::max(clock_.now(), streamReadyAt(0));
-    EngineSpan span = device_.reserveCopy(at, device_.transferTime(bytes));
-    stream_ready_[0] = span.end;
-    clock_.advanceTo(span.end);
-    traceEngineSpan(device_, "dma.htod", span, 0, bytes);
-    return CuResult::Success;
+    return copy(true, dst, const_cast<void *>(src), bytes, 0, true);
 }
 
 CuResult
 GpuContext::memcpyDtoH(void *dst, DevicePtr src, std::size_t bytes)
 {
-    chargeCall();
-    // Serialize behind stream-0 work *before* reading device memory, so
-    // a preceding kernel's output is observed (the kernel body already
-    // ran eagerly, but ordering is modeled for completeness).
-    Nanos at = std::max(clock_.now(), streamReadyAt(0));
-    const void *d = device_.resolve(src, bytes);
-    if (!d || !dst)
-        return CuResult::InvalidValue;
-    std::memcpy(dst, d, bytes);
-    EngineSpan span = device_.reserveCopy(at, device_.transferTime(bytes));
-    stream_ready_[0] = span.end;
-    clock_.advanceTo(span.end);
-    traceEngineSpan(device_, "dma.dtoh", span, 0, bytes);
-    return CuResult::Success;
+    return copy(false, src, dst, bytes, 0, true);
 }
 
 CuResult
 GpuContext::memcpyHtoDAsync(DevicePtr dst, const void *src,
                             std::size_t bytes, StreamId stream)
 {
-    chargeCall();
-    void *d = device_.resolve(dst, bytes);
-    if (!d || !src)
-        return CuResult::InvalidValue;
-    // Data moves eagerly; only the completion time is deferred. Callers
-    // must not mutate the source until synchronize, same contract as
-    // cudaMemcpyAsync with pinned memory.
-    std::memcpy(d, src, bytes);
-    noteOwner(dst, stream);
-    Nanos at = std::max(clock_.now(), streamReadyAt(stream));
-    EngineSpan span = device_.reserveCopy(at, device_.transferTime(bytes));
-    stream_ready_[stream] = span.end;
-    traceEngineSpan(device_, "dma.htod_async", span, stream, bytes);
-    return CuResult::Success;
+    return copy(true, dst, const_cast<void *>(src), bytes, stream, false);
 }
 
 CuResult
 GpuContext::memcpyDtoHAsync(void *dst, DevicePtr src, std::size_t bytes,
                             StreamId stream)
 {
+    return copy(false, src, dst, bytes, stream, false);
+}
+
+CuResult
+GpuContext::copy(bool to_device, DevicePtr dev, void *host,
+                 std::size_t bytes, StreamId stream, bool blocking)
+{
     chargeCall();
-    const void *d = device_.resolve(src, bytes);
-    if (!d || !dst)
+    void *d = device_.resolve(dev, bytes);
+    if (!d || !host)
         return CuResult::InvalidValue;
-    std::memcpy(dst, d, bytes);
-    noteOwner(src, stream);
+    // Data moves eagerly; only the completion time is modeled. An async
+    // caller must not touch the host buffer until synchronize, same
+    // contract as cudaMemcpyAsync with pinned memory.
+    if (to_device)
+        std::memcpy(d, host, bytes);
+    else
+        std::memcpy(host, d, bytes);
+    // Async copies pin the allocation to their stream so a later
+    // memFreeAsync orders behind them.
+    if (!blocking)
+        noteOwner(dev, stream);
+    // A copy serializes behind its stream's queued work; a blocking one
+    // runs on the legacy default stream and returns with it complete.
     Nanos at = std::max(clock_.now(), streamReadyAt(stream));
     EngineSpan span = device_.reserveCopy(at, device_.transferTime(bytes));
     stream_ready_[stream] = span.end;
-    traceEngineSpan(device_, "dma.dtoh_async", span, stream, bytes);
+    if (blocking)
+        clock_.advanceTo(span.end);
+    const char *name = to_device ? (blocking ? "dma.htod" : "dma.htod_async")
+                                 : (blocking ? "dma.dtoh" : "dma.dtoh_async");
+    traceEngineSpan(device_, name, span, stream, bytes);
     return CuResult::Success;
 }
 

@@ -125,6 +125,16 @@ class GpuContext
             runDueFrees();
     }
 
+    /**
+     * The one body of the four memcpy entry points: moves @p bytes
+     * between @p host and device allocation @p dev (toward the device,
+     * reading @p host only, when @p to_device), then reserves the copy
+     * engine on @p stream's timeline. A @p blocking copy advances the
+     * clock to its end.
+     */
+    CuResult copy(bool to_device, DevicePtr dev, void *host,
+                  std::size_t bytes, StreamId stream, bool blocking);
+
     /** Records @p stream as the owner of the allocation under @p ptr. */
     void noteOwner(DevicePtr ptr, StreamId stream);
 

@@ -1,28 +1,10 @@
 #include "gpu/fleet.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
-#include "base/env.h"
 #include "base/logging.h"
 
 namespace lake::gpu {
-
-void
-FleetConfig::applyEnv()
-{
-    const char *on = std::getenv("LAKE_FLEET");
-    if (on && *on)
-        enabled = std::strcmp(on, "0") != 0;
-    // A fleet of zero devices or shards is not a fleet: 0 is ignored.
-    if (std::size_t n = base::envCount("LAKE_DEVICES", 0); n > 0)
-        devices = n;
-    if (std::size_t n = base::envCount("LAKE_SHARDS", 0); n > 0)
-        shards = n;
-    if (shards > devices)
-        shards = devices;
-}
 
 DeviceSpec
 scaleSpec(DeviceSpec spec, double w)

@@ -56,13 +56,6 @@ struct FleetConfig
      * are clamped to (0, 1].
      */
     std::vector<double> weights;
-
-    /**
-     * Applies LAKE_FLEET / LAKE_DEVICES / LAKE_SHARDS environment
-     * overrides. Explicit opt-in, same contract as ServeConfig: a
-     * default-constructed Lake never reads the environment.
-     */
-    void applyEnv();
 };
 
 /**

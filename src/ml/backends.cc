@@ -96,32 +96,61 @@ LakeMlp::~LakeMlp()
 }
 
 std::vector<int>
-LakeMlp::classify(const Matrix &x)
+LakeMlp::classify(const std::vector<MatrixView> &xs)
 {
-    Result<std::vector<int>> r = tryClassify(x);
+    Result<std::vector<int>> r = tryClassify(xs);
     LAKE_ASSERT(r.isOk(), "LakeMlp::classify: %s",
                 r.status().toString().c_str());
     return r.takeValue();
 }
 
 Result<std::vector<int>>
-LakeMlp::tryClassify(const Matrix &x)
+LakeMlp::tryClassify(const std::vector<MatrixView> &xs)
 {
-    std::size_t batch = x.rows();
-    LAKE_ASSERT(batch > 0 && batch <= max_batch_,
-                "batch %zu outside 1..%zu", batch, max_batch_);
-    LAKE_ASSERT(x.cols() == input_w_, "bad input width");
+    // The one row source of both paths: each row is copied once, from
+    // its view straight into lakeShm.
+    std::vector<const void *> rows;
+    for (const MatrixView &v : xs) {
+        LAKE_ASSERT(v.cols() == input_w_, "view width %zu != input %u",
+                    v.cols(), input_w_);
+        for (std::size_t r = 0; r < v.rows(); ++r)
+            rows.push_back(v.row(r));
+    }
+    LAKE_ASSERT(!rows.empty() && rows.size() <= max_batch_,
+                "batch %zu outside 1..%zu", rows.size(), max_batch_);
 
-    if (orch_ != nullptr && !sync_copy_ && batch > 1)
-        return tryClassifyStreamed(x);
+    if (orch_ != nullptr && !sync_copy_ && rows.size() > 1)
+        return classifyStreamed(rows);
+    return classifySerial(rows);
+}
 
-    std::size_t in_bytes = batch * input_w_ * sizeof(float);
+Status
+LakeMlp::launchForward(DevicePtr in, DevicePtr out, std::size_t rows,
+                       gpu::StreamId stream)
+{
+    gpu::LaunchConfig cfg;
+    cfg.kernel = "mlp_forward";
+    cfg.grid_x = static_cast<std::uint32_t>((rows + 255) / 256);
+    cfg.block_x = 256;
+    cfg.arg(d_model_).arg(in).arg(out).arg(
+        static_cast<std::uint64_t>(rows), nullptr);
+    return cuStatus(lib_.cuLaunchKernel(cfg, stream), "launch mlp_forward");
+}
+
+Result<std::vector<int>>
+LakeMlp::classifySerial(const std::vector<const void *> &rows)
+{
+    std::size_t batch = rows.size();
+    std::size_t in_row = input_w_ * sizeof(float);
+    std::size_t in_bytes = batch * in_row;
     std::size_t out_bytes = batch * output_w_ * sizeof(float);
 
     // In real deployments feature vectors are *built* in lakeShm, so
-    // this staging memcpy does not exist; it is host bookkeeping only
+    // this staging copy does not exist; it is host bookkeeping only
     // and charges no virtual time.
-    std::memcpy(arena_.at(h_in_), x.data(), in_bytes);
+    auto *staged = static_cast<std::uint8_t *>(arena_.at(h_in_));
+    for (std::size_t r = 0; r < batch; ++r)
+        std::memcpy(staged + r * in_row, rows[r], in_row);
 
     if (sync_copy_) {
         if (Status s = cuStatus(lib_.cuMemcpyHtoDShm(d_in_, h_in_,
@@ -140,15 +169,7 @@ LakeMlp::tryClassify(const Matrix &x)
             return s;
     }
 
-    gpu::LaunchConfig cfg;
-    cfg.kernel = "mlp_forward";
-    cfg.grid_x = static_cast<std::uint32_t>((batch + 255) / 256);
-    cfg.block_x = 256;
-    cfg.arg(d_model_).arg(d_in_).arg(d_out_).arg(
-        static_cast<std::uint64_t>(batch), nullptr);
-    if (Status s = cuStatus(lib_.cuLaunchKernel(cfg, 0),
-                            "launch mlp_forward");
-        !s.isOk())
+    if (Status s = launchForward(d_in_, d_out_, batch, 0); !s.isOk())
         return s;
 
     if (Status s = cuStatus(lib_.cuMemcpyDtoHShm(h_out_, d_out_,
@@ -157,23 +178,17 @@ LakeMlp::tryClassify(const Matrix &x)
         !s.isOk())
         return s;
 
-    const float *logits = static_cast<const float *>(arena_.at(h_out_));
     std::vector<int> labels(batch);
-    for (std::size_t r = 0; r < batch; ++r) {
-        const float *row = logits + r * output_w_;
-        int best = 0;
-        for (std::uint32_t c = 1; c < output_w_; ++c)
-            if (row[c] > row[best])
-                best = static_cast<int>(c);
-        labels[r] = best;
-    }
+    argmaxRows(MatrixView(static_cast<const float *>(arena_.at(h_out_)),
+                          batch, output_w_, output_w_),
+               labels.data());
     return labels;
 }
 
 Result<std::vector<int>>
-LakeMlp::tryClassifyStreamed(const Matrix &x)
+LakeMlp::classifyStreamed(const std::vector<const void *> &rows)
 {
-    std::size_t batch = x.rows();
+    std::size_t batch = rows.size();
     std::size_t in_row = input_w_ * sizeof(float);
     std::size_t out_row = output_w_ * sizeof(float);
 
@@ -192,51 +207,37 @@ LakeMlp::tryClassifyStreamed(const Matrix &x)
     };
     std::vector<Chunk> staged;
     staged.reserve(chunks);
-    std::vector<const void *> srcs(rows_per);
     std::vector<std::size_t> lens(rows_per, in_row);
 
     for (std::size_t c = 0; c < chunks; ++c) {
         std::size_t r0 = c * rows_per;
         if (r0 >= batch)
             break;
-        std::size_t rows = std::min(rows_per, batch - r0);
+        std::size_t n = std::min(rows_per, batch - r0);
         gpu::StreamId s = orch_->streamAt(c);
 
-        auto *buf = orch_->acquire(rows * std::max(in_row, out_row));
+        auto *buf = orch_->acquire(n * std::max(in_row, out_row));
         if (buf == nullptr) {
             // Chunk exceeds the largest size class (only possible on
             // the first, largest chunk: nothing staged yet). The
             // classic single-stream path still fits in h_in_/h_out_.
             LAKE_ASSERT(staged.empty(), "pool refused a smaller chunk");
             orch_->drain();
-            remote::StreamOrchestrator *orch = orch_;
-            orch_ = nullptr;
-            Result<std::vector<int>> r = tryClassify(x);
-            orch_ = orch;
-            return r;
+            return classifySerial(rows);
         }
-        for (std::size_t i = 0; i < rows; ++i)
-            srcs[i] = x.data() + (r0 + i) * input_w_;
-        Status st = orch_->gatherIn(buf, d_in_ + r0 * in_row, srcs.data(),
-                                    lens.data(), rows, s);
+        Status st = orch_->gatherIn(buf, d_in_ + r0 * in_row,
+                                    rows.data() + r0, lens.data(), n, s);
         LAKE_ASSERT(st.isOk(), "gatherIn: %s", st.toString().c_str());
 
-        gpu::LaunchConfig cfg;
-        cfg.kernel = "mlp_forward";
-        cfg.grid_x = static_cast<std::uint32_t>((rows + 255) / 256);
-        cfg.block_x = 256;
-        cfg.arg(d_model_).arg(d_in_ + r0 * in_row)
-            .arg(d_out_ + r0 * out_row)
-            .arg(static_cast<std::uint64_t>(rows), nullptr);
-        if (Status s2 = cuStatus(lib_.cuLaunchKernel(cfg, s),
-                                 "launch mlp_forward");
+        if (Status s2 = launchForward(d_in_ + r0 * in_row,
+                                      d_out_ + r0 * out_row, n, s);
             !s2.isOk()) {
             orch_->drain();
             return s2;
         }
-        st = orch_->stageOut(buf, d_out_ + r0 * out_row, rows * out_row, s);
+        st = orch_->stageOut(buf, d_out_ + r0 * out_row, n * out_row, s);
         LAKE_ASSERT(st.isOk(), "stageOut: %s", st.toString().c_str());
-        staged.push_back({r0, rows, buf, s});
+        staged.push_back({r0, n, buf, s});
     }
 
     // Drain every chunk's stream before reading any logits; credits
@@ -254,18 +255,11 @@ LakeMlp::tryClassifyStreamed(const Matrix &x)
     // Read-after-sync window: the retired slots stay untouched until
     // the next acquire, which this call no longer performs.
     std::vector<int> labels(batch);
-    for (const Chunk &c : staged) {
-        const float *logits =
-            static_cast<const float *>(arena_.at(c.buf->shm));
-        for (std::size_t r = 0; r < c.rows; ++r) {
-            const float *row = logits + r * output_w_;
-            int best = 0;
-            for (std::uint32_t col = 1; col < output_w_; ++col)
-                if (row[col] > row[best])
-                    best = static_cast<int>(col);
-            labels[c.r0 + r] = best;
-        }
-    }
+    for (const Chunk &c : staged)
+        argmaxRows(MatrixView(static_cast<const float *>(
+                                  arena_.at(c.buf->shm)),
+                              c.rows, output_w_, output_w_),
+                   labels.data() + c.r0);
     return labels;
 }
 
@@ -284,19 +278,22 @@ FleetMlp::FleetMlp(const Mlp &model, remote::FleetRouter &router,
 }
 
 FleetMlp::Served
-FleetMlp::classify(const std::string &key, const Matrix &x,
-                   CpuMlp &fallback)
+FleetMlp::classify(const std::string &key,
+                   const std::vector<MatrixView> &xs, CpuMlp &fallback)
 {
+    std::size_t rows = 0;
+    for (const MatrixView &v : xs)
+        rows += v.rows();
     remote::ShardFleet &shards = router_.shards();
     std::size_t dev = router_.lastPlacement(key);
-    router_.noteDispatch(dev, x.rows());
+    router_.noteDispatch(dev, rows);
     remote::LakeShard &sh = shards.shardFor(dev);
     std::vector<int> labels;
     bool ok = false;
     {
         std::lock_guard<std::mutex> lock(sh.mu());
         if (sh.activate(shards.localIndex(dev)) == CuResult::Success) {
-            Result<std::vector<int>> res = mlps_[dev]->tryClassify(x);
+            Result<std::vector<int>> res = mlps_[dev]->tryClassify(xs);
             ok = res.isOk();
             if (ok)
                 labels = res.takeValue();
@@ -306,7 +303,7 @@ FleetMlp::classify(const std::string &key, const Matrix &x,
     if (ok)
         return {std::move(labels), dev};
     sh.health().fallbacks.fetch_add(1);
-    return {fallback.classify(x), std::nullopt};
+    return {fallback.classify(xs), std::nullopt};
 }
 
 std::vector<int>

@@ -101,7 +101,8 @@ class CpuMlp
  * GPU MLP classifier through LAKE.
  *
  * Construction uploads the serialized model to device memory via
- * lakeShm (one-time cost); classify() stages the batch and launches
+ * lakeShm (one-time cost); classify() copies the batch's rows once,
+ * straight from the caller's views into lakeShm, and launches
  * "mlp_forward".
  */
 class LakeMlp
@@ -121,15 +122,27 @@ class LakeMlp
     LakeMlp &operator=(const LakeMlp &) = delete;
 
     /** Classifies a batch on the GPU; asserts on remoting failure. */
-    std::vector<int> classify(const Matrix &x);
+    std::vector<int> classify(const std::vector<MatrixView> &xs);
 
     /**
-     * Classifies a batch on the GPU, propagating remoting failures
+     * Classifies one batch on the GPU, propagating remoting failures
      * (timeouts, corrupt responses, degraded transport) as a Status
      * instead of asserting — the caller decides whether to fall back
-     * to the CPU model.
+     * to the CPU model. The batch is CpuMlp::classify's: the views'
+     * rows in order, every view the model's input width, 1..max_batch
+     * rows in total.
      */
-    Result<std::vector<int>> tryClassify(const Matrix &x);
+    Result<std::vector<int>> tryClassify(const std::vector<MatrixView> &xs);
+
+    /** classify() of one dense batch. */
+    std::vector<int> classify(const Matrix &x) { return classify({x.view()}); }
+
+    /** tryClassify() of one dense batch. */
+    Result<std::vector<int>>
+    tryClassify(const Matrix &x)
+    {
+        return tryClassify({x.view()});
+    }
 
     /**
      * Opts into streaming DMA orchestration (DESIGN.md §10): each
@@ -147,8 +160,17 @@ class LakeMlp
     }
 
   private:
-    /** Multi-stream chunked classify (enableStreaming path). */
-    Result<std::vector<int>> tryClassifyStreamed(const Matrix &x);
+    /** Single-stream path over the batch's row starts. */
+    Result<std::vector<int>>
+    classifySerial(const std::vector<const void *> &rows);
+
+    /** Multi-stream chunked path (enableStreaming). */
+    Result<std::vector<int>>
+    classifyStreamed(const std::vector<const void *> &rows);
+
+    /** Launches "mlp_forward" over @p rows rows from @p in to @p out. */
+    Status launchForward(gpu::DevicePtr in, gpu::DevicePtr out,
+                         std::size_t rows, gpu::StreamId stream);
 
     remote::LakeLib &lib_;
     shm::ShmArena &arena_;
@@ -193,12 +215,13 @@ class FleetMlp
     FleetMlp &operator=(const FleetMlp &) = delete;
 
     /**
-     * Classifies @p x on the device the router placed @p key on. A
-     * failed switch or mid-batch remoting failure counts one fallback
-     * on that device's shard and finishes on @p fallback.
+     * Classifies the batch @p xs (LakeMlp::tryClassify's form) on the
+     * device the router placed @p key on. A failed switch or mid-batch
+     * remoting failure counts one fallback on that device's shard and
+     * finishes on @p fallback.
      */
-    Served classify(const std::string &key, const Matrix &x,
-                    CpuMlp &fallback);
+    Served classify(const std::string &key,
+                    const std::vector<MatrixView> &xs, CpuMlp &fallback);
 
     /** Fleet device @p d's model. */
     LakeMlp &device(std::size_t d) { return *mlps_.at(d); }

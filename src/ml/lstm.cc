@@ -128,9 +128,8 @@ Lstm::classify(const std::vector<float> &seq) const
 {
     std::vector<float> logits = forward(seq);
     int best = 0;
-    for (std::size_t i = 1; i < logits.size(); ++i)
-        if (logits[i] > logits[best])
-            best = static_cast<int>(i);
+    argmaxRows(MatrixView(logits.data(), 1, logits.size(), logits.size()),
+               &best);
     return best;
 }
 

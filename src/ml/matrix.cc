@@ -13,21 +13,14 @@ Matrix::randn(std::size_t rows, std::size_t cols, Rng &rng, double scale)
     return m;
 }
 
-Matrix
-Matrix::pack(const std::vector<MatrixView> &views)
+void
+argmaxRows(const MatrixView &logits, int *out)
 {
-    std::size_t rows = 0, cols = views.empty() ? 0 : views.front().cols();
-    for (const MatrixView &v : views) {
-        LAKE_ASSERT(v.cols() == cols, "pack of a %zu-wide view into %zu",
-                    v.cols(), cols);
-        rows += v.rows();
+    for (std::size_t r = 0; r < logits.rows(); ++r) {
+        const float *row = logits.row(r);
+        out[r] = static_cast<int>(
+            std::max_element(row, row + logits.cols()) - row);
     }
-    Matrix m(rows, cols);
-    std::size_t r = 0;
-    for (const MatrixView &v : views)
-        for (std::size_t i = 0; i < v.rows(); ++i, ++r)
-            std::copy(v.row(i), v.row(i) + cols, m.row(r));
-    return m;
 }
 
 } // namespace lake::ml

@@ -73,6 +73,12 @@ class MatrixView
     std::size_t stride_ = 0;
 };
 
+/**
+ * Writes each row's argmax of @p logits to out[0, rows): the column of
+ * the row's first maximum, so ties keep the lowest column.
+ */
+void argmaxRows(const MatrixView &logits, int *out);
+
 /** Row-major 2-D float matrix, cache-line-aligned backing store. */
 class Matrix
 {
@@ -132,13 +138,6 @@ class Matrix
     {
         return MatrixView(data_.data(), rows_, cols_, cols_);
     }
-
-    /**
-     * Dense copy of @p views' rows stacked in order: the one gather a
-     * consumer that needs contiguous input (a device upload) pays.
-     * Every view must have the same width.
-     */
-    static Matrix pack(const std::vector<MatrixView> &views);
 
     /**
      * Gaussian-initialized matrix (He-style scale for ReLU nets when

@@ -14,19 +14,6 @@ namespace {
 /** serialize()'s leading magic, 'MLPM'. */
 constexpr std::uint32_t kBlobMagic = 0x4d4c504dU;
 
-/** Argmax per row of a logits matrix. */
-std::vector<int>
-argmaxRows(const Matrix &logits)
-{
-    std::vector<int> out(logits.rows());
-    for (std::size_t r = 0; r < logits.rows(); ++r) {
-        const float *row = logits.row(r);
-        out[r] = static_cast<int>(
-            std::max_element(row, row + logits.cols()) - row);
-    }
-    return out;
-}
-
 } // namespace
 
 MlpConfig
@@ -179,7 +166,10 @@ Mlp::forward(const std::vector<MatrixView> &xs) const
 std::vector<int>
 Mlp::classify(const std::vector<MatrixView> &xs) const
 {
-    return argmaxRows(forward(xs));
+    Matrix logits = forward(xs);
+    std::vector<int> labels(logits.rows());
+    argmaxRows(logits.view(), labels.data());
+    return labels;
 }
 
 Matrix

@@ -141,19 +141,17 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                     std::vector<int> c = cpu_mlp->classify(v.matrixViews());
                     return std::vector<float>(c.begin(), c.end());
                 });
-            // GPU dispatch uploads to the device regardless; gather the
-            // strided rows into the staging matrix directly (no
-            // FeatureVector materialization). A remoting failure
-            // mid-batch must not kill the I/O path: FleetMlp finishes
-            // that batch on the CPU and counts the fallback.
+            // GPU dispatch takes the same strided windows: each row is
+            // copied once, from the SoA slot straight into lakeShm. A
+            // remoting failure mid-batch must not kill the I/O path:
+            // FleetMlp finishes that batch on the CPU and counts the
+            // fallback.
             devs[d].reg->registerClassifier(
                 registry::Arch::Gpu,
                 [&lake_mlp, &cpu_mlp,
                  key = devs[d].dev->name()](const registry::FvBatchView &v) {
                     std::vector<int> c =
-                        lake_mlp
-                            ->classify(key, ml::Matrix::pack(v.matrixViews()),
-                                       *cpu_mlp)
+                        lake_mlp->classify(key, v.matrixViews(), *cpu_mlp)
                             .labels;
                     return std::vector<float>(c.begin(), c.end());
                 });

@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -143,23 +142,6 @@ TEST(DeviceFleetTest, MigWeightsScaleRatesNotOverheads)
     // Fixed costs are per-operation, not per-slice.
     EXPECT_EQ(half.launch_overhead, full.launch_overhead);
     EXPECT_EQ(half.transfer_overhead, full.transfer_overhead);
-}
-
-TEST(DeviceFleetTest, EnvKnobsApplyOnRequest)
-{
-    ::setenv("LAKE_FLEET", "1", 1);
-    ::setenv("LAKE_DEVICES", "4", 1);
-    ::setenv("LAKE_SHARDS", "8", 1); // clamped to devices
-    gpu::FleetConfig cfg;
-    cfg.applyEnv();
-    ::unsetenv("LAKE_FLEET");
-    ::unsetenv("LAKE_DEVICES");
-    ::unsetenv("LAKE_SHARDS");
-    EXPECT_TRUE(cfg.enabled);
-    EXPECT_EQ(cfg.devices, 4u);
-    EXPECT_EQ(cfg.shards, 4u);
-    // A default-constructed config never reads the environment.
-    EXPECT_FALSE(gpu::FleetConfig{}.enabled);
 }
 
 // ---- bugfix 2: per-shard degradation -------------------------------
@@ -437,14 +419,21 @@ class FleetMlpTest : public ::testing::Test
         ASSERT_EQ(router.lastPlacement("pinned"), 2u);
     }
 
-    ml::Matrix
+    /**
+     * A fresh 16-row batch in a plane whose rows are one float wider
+     * than the model input (the SoA float plane's layout), handed over
+     * as two strided views split at row 5.
+     */
+    std::vector<ml::MatrixView>
     batch()
     {
-        ml::Matrix x(16, model.config().input);
-        for (std::size_t r = 0; r < x.rows(); ++r)
-            for (std::size_t c = 0; c < x.cols(); ++c)
-                x.at(r, c) = static_cast<float>(drive.uniform(0.0, 1.0));
-        return x;
+        const std::size_t cols = model.config().input;
+        plane = ml::Matrix(16, cols + 1);
+        for (std::size_t r = 0; r < plane.rows(); ++r)
+            for (std::size_t c = 0; c < cols; ++c)
+                plane.at(r, c) = static_cast<float>(drive.uniform(0.0, 1.0));
+        return {ml::MatrixView(plane.row(0), 5, cols, plane.cols()),
+                ml::MatrixView(plane.row(5), 11, cols, plane.cols())};
     }
 
     gpu::DeviceFleet fleet{fleetConfig(4, 2)};
@@ -458,11 +447,12 @@ class FleetMlpTest : public ::testing::Test
     ml::KernelCpu cpu{cpu_clock, gpu::CpuSpec::xeonGold6226R()};
     ml::CpuMlp cpu_mlp{model, cpu};
     Rng drive{7};
+    ml::Matrix plane;
 };
 
 TEST_F(FleetMlpTest, ServesOnThePinnedDeviceOnly)
 {
-    ml::Matrix x0 = batch();
+    std::vector<ml::MatrixView> x0 = batch();
     ml::FleetMlp::Served first = mlp.classify("d0", x0, cpu_mlp);
     ASSERT_EQ(first.device, std::optional<std::size_t>(0));
     EXPECT_EQ(first.labels, cpu_mlp.classify(x0));
@@ -470,7 +460,7 @@ TEST_F(FleetMlpTest, ServesOnThePinnedDeviceOnly)
     std::vector<std::uint64_t> launches;
     for (std::size_t d = 0; d < fleet.size(); ++d)
         launches.push_back(fleet.at(d).launches());
-    ml::Matrix x = batch();
+    std::vector<ml::MatrixView> x = batch();
     ml::FleetMlp::Served s = mlp.classify("pinned", x, cpu_mlp);
 
     ASSERT_EQ(s.device, std::optional<std::size_t>(2));
@@ -498,7 +488,7 @@ TEST_F(FleetMlpTest, MidBatchFaultFinishesOnCpu)
     Nanos other_now = other.clock().now();
     std::uint64_t fallbacks = sick.health().fallbacks.load();
 
-    ml::Matrix x = batch();
+    std::vector<ml::MatrixView> x = batch();
     ml::FleetMlp::Served s = mlp.classify("pinned", x, cpu_mlp);
 
     EXPECT_FALSE(s.device.has_value());
@@ -601,7 +591,8 @@ TEST(ShardFleetTest, ConcurrentShardDispatchUnderMultiTenantLoad)
         registry::Classifier gpu_classify =
             [&, key](const registry::FvBatchView &v) {
                 ml::Matrix x(v.size(), model.config().input);
-                std::vector<int> c = mlp.classify(key, x, cpu_mlp).labels;
+                std::vector<int> c =
+                    mlp.classify(key, {x.view()}, cpu_mlp).labels;
                 return std::vector<float>(c.begin(), c.end());
             };
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/lake.h"
 #include "ml/backends.h"
 #include "ml/gpu_kernels.h"
@@ -59,6 +61,69 @@ TEST_F(BackendsTest, LakeMlpMatchesCpuResults)
     LakeMlp gpu(net, lake_.lib(), /*sync_copy=*/false, 64);
     Matrix x = randomBatch(32, 31);
     EXPECT_EQ(gpu.classify(x), net.classify(x));
+}
+
+/** Labels, lib-clock advance and remoted calls of one GPU classify. */
+struct GpuRun
+{
+    std::vector<int> labels;
+    Nanos elapsed = 0;
+    std::uint64_t calls = 0;
+};
+
+enum class CopyMode { Sync, Staged, Streamed };
+
+/** Classifies @p xs on a freshly booted Lake in copy mode @p mode. */
+GpuRun
+runOnFreshLake(const Mlp &net, CopyMode mode,
+               const std::vector<MatrixView> &xs)
+{
+    core::LakeConfig cfg;
+    cfg.streaming.enabled = mode == CopyMode::Streamed;
+    cfg.streaming.streams = 4;
+    core::Lake lake(cfg);
+    LakeMlp gpu(net, lake.lib(), mode == CopyMode::Sync, 64);
+    gpu.enableStreaming(lake.streaming());
+    Nanos t0 = lake.clock().now();
+    std::uint64_t c0 = lake.lib().calls();
+    GpuRun run;
+    run.labels = gpu.classify(xs);
+    run.elapsed = lake.clock().now() - t0;
+    run.calls = lake.lib().calls() - c0;
+    return run;
+}
+
+TEST_F(BackendsTest, LakeMlpViewsMatchTheDenseBatchInEveryCopyMode)
+{
+    Mlp net(MlpConfig::linnos(), rng_);
+    // The SoA float plane's layout: 32-float rows for 31 features.
+    Matrix plane = randomBatch(37, 32);
+    Matrix dense(plane.rows(), 31);
+    for (std::size_t r = 0; r < plane.rows(); ++r)
+        std::copy(plane.row(r), plane.row(r) + 31, dense.row(r));
+    auto window = [&](std::size_t r0, std::size_t r1) {
+        return MatrixView(plane.row(r0), r1 - r0, 31, plane.cols());
+    };
+
+    for (CopyMode mode :
+         {CopyMode::Sync, CopyMode::Staged, CopyMode::Streamed}) {
+        GpuRun want = runOnFreshLake(net, mode, {dense.view()});
+        EXPECT_EQ(want.labels, net.classify(dense));
+        for (std::size_t split : {1u, 10u, 36u}) {
+            GpuRun got = runOnFreshLake(
+                net, mode, {window(0, split), window(split, 37)});
+            EXPECT_EQ(got.labels, want.labels) << "split " << split;
+            EXPECT_EQ(got.elapsed, want.elapsed) << "split " << split;
+            EXPECT_EQ(got.calls, want.calls) << "split " << split;
+        }
+        // Many views, one of them empty.
+        GpuRun rows = runOnFreshLake(
+            net, mode,
+            {window(0, 5), window(5, 5), window(5, 6), window(6, 37)});
+        EXPECT_EQ(rows.labels, want.labels);
+        EXPECT_EQ(rows.elapsed, want.elapsed);
+        EXPECT_EQ(rows.calls, want.calls);
+    }
 }
 
 TEST_F(BackendsTest, LakeMlpSyncCopyCostsMore)

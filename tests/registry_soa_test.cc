@@ -664,7 +664,7 @@ TEST(SoaViewTest, BorrowedRowsReadCallerVectors)
                // The default encoder: lane 0 of every column.
                std::vector<ml::MatrixView> mv = v.matrixViews();
                EXPECT_EQ(mv.size(), 1u);
-               EXPECT_EQ(ml::Matrix::pack(mv).at(1, 1), 4.0f);
+               EXPECT_EQ(mv[0].at(1, 1), 4.0f);
                EXPECT_EQ(mv[0].at(0, 0), 3.0f);
                EXPECT_EQ(mv[0].at(0, 1), 7.0f);
                EXPECT_EQ(mv[0].at(1, 0), 0.0f);

@@ -13,6 +13,8 @@
 #include "base/rng.h"
 #include "channel/fault.h"
 #include "core/lake.h"
+#include "crypto/engines.h"
+#include "fs/ecryptfs.h"
 #include "gpu/context.h"
 #include "gpu/device.h"
 #include "ml/gpu_kernels.h"
@@ -419,6 +421,46 @@ TEST(TryClassifyTest, MlpSurfacesTransportErrors)
 
     lake.channel().faults()->disarm();
     EXPECT_TRUE(gpu_mlp.tryClassify(x).isOk());
+}
+
+// A transport fault during a serial GPU decrypt fails the extent the
+// way a tag mismatch does — zeroed plaintext, false — instead of
+// asserting, and eCryptfs surfaces it as a failed read.
+TEST(CipherFaultTest, SerialDecryptFailsInsteadOfPanicking)
+{
+    core::Lake lake;
+    std::uint8_t key[32];
+    for (int i = 0; i < 32; ++i)
+        key[i] = static_cast<std::uint8_t>(i + 100);
+    crypto::LakeGpuCipher cipher(key, 32, lake.lib(), 4096);
+    fs::ECryptFs efs(cipher, lake.clock(), fs::LowerFsModel::testbed(),
+                     4096);
+
+    std::vector<std::uint8_t> plain(4096);
+    for (std::size_t i = 0; i < plain.size(); ++i)
+        plain[i] = static_cast<std::uint8_t>(i * 31 + 5);
+    std::uint8_t iv[crypto::kGcmIvBytes] = {1, 2, 3};
+    std::uint8_t tag[crypto::kGcmTagBytes];
+    std::vector<std::uint8_t> ct(plain.size());
+    cipher.encryptExtent(iv, plain.data(), plain.size(), ct.data(), tag);
+    ASSERT_TRUE(efs.writeFile("/f", plain.data(), plain.size()).isOk());
+
+    // Responses vanish; commands still reach lakeD.
+    FaultSpec spec;
+    spec.drop = 1.0;
+    spec.kernel_to_user = false;
+    lake.channel().installFaults(spec);
+
+    std::vector<std::uint8_t> back(plain.size(), 0xee);
+    EXPECT_FALSE(
+        cipher.decryptExtent(iv, ct.data(), ct.size(), tag, back.data()));
+    EXPECT_EQ(back, std::vector<std::uint8_t>(plain.size(), 0));
+    EXPECT_FALSE(efs.readFile("/f").isOk());
+
+    lake.channel().faults()->disarm();
+    ASSERT_TRUE(
+        cipher.decryptExtent(iv, ct.data(), ct.size(), tag, back.data()));
+    EXPECT_EQ(back, plain);
 }
 
 // ---------------------------------------------------------------------
