@@ -211,6 +211,27 @@ BM_MlpForwardLinnos(benchmark::State &state)
 // 1-4 rows: the linnos_io batch sizes, where the GEMM's row tail runs.
 BENCHMARK(BM_MlpForwardLinnos)->DenseRange(1, 4)->Arg(32)->Arg(256);
 
+// One SGD step of the LinnOS trainer at its batch of 64 rows: forward,
+// backward and the weight repack. Arg = extra hidden layers (NN, NN+1,
+// NN+2); items/s is training samples per second.
+void
+BM_MlpTrainStepLinnos(benchmark::State &state)
+{
+    Rng rng(1);
+    ml::Mlp net(ml::MlpConfig::linnos(state.range(0)), rng);
+    const std::size_t n = 64;
+    ml::Matrix x(n, 31);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    std::vector<int> y(n);
+    for (int &label : y)
+        label = static_cast<int>(rng.uniformInt(0, 1));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(net.trainStep(x, y, 1e-3f));
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_MlpTrainStepLinnos)->DenseRange(0, 2);
+
 // Seed scalar affine loop, preserved as the GEMM host-time baseline;
 // compare against BM_GemmBlocked256 (ratio is the substrate speedup).
 void

@@ -23,6 +23,9 @@ constexpr std::size_t kKnnGrain = 8;
  *  31x256 LinnOS layer (7,936 floats) packs inline. */
 constexpr std::size_t kPackGrain = 64;
 constexpr std::size_t kPackMinFloats = std::size_t{1} << 16;
+/** packTranspose source rows per panel: 16 floats, one cache line of
+ *  every output row. */
+constexpr std::size_t kPackPanel = 16;
 
 /**
  * 4-row x 16-column register-tile microkernel. The k-loop accumulates
@@ -72,8 +75,10 @@ micro4(const float *__restrict x0, const float *__restrict x1,
 }
 
 /**
- * Generic tail kernel for the ragged edges (row block < 4 or column
- * tile < 16): same ascending-i accumulation, y resident in cache.
+ * Edge kernel for the n % 4 rows below the last full row block, over
+ * output columns [o0, o1): same ascending-i accumulation, y resident
+ * in cache. gemmBlock passes the whole width: a constant 0 start made
+ * GCC 12's code for 1-2 row batches ~10% slower (BM_MlpForwardLinnos).
  */
 inline void
 tailKernel(const float *__restrict x, std::size_t nrows, std::size_t in,
@@ -123,10 +128,18 @@ packTranspose(const float *w, std::size_t rows, std::size_t cols,
     LAKE_ASSERT(ld >= rows, "packTranspose ld=%zu below rows=%zu", ld,
                 rows);
     // Column stripe [c0, c1) owns wt rows c0..c1-1, padding included.
+    // Panels of kPackPanel source rows: each wt row takes one
+    // contiguous run per panel, and the panel's source lines stay in
+    // L1 across the column sweep. A row-at-a-time sweep instead writes
+    // every output row once per source row, at a power-of-two stride
+    // that maps them onto a handful of cache sets.
     auto stripe = [&](std::size_t c0, std::size_t c1) {
-        for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t r0 = 0; r0 < rows; r0 += kPackPanel) {
+            const std::size_t r1 = std::min(rows, r0 + kPackPanel);
             for (std::size_t c = c0; c < c1; ++c)
-                wt[c * ld + r] = w[r * cols + c];
+                for (std::size_t r = r0; r < r1; ++r)
+                    wt[c * ld + r] = w[r * cols + c];
+        }
         for (std::size_t c = c0; c < c1; ++c)
             std::fill(wt + c * ld + rows, wt + (c + 1) * ld, 0.0f);
     };
@@ -145,6 +158,22 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
 {
     const std::size_t full_rows = n - n % kRowBlock;
     const std::size_t full_cols = out - out % kRegTile;
+    const std::size_t ragged = out - full_cols;
+
+    // The ragged column tail of the full row blocks runs on the
+    // microkernel too, over a copy of those wt columns (and bias)
+    // zero-padded to one register tile; the padded outputs land in a
+    // scratch tile and are dropped.
+    std::vector<float> tail_wt;
+    float tail_bias[kRegTile] = {};
+    if (ragged != 0 && full_rows != 0) {
+        tail_wt.assign(in * kRegTile, 0.0f);
+        for (std::size_t i = 0; i < in; ++i)
+            std::copy(wt + i * out + full_cols, wt + (i + 1) * out,
+                      tail_wt.data() + i * kRegTile);
+        if (bias)
+            std::copy(bias + full_cols, bias + out, tail_bias);
+    }
 
     for (std::size_t r = 0; r < full_rows; r += kRowBlock) {
         const float *x0 = x + r * x_stride;
@@ -153,9 +182,14 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
             micro4(x0, x0 + x_stride, x0 + 2 * x_stride,
                    x0 + 3 * x_stride, in, wt, out, o, bias, y0,
                    y0 + out, y0 + 2 * out, y0 + 3 * out);
-        if (full_cols < out)
-            tailKernel(x0, kRowBlock, in, x_stride, wt, out, full_cols,
-                       out, bias, y0);
+        if (ragged != 0) {
+            float yt[kRowBlock][kRegTile];
+            micro4(x0, x0 + x_stride, x0 + 2 * x_stride,
+                   x0 + 3 * x_stride, in, tail_wt.data(), kRegTile, 0,
+                   tail_bias, yt[0], yt[1], yt[2], yt[3]);
+            for (std::size_t k = 0; k < kRowBlock; ++k)
+                std::copy(yt[k], yt[k] + ragged, y0 + k * out + full_cols);
+        }
     }
     if (full_rows < n)
         tailKernel(x + full_rows * x_stride, n - full_rows, in,

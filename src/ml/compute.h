@@ -5,14 +5,18 @@
  * @file
  * Blocked, vectorized, multithreaded CPU compute for the ML models.
  *
- * Every dense layer (MLP inference and training, batched kNN, the
- * simulated-GPU kernel bodies) funnels through this layer, and each op
- * has one body. One batch form: every op takes row-strided input (row
- * r at x + r * stride), so a MatrixView and a dense Matrix run the
- * same code. One packer: packTranspose is the only transpose; the
- * GEMM reads its right-hand side as a transpose whose row stride
- * (ld) is the output width, zero-padded to a register tile when the
- * caller caches it (padTile). The kernels are cache-blocked and
+ * Every dense layer (MLP inference, the MLP trainer's forward and
+ * backward passes, batched kNN, the simulated-GPU kernel bodies)
+ * funnels through this layer, and each op has one body. The trainer's
+ * backward is two gemmBlock calls per layer: dW = delta^T * a_in
+ * (delta packed by packTranspose, a_in read as the right-hand side
+ * with ld = in) and the propagated delta * W (W row-major is already
+ * the right-hand side with ld = in). One batch form: every op takes
+ * row-strided input (row r at x + r * stride), so a MatrixView and a
+ * dense Matrix run the same code. One packer: packTranspose is the
+ * only transpose; the GEMM reads its right-hand side as a transpose
+ * whose row stride (ld) is the output width, zero-padded to a
+ * register tile when the caller caches it (padTile). The kernels are cache-blocked and
  * written with independent accumulator streams and __restrict
  * pointers so the compiler auto-vectorizes them, and they parallelize
  * over output rows via base::ThreadPool.
@@ -28,7 +32,12 @@
  * the same order as the seed scalar loops — and parallelism never
  * splits a reduction. Results are therefore bit-identical at any
  * LAKE_CPU_THREADS setting (and to the seed scalar code under
- * identical floating-point contraction rules).
+ * identical floating-point contraction rules). That carries over to
+ * training: a dW element sums its batch rows in ascending order from
+ * 0.0f and a propagated-delta element sums its output units in
+ * ascending order, exactly as the textbook backward loops do, so the
+ * GEMM trainer produces the scalar trainer's weights bit for bit
+ * (tests/ml_test.cc keeps that trainer as the reference).
  */
 
 #include <cstddef>
@@ -45,7 +54,9 @@ namespace lake::ml::compute {
  * so inner loops are unit-stride over outputs. Needs ld >= rows.
  * Parallel over column stripes on the global ThreadPool; a stripe is
  * at least 64 columns and roughly 64K floats, so model-sized layers
- * pack inline and only kNN reference sets fan out.
+ * pack inline and only kNN reference sets fan out. A stripe copies
+ * panels of 16 source rows, so each wt row is written one cache line
+ * at a time.
  */
 void packTranspose(const float *w, std::size_t rows, std::size_t cols,
                    std::size_t ld, float *wt);
@@ -57,7 +68,10 @@ void packTranspose(const float *w, std::size_t rows, std::size_t cols,
  * MatrixView feeds the kernels in place; y rows are contiguous.
  * @p wt is the packed transpose (see packTranspose, ld == out);
  * @p bias may be null for no bias. Tiled over output columns with a
- * 4-row microkernel of independent accumulator streams.
+ * 4-row microkernel of independent accumulator streams; a ragged
+ * column tail runs on it too, over a per-call zero-padded copy of
+ * those wt columns. Only the last n % 4 rows take the scalar edge
+ * kernel.
  */
 void gemmBlock(const float *x, std::size_t n, std::size_t in,
                std::size_t x_stride, const float *wt, std::size_t out,
@@ -85,8 +99,8 @@ std::size_t padTile(std::size_t out);
  * layer packs with ld = padTile(real out), zero-pads the bias and
  * ignores the padded outputs. Per real output element the reduction
  * runs in the same ascending-i order as affine(), so results are
- * bit-identical — padding only moves the ragged column tail off the
- * scalar edge kernel and onto the vectorized microkernel.
+ * bit-identical — padding at pack time only saves gemmBlock its
+ * per-call copy of the ragged column tail.
  */
 void affinePacked(const float *x, std::size_t n, std::size_t in,
                   std::size_t x_stride, const float *wt, std::size_t out,

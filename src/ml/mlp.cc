@@ -218,40 +218,58 @@ Mlp::trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
         }
     }
 
-    // Backward through each layer, applying SGD updates in place.
+    // Backward through each layer on the GEMM microkernel, applying
+    // SGD updates in place. Every gradient element is one reduction in
+    // the same ascending order as the textbook loops (batch rows for
+    // dW and db, output units for the propagated delta), so the
+    // trained weights do not depend on the kernel's tiling.
+    std::vector<float> delta_t, dw, db;
     for (std::size_t li = weights_.size(); li-- > 0;) {
         const Matrix &a_in = li == 0 ? x : hidden[li - 1];
         Matrix &w = weights_[li];
         std::vector<float> &b = biases_[li];
+        const std::size_t out = w.rows(), in = w.cols();
 
-        // Propagate to the previous layer before mutating w.
+        // Propagate to the previous layer before mutating w:
+        // next = delta * W, where W (out x in, row-major) already is
+        // the packed right-hand side with ld = in. Then the ReLU gate
+        // of the previous layer's activation.
         Matrix next_delta;
         if (li > 0) {
-            next_delta = Matrix(n, w.cols());
-            for (std::size_t r = 0; r < n; ++r) {
-                for (std::size_t i = 0; i < w.cols(); ++i) {
-                    float acc = 0.0f;
-                    for (std::size_t o = 0; o < w.rows(); ++o)
-                        acc += delta.at(r, o) * w.at(o, i);
-                    // ReLU gate of the previous layer's activation.
-                    next_delta.at(r, i) = a_in.at(r, i) > 0.0f ? acc : 0.0f;
-                }
-            }
+            next_delta = Matrix(n, in);
+            compute::gemmBlock(delta.data(), n, out, out, w.data(), in,
+                               nullptr, next_delta.data());
+            float *__restrict nd = next_delta.data();
+            const float *__restrict act = a_in.data();
+            for (std::size_t j = 0; j < next_delta.size(); ++j)
+                nd[j] = act[j] > 0.0f ? nd[j] : 0.0f;
         }
 
-        // dW = delta^T * a_in; db = column sums of delta.
-        for (std::size_t o = 0; o < w.rows(); ++o) {
-            float db = 0.0f;
-            for (std::size_t r = 0; r < n; ++r)
-                db += delta.at(r, o);
-            b[o] -= lr * db;
-            for (std::size_t i = 0; i < w.cols(); ++i) {
-                float dw = 0.0f;
-                for (std::size_t r = 0; r < n; ++r)
-                    dw += delta.at(r, o) * a_in.at(r, i);
-                w.at(o, i) -= lr * dw;
-            }
+        // dW = delta^T * a_in: a_in (n x in) is the packed right-hand
+        // side with ld = in, and dW comes out in W's own layout. (The
+        // transposed product a_in^T * delta would put a 2-wide output
+        // layer's gradient on a 2-column GEMM.)
+        delta_t.resize(out * n);
+        compute::packTranspose(delta.data(), n, out, n, delta_t.data());
+        dw.resize(out * in);
+        compute::gemmBlock(delta_t.data(), out, n, n, a_in.data(), in,
+                           nullptr, dw.data());
+
+        // db = column sums of delta, rows outermost.
+        db.assign(out, 0.0f);
+        for (std::size_t r = 0; r < n; ++r) {
+            const float *__restrict dr = delta.row(r);
+            float *__restrict dbp = db.data();
+            for (std::size_t o = 0; o < out; ++o)
+                dbp[o] += dr[o];
         }
+
+        for (std::size_t o = 0; o < out; ++o)
+            b[o] -= lr * db[o];
+        float *__restrict wp = w.data();
+        const float *__restrict dwp = dw.data();
+        for (std::size_t j = 0; j < dw.size(); ++j)
+            wp[j] -= lr * dwp[j];
 
         if (li > 0)
             delta = std::move(next_delta);
@@ -264,6 +282,7 @@ Mlp::trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
 double
 Mlp::accuracy(const Matrix &x, const std::vector<int> &labels) const
 {
+    LAKE_ASSERT(labels.size() == x.rows(), "labels/batch size mismatch");
     std::vector<int> pred = classify(x);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < pred.size(); ++i)

@@ -16,8 +16,9 @@
  * parameter change (compute::packTranspose with ld = padTile(out)),
  * over a batch given as MatrixViews. Inference and the training
  * forward run the same packed layers, so a trained model scores the
- * same bits it was trained on. The serialize() blob format is read in
- * one place too (parseBlobHeader), by deserialize and by the
+ * same bits it was trained on; the backward pass runs on the same
+ * GEMM kernel (compute::gemmBlock). The serialize() blob format is
+ * read in one place too (parseBlobHeader), by deserialize and by the
  * mlp_forward GPU kernel body.
  */
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "base/thread_pool.h"
 #include "ml/compute.h"
@@ -259,6 +260,186 @@ TEST(MlpTest, TrainStepLossIsTheInferenceForwardLoss)
     }
 }
 
+// ---- scalar reference trainer ---------------------------------------
+//
+// The textbook SGD step Mlp::trainStep replaced with GEMM calls: scalar
+// forward and backward loops, each output element one reduction in
+// ascending index order. Kept as the bit-exact model the GEMM
+// backward must reproduce.
+namespace ref {
+
+struct Net
+{
+    std::vector<Matrix> w; //!< per layer, out x in
+    std::vector<std::vector<float>> b;
+
+    /** y = x * W^T + b, one ascending-i reduction per element. */
+    Matrix
+    layer(std::size_t l, const Matrix &x) const
+    {
+        Matrix y(x.rows(), w[l].rows());
+        for (std::size_t r = 0; r < x.rows(); ++r) {
+            for (std::size_t o = 0; o < w[l].rows(); ++o) {
+                float acc = b[l][o];
+                for (std::size_t i = 0; i < w[l].cols(); ++i)
+                    acc += x.at(r, i) * w[l].at(o, i);
+                y.at(r, o) = acc;
+            }
+        }
+        return y;
+    }
+
+    double
+    trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
+    {
+        std::size_t n = x.rows();
+        std::vector<Matrix> hidden;
+        Matrix logits = layer(0, x);
+        for (std::size_t l = 1; l < w.size(); ++l) {
+            for (std::size_t i = 0; i < logits.size(); ++i)
+                logits.data()[i] = std::max(0.0f, logits.data()[i]);
+            Matrix next = layer(l, logits);
+            hidden.push_back(std::move(logits));
+            logits = std::move(next);
+        }
+
+        Matrix probs = softmax(logits);
+        double loss = 0.0;
+        Matrix delta(n, logits.cols());
+        for (std::size_t r = 0; r < n; ++r) {
+            int y = labels[r];
+            loss += -std::log(std::max(probs.at(r, y), 1e-12f));
+            for (std::size_t c = 0; c < logits.cols(); ++c) {
+                float t = (static_cast<int>(c) == y) ? 1.0f : 0.0f;
+                delta.at(r, c) =
+                    (probs.at(r, c) - t) / static_cast<float>(n);
+            }
+        }
+
+        for (std::size_t li = w.size(); li-- > 0;) {
+            const Matrix &a_in = li == 0 ? x : hidden[li - 1];
+            Matrix &wl = w[li];
+            Matrix next_delta;
+            if (li > 0) {
+                next_delta = Matrix(n, wl.cols());
+                for (std::size_t r = 0; r < n; ++r) {
+                    for (std::size_t i = 0; i < wl.cols(); ++i) {
+                        float acc = 0.0f;
+                        for (std::size_t o = 0; o < wl.rows(); ++o)
+                            acc += delta.at(r, o) * wl.at(o, i);
+                        next_delta.at(r, i) =
+                            a_in.at(r, i) > 0.0f ? acc : 0.0f;
+                    }
+                }
+            }
+            for (std::size_t o = 0; o < wl.rows(); ++o) {
+                float db = 0.0f;
+                for (std::size_t r = 0; r < n; ++r)
+                    db += delta.at(r, o);
+                b[li][o] -= lr * db;
+                for (std::size_t i = 0; i < wl.cols(); ++i) {
+                    float dw = 0.0f;
+                    for (std::size_t r = 0; r < n; ++r)
+                        dw += delta.at(r, o) * a_in.at(r, i);
+                    wl.at(o, i) -= lr * dw;
+                }
+            }
+            if (li > 0)
+                delta = std::move(next_delta);
+        }
+        return loss / static_cast<double>(n);
+    }
+};
+
+} // namespace ref
+
+/** Whether @p net's parameters equal @p model's, bit for bit. */
+::testing::AssertionResult
+sameParams(const Mlp &net, const ref::Net &model)
+{
+    auto differ = [](const float *got, const float *want, std::size_t n,
+                     std::size_t l, const char *what) {
+        for (std::size_t i = 0; i < n; ++i)
+            if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0)
+                return ::testing::AssertionFailure()
+                       << "layer " << l << " " << what << "[" << i
+                       << "]: " << got[i] << " != " << want[i];
+        return ::testing::AssertionSuccess();
+    };
+    for (std::size_t l = 0; l < model.w.size(); ++l) {
+        const Matrix &w = net.weights()[l];
+        const std::vector<float> &b = net.biases()[l];
+        if (auto r = differ(w.data(), model.w[l].data(), w.size(), l,
+                            "weight");
+            !r)
+            return r;
+        if (auto r = differ(b.data(), model.b[l].data(), b.size(), l,
+                            "bias");
+            !r)
+            return r;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** Shapes the trainer must reproduce the reference on: the paper's
+ *  models, plus one whose widths leave every gemmBlock tail (n % 4
+ *  rows, out % 16 columns) to run. */
+std::vector<MlpConfig>
+trainShapes()
+{
+    MlpConfig odd;
+    odd.input = 5;
+    odd.hidden = {7};
+    odd.output = 3;
+    return {MlpConfig::linnos(0), MlpConfig::linnos(1),
+            MlpConfig::linnos(2), MlpConfig::mllb(), MlpConfig::kml(),
+            odd};
+}
+
+TEST(MlpTest, TrainStepMatchesScalarReference)
+{
+    Rng rng(41);
+    for (const MlpConfig &cfg : trainShapes()) {
+        for (std::size_t n : {1u, 2u, 3u, 5u, 17u, 64u}) {
+            Mlp net(cfg, rng);
+            ref::Net model{net.weights(), net.biases()};
+            for (int step = 0; step < 5; ++step) {
+                Matrix x(n, cfg.input);
+                for (std::size_t i = 0; i < x.size(); ++i)
+                    x.data()[i] =
+                        static_cast<float>(rng.uniform(-2.0, 2.0));
+                std::vector<int> y(n);
+                for (int &label : y)
+                    label =
+                        static_cast<int>(rng.uniformInt(0, cfg.output - 1));
+                // A learning rate drawn at run time, as training
+                // schedules pass it: a literal would let the compiler
+                // fold it into the reference's update and contract
+                // that expression differently from the library's.
+                const auto lr = static_cast<float>(rng.uniform(0.01, 0.1));
+                EXPECT_EQ(net.trainStep(x, y, lr),
+                          model.trainStep(x, y, lr))
+                    << cfg.input << "-wide model, batch " << n
+                    << ", step " << step;
+                ASSERT_TRUE(sameParams(net, model))
+                    << cfg.input << "-wide model, "
+                    << cfg.hidden.size() << " hidden, batch " << n
+                    << ", step " << step;
+            }
+        }
+    }
+}
+
+TEST(MlpDeathTest, AccuracyRejectsMismatchedLabels)
+{
+    Rng rng(42);
+    Mlp net(MlpConfig::mllb(), rng);
+    Matrix x(8, 22);
+    std::vector<int> short_labels(3, 0);
+    EXPECT_DEATH(net.accuracy(x, short_labels),
+                 "labels/batch size mismatch");
+}
+
 TEST(MlpTest, FlopsAndParamsMatchShape)
 {
     Rng rng(5);
@@ -489,7 +670,8 @@ TEST(KnnTest, BatchMatchesSinglesAtScale)
 //
 // The ThreadPool determinism contract promises bit-identical results
 // with LAKE_CPU_THREADS=1, 2 or 8. These sweeps pin that down for the
-// three routed hot paths: affine/GEMM, batched kNN, MLP forward.
+// routed hot paths: affine/GEMM, batched kNN, MLP forward and the MLP
+// training step.
 
 class ThreadSweepTest : public ::testing::Test
 {
@@ -585,6 +767,37 @@ TEST_F(ThreadSweepTest, MlpForwardBitIdentical)
         }
         return all;
     });
+}
+
+TEST_F(ThreadSweepTest, MlpTrainStepBitIdentical)
+{
+    // Training runs the pooled forward GEMM, and at 1,100 rows the
+    // backward's delta transpose fans out over the pool too: the
+    // trained parameters must not depend on the thread count.
+    Rng rng(24);
+    for (std::size_t n : {17u, 1100u}) {
+        Matrix x(n, 31);
+        for (std::size_t i = 0; i < x.size(); ++i)
+            x.data()[i] = static_cast<float>(rng.uniform(-2.0, 2.0));
+        std::vector<int> y(n);
+        for (int &label : y)
+            label = static_cast<int>(rng.uniformInt(0, 1));
+        const std::uint64_t seed = rng.uniformInt(0, 1 << 30);
+        expectBitIdentical([&] {
+            Rng init(seed);
+            Mlp net(MlpConfig::linnos(1), init);
+            std::vector<double> all; // losses, then parameters
+            for (int step = 0; step < 3; ++step)
+                all.push_back(net.trainStep(x, y, 0.05f));
+            for (std::size_t l = 0; l < net.weights().size(); ++l) {
+                const Matrix &w = net.weights()[l];
+                all.insert(all.end(), w.data(), w.data() + w.size());
+                all.insert(all.end(), net.biases()[l].begin(),
+                           net.biases()[l].end());
+            }
+            return all;
+        });
+    }
 }
 
 TEST(KnnTest, FlopsScaleWithDbAndDim)
