@@ -86,8 +86,11 @@ ctest --test-dir "$BUILD" --output-on-failure -L fleet
 
 # The crypto suite (ctest -L crypto) runs AES-GCM against NIST vectors
 # and a bit-serial reference, plus eCryptfs over every cipher engine —
-# the T-table and 256-entry GHASH-table indexing, the four-lane CTR
-# buffers and the 56-bit shifts are what ASan/UBSan should sweep.
+# in both bodies: crypto_test on the build target's (AES-NI/PCLMULQDQ
+# where it has them) and crypto_portable_test on the table one. The
+# eight-block CTR loads and stores (in place, as the GPU kernel body
+# runs it), the GHASH tail padding, the T-table and GHASH-table
+# indexing and the 56-bit shifts are what ASan/UBSan should sweep.
 ctest --test-dir "$BUILD" --output-on-failure -L crypto
 
 # The ML suite (ctest -L ml) runs every dense layer through the one

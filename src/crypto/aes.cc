@@ -54,6 +54,8 @@ rotWord(std::uint32_t w)
     return (w << 8) | (w >> 24);
 }
 
+#if !LAKE_CRYPTO_AESNI
+
 /** GF(2^8) multiply by 2 (xtime). */
 constexpr std::uint8_t
 xtime(std::uint8_t x)
@@ -88,6 +90,8 @@ constexpr std::array<std::uint32_t, 256> kTe1 = makeTable(1);
 constexpr std::array<std::uint32_t, 256> kTe2 = makeTable(2);
 constexpr std::array<std::uint32_t, 256> kTe3 = makeTable(3);
 
+#endif // !LAKE_CRYPTO_AESNI
+
 std::uint32_t
 loadBe32(const std::uint8_t *p)
 {
@@ -106,6 +110,29 @@ storeBe32(std::uint8_t *p, std::uint32_t w)
     p[3] = static_cast<std::uint8_t>(w);
 }
 
+/**
+ * FIPS 197 KeyExpansion of an @p nk-word key into @p w: 4*(nk+7)
+ * words, row 0 of each column in the most significant byte.
+ */
+void
+expandKey(const std::uint8_t *key, int nk, std::uint32_t *w)
+{
+    int total = 4 * (nk + 7);
+    for (int i = 0; i < nk; ++i) {
+        w[i] = loadBe32(key + 4 * i);
+    }
+    for (int i = nk; i < total; ++i) {
+        std::uint32_t temp = w[i - 1];
+        if (i % nk == 0) {
+            temp = subWord(rotWord(temp)) ^
+                   (static_cast<std::uint32_t>(kRcon[i / nk]) << 24);
+        } else if (nk > 6 && i % nk == 4) {
+            temp = subWord(temp);
+        }
+        w[i] = w[i - nk] ^ temp;
+    }
+}
+
 } // namespace
 
 Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
@@ -114,22 +141,43 @@ Aes::Aes(const std::uint8_t *key, std::size_t key_bytes)
                 "AES key must be 16 or 32 bytes, got %zu", key_bytes);
     int nk = static_cast<int>(key_bytes / 4);
     rounds_ = nk + 6;
-    int total = 4 * (rounds_ + 1);
-
-    for (int i = 0; i < nk; ++i) {
-        round_keys_[i] = loadBe32(key + 4 * i);
+#if LAKE_CRYPTO_AESNI
+    std::uint32_t w[60];
+    expandKey(key, nk, w);
+    for (int r = 0; r <= rounds_; ++r) {
+        std::uint8_t bytes[16];
+        for (int c = 0; c < 4; ++c)
+            storeBe32(bytes + 4 * c, w[4 * r + c]);
+        round_keys_[r] =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(bytes));
     }
-    for (int i = nk; i < total; ++i) {
-        std::uint32_t temp = round_keys_[i - 1];
-        if (i % nk == 0) {
-            temp = subWord(rotWord(temp)) ^
-                   (static_cast<std::uint32_t>(kRcon[i / nk]) << 24);
-        } else if (nk > 6 && i % nk == 4) {
-            temp = subWord(temp);
-        }
-        round_keys_[i] = round_keys_[i - nk] ^ temp;
-    }
+#else
+    expandKey(key, nk, round_keys_.data());
+#endif
 }
+
+#if LAKE_CRYPTO_AESNI
+
+void
+Aes::encryptBlock(const std::uint8_t in[16], std::uint8_t out[16]) const
+{
+    __m128i b[1] = {_mm_loadu_si128(reinterpret_cast<const __m128i *>(in))};
+    encryptLanes(b);
+    _mm_storeu_si128(reinterpret_cast<__m128i *>(out), b[0]);
+}
+
+void
+Aes::encryptBlocks4(const std::uint8_t in[64], std::uint8_t out[64]) const
+{
+    __m128i b[4];
+    for (int l = 0; l < 4; ++l)
+        b[l] = _mm_loadu_si128(reinterpret_cast<const __m128i *>(in) + l);
+    encryptLanes(b);
+    for (int l = 0; l < 4; ++l)
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(out) + l, b[l]);
+}
+
+#else // !LAKE_CRYPTO_AESNI
 
 template <int L>
 void
@@ -201,5 +249,7 @@ Aes::encryptBlocks4(const std::uint8_t in[64], std::uint8_t out[64]) const
 {
     encryptLanes<4>(in, out);
 }
+
+#endif // LAKE_CRYPTO_AESNI
 
 } // namespace lake::crypto

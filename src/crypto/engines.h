@@ -9,13 +9,19 @@
  * where the work runs and what virtual time it costs:
  *
  *  - CpuCipher:    scalar kernel crypto (the paper's "CPU" line)
- *  - AesNiCipher:  AES-NI instructions (same core, ~6x throughput)
+ *  - AesNiCipher:  AES-NI instructions (same core, ~6x throughput in
+ *    modelled virtual time)
  *  - LakeGpuCipher: extents shipped to the GPU through LAKE ("LAKE")
  *  - HybridCipher: GPU and AES-NI operate on disjoint halves of every
  *    extent concurrently ("GPU+AES-NI"), the +31%/+22% configuration
  *
  * Each engine implements the Linux crypto-API-style interface the
  * modified eCryptfs consumes (encryptExtent / decryptExtent).
+ *
+ * The engines' speeds are modelled: virtual time comes from
+ * gpu::CpuSpec / DeviceSpec. The bytes themselves all come from the
+ * same host AesGcm, whose body (AES-NI or tables) the build target
+ * picks, so host time says nothing about which engine is faster.
  */
 
 #include <cstdint>

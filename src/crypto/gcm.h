@@ -8,9 +8,16 @@
  * The paper "modified eCryptfs to use AES-GCM instead of CBC because it
  * is parallelizable" (§7.7) — CTR keystream blocks are independent,
  * which is what the GPU engine exploits, and what the host CTR loop
- * exploits by running four counter blocks through each AES round
- * together. GHASH uses Shoup's 8-bit table (one lookup per byte). 96-bit
- * IVs only (the standard fast path).
+ * exploits by running several counter blocks through each AES round
+ * together. 96-bit IVs only (the standard fast path).
+ *
+ * The body follows aes.h's choice. With AES-NI and PCLMULQDQ, CTR runs
+ * eight counter blocks per iteration and GHASH multiplies carry-lessly
+ * by precomputed powers H^1..H^8, folding eight blocks per reduction
+ * (aggregated reduction, Gueron & Kounavis, "Intel Carry-Less
+ * Multiplication Instruction and its Usage for Computing the GCM
+ * Mode"). Without them, CTR runs four blocks per AES call and GHASH
+ * uses Shoup's 8-bit table (one lookup per byte).
  */
 
 #include <cstddef>
@@ -84,13 +91,20 @@ class AesGcm
                const std::uint8_t *text, std::size_t text_len,
                std::uint8_t out[16]) const;
 
+    Aes aes_;
+#if LAKE_CRYPTO_AESNI
+    /**
+     * h_pow_[i] = H^(i+1), H = E(K, 0^128), byte-reversed so bit 127 of
+     * the register is GCM's x^0 coefficient (128 bytes per key).
+     */
+    __m128i h_pow_[8];
+#else
     /**
      * Y = Y·H in GF(2^128); Y as big-endian 64-bit halves. Shoup's
      * 8-bit table method: 16 byte steps of Z = Z·x^8 + byte·H.
      */
     void mulH(std::uint64_t &yh, std::uint64_t &yl) const;
 
-    Aes aes_;
     /**
      * n·H for each byte n, as high/low 64-bit halves (4 KiB per key);
      * H = E(K, 0^128). Table lookups are indexed by hashed data, so
@@ -99,6 +113,7 @@ class AesGcm
      */
     std::uint64_t hh_[256];
     std::uint64_t hl_[256];
+#endif
 };
 
 } // namespace lake::crypto

@@ -15,8 +15,11 @@ namespace {
 constexpr std::size_t kRowBlock = 4;
 /** Register-tile width (floats): 4 x 16 accumulators live in SIMD regs. */
 constexpr std::size_t kRegTile = 16;
-/** parallelFor grain (rows) for GEMM row-block distribution. */
+/** GEMM row-chunk floor: rows, and multiply-adds per chunk. Below
+ *  the latter a chunk costs the pool more to hand off than it saves;
+ *  a LinnOS training batch (64 rows, 31x256 or 256x256) runs inline. */
 constexpr std::size_t kGemmGrain = 2 * kRowBlock;
+constexpr std::size_t kGemmMinMacs = std::size_t{1} << 22;
 /** parallelFor grain (queries) for the kNN top-k pass. */
 constexpr std::size_t kKnnGrain = 8;
 /** packTranspose stripe floor: columns, and floats per stripe. A
@@ -112,8 +115,14 @@ gemmRows(const float *x, std::size_t n, std::size_t in,
          std::size_t x_stride, const float *wt, std::size_t out,
          const float *bias, float *y)
 {
+    // Whole row blocks per chunk, so only the batch's last n % 4 rows
+    // reach tailKernel whatever the grain.
+    const std::size_t rows =
+        kGemmMinMacs / std::max<std::size_t>(1, in * out);
+    const std::size_t grain = std::max(
+        kGemmGrain, (rows + kRowBlock - 1) / kRowBlock * kRowBlock);
     base::ThreadPool::global().parallelFor(
-        0, n, kGemmGrain, [&](std::size_t b, std::size_t e) {
+        0, n, grain, [&](std::size_t b, std::size_t e) {
             gemmBlock(x + b * x_stride, e - b, in, x_stride, wt, out,
                       bias, y + b * out);
         });
