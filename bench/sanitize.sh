@@ -84,6 +84,14 @@ ctest --test-dir "$BUILD" --output-on-failure -L soa
 # the fleet_scaling smoke adds the CuSetDevice muxing path under load.
 ctest --test-dir "$BUILD" --output-on-failure -L fleet
 
+# The storage suite (ctest -L storage) runs the Fig. 7 end-to-end
+# engine, whose LAKE modes batch through one ScoreServer per device:
+# each read pins its one committed slot until its request's callback
+# has run, and a closed modulation gate drains a device through
+# failPending — the pinned-view release and the drain are what ASan
+# should sweep on the path every Fig. 7 number comes from.
+ctest --test-dir "$BUILD" --output-on-failure -L storage
+
 # The crypto suite (ctest -L crypto) runs AES-GCM against NIST vectors
 # and a bit-serial reference, plus eCryptfs over every cipher engine —
 # in both bodies: crypto_test on the build target's (AES-NI/PCLMULQDQ

@@ -9,9 +9,11 @@
 # runs every bench/fig* and bench/table* plus ablation_hardware,
 # `fleet_scaling --smoke`, `serve_slo --smoke` and the streamed arms
 # (`LAKE_STREAMS=4` fig07_linnos_e2e and fig14_ecryptfs) of both builds
-# in an empty directory and diffs stdout and exit code. An entry's
-# leading NAME=value words are set in the binary's environment. Exits 1
-# on any difference, 2 on a usage or build error.
+# in an empty directory and diffs stdout and exit code. The two builds
+# of an entry run at the same time, each in its own directory; the
+# SAME/DIFF/NEW lines come out in entry order. An entry's leading
+# NAME=value words are set in the binary's environment. Exits 1 on any
+# difference, 2 on a usage or build error.
 set -euo pipefail
 
 [[ $# == 1 || $# == 2 ]] || { echo "usage: $0 <base-rev> [build-dir]" >&2; exit 2; }
@@ -63,8 +65,9 @@ for entry in "${entries[@]}"; do
         echo "NEW   $entry"
         continue
     fi
-    run "$out.base" env "${envs[@]}" "$WORK/build/bench/$name" "${args[@]}"
+    run "$out.base" env "${envs[@]}" "$WORK/build/bench/$name" "${args[@]}" &
     run "$out.cur" env "${envs[@]}" "$BUILD/bench/$name" "${args[@]}"
+    wait
     if diff -u "$out.base" "$out.cur"; then
         echo "SAME  $entry"
     else

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace lake::base {
 
@@ -18,6 +19,15 @@ envCount(const char *name)
         parsed > static_cast<unsigned long long>(~std::size_t{0}))
         return std::nullopt;
     return static_cast<std::size_t>(parsed);
+}
+
+Nanos
+envMicros(const char *name, Nanos fallback)
+{
+    std::optional<std::size_t> us = envCount(name);
+    if (!us || *us > std::numeric_limits<Nanos>::max() / 1000)
+        return fallback;
+    return static_cast<Nanos>(*us) * 1000;
 }
 
 } // namespace lake::base

@@ -4,11 +4,14 @@
 /**
  * @file
  * The one parser behind every LAKE_* count knob (LAKE_STREAMS,
- * LAKE_SCORE_MAX_BATCH, LAKE_SOA_SLACK, ...).
+ * LAKE_SCORE_MAX_BATCH, LAKE_SOA_SLACK, ...) and its microsecond
+ * form (LAKE_SCORE_MAX_DELAY_US, LAKE_SERVE_PUMP_US, ...).
  */
 
 #include <cstddef>
 #include <optional>
+
+#include "base/time.h"
 
 namespace lake::base {
 
@@ -27,6 +30,14 @@ envCount(const char *name, std::size_t fallback)
 {
     return envCount(name).value_or(fallback);
 }
+
+/**
+ * Reads environment variable @p name as an envCount() of microseconds
+ * and returns it in nanoseconds, or @p fallback (already in
+ * nanoseconds) when it is unset, malformed, or its nanosecond form
+ * overflows Nanos.
+ */
+Nanos envMicros(const char *name, Nanos fallback);
 
 } // namespace lake::base
 

@@ -68,7 +68,7 @@ enum class Arch
  * committed slots, caller-built vectors borrowed for the call, or both
  * — typically consumed through view.matrixViews() by the strided
  * GEMM/kNN substrate. The batch, and whatever the classifier derives
- * from it (select() views, MatrixViews), is valid only for the call.
+ * from it (MatrixViews), is valid only for the call.
  */
 using Classifier = std::function<std::vector<float>(const FvBatchView &)>;
 

@@ -43,10 +43,7 @@ ScoringConfig::applyEnv()
 {
     max_batch = base::envCount("LAKE_SCORE_MAX_BATCH", max_batch);
     queue_capacity = base::envCount("LAKE_SCORE_QUEUE_CAP", queue_capacity);
-    max_delay = static_cast<Nanos>(base::envCount(
-                    "LAKE_SCORE_MAX_DELAY_US",
-                    static_cast<std::size_t>(max_delay / 1000))) *
-                1000ull;
+    max_delay = base::envMicros("LAKE_SCORE_MAX_DELAY_US", max_delay);
     shed_oldest =
         base::envCount("LAKE_SCORE_SHED", shed_oldest ? 1 : 0) != 0;
 }

@@ -37,7 +37,8 @@
  *  - Deadlines are virtual-time absolute. The service has no timer
  *    thread (virtual time does not advance by itself); the owner
  *    drives expiry via poll(now), exactly like the event loops that
- *    drive every other virtual-time component.
+ *    drive every other virtual-time component. storage::runE2e (the
+ *    Fig. 7 batch former) is such an owner, one server per device.
  *  - Callbacks run on the flushing thread, under the flush lock:
  *    per-registry FIFO order, registries of one flush in name order.
  *    A callback may submit() — a re-entrant submission that reaches
@@ -86,6 +87,8 @@ struct ScoringConfig
     /**
      * Default deadline slack: a submit() with deadline 0 is due at
      * `now + max_delay`. Mirrors the remote pipeline's flush quantum.
+     * 0 makes every request due at enqueue, so any poll flushes it
+     * (storage::runE2e's per-device quantum timer).
      */
     Nanos max_delay = 50_us;
     /**
@@ -187,10 +190,12 @@ class ScoreServer
     std::size_t flushAll(Nanos now);
 
     /**
-     * Fails every queued request of one registry with Unavailable —
-     * the manager calls this after unlinking the registry from the
-     * table (so no new submission can enqueue behind the drain) but
-     * before freeing it (so an in-flight flush finishes first).
+     * Fails every queued request of one registry with Unavailable, in
+     * FIFO order. Two uses: teardown — the manager calls this after
+     * unlinking the registry from the table (so no new submission can
+     * enqueue behind the drain) but before freeing it (so an in-flight
+     * flush finishes first) — and an owner dropping unscored work
+     * (storage::runE2e's closed modulation gate sends the reads home).
      */
     void failPending(const std::string &name, const std::string &sys);
 

@@ -550,23 +550,6 @@ FvBatchView::matrixViews() const
     return out;
 }
 
-FvBatchView
-FvBatchView::select(const std::vector<std::size_t> &rows) const
-{
-    FvBatchView v;
-    for (std::size_t row : rows) {
-        std::size_t i;
-        const Block &b = blockOf(row, &i);
-        v.pushBlock({.store = b.store,
-                     .rows = {static_cast<std::uint32_t>(i)},
-                     .fvs = b.fvs});
-    }
-    for (const Block &b : v.blocks_)
-        if (b.fvs == nullptr)
-            b.store->pinSlots(b.rows);
-    return v;
-}
-
 void
 FvBatchView::append(FvBatchView other)
 {

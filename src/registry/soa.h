@@ -88,8 +88,7 @@ struct SoaConfig
  * Move-only RAII: every referenced slot stays unrecycled (its bytes
  * immutable) until the view destructs. Views are cheap to create —
  * pinning is a counter bump — and compose: ScoreServer coalescing
- * append()s per-request views into one dispatch view, and selection
- * (e2e's timestamp matching) re-pins a row subset.
+ * append()s per-request views into one dispatch view.
  *
  * Borrowed rows point at caller-owned vectors and are not pinned, so
  * only Registry and ScoreServer may build them (borrow() is private):
@@ -136,9 +135,6 @@ class FvBatchView
      * the first call.
      */
     std::vector<ml::MatrixView> matrixViews() const;
-
-    /** Re-pinned view of a row subset (rows in the given order). */
-    FvBatchView select(const std::vector<std::size_t> &rows) const;
 
     /** Steals @p other's rows onto the back of this view. */
     void append(FvBatchView other);

@@ -1,5 +1,6 @@
 #include "serve/serve.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,7 +11,8 @@ namespace lake::serve {
 
 namespace {
 
-/** Parses a non-negative double env var; @p fallback when unset/bad. */
+/** Parses a finite non-negative double env var; @p fallback when
+ *  unset or bad ("inf", "nan" and "1e999" are bad). */
 double
 envDouble(const char *name, double fallback)
 {
@@ -19,7 +21,7 @@ envDouble(const char *name, double fallback)
         return fallback;
     char *end = nullptr;
     double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0' || parsed < 0.0)
+    if (end == v || *end != '\0' || !std::isfinite(parsed) || parsed < 0.0)
         return fallback;
     return parsed;
 }
@@ -38,16 +40,8 @@ ServeConfig::applyEnv()
     shed_oldest =
         base::envCount("LAKE_SERVE_SHED", shed_oldest ? 1 : 0) != 0;
     drr_quantum = base::envCount("LAKE_SERVE_QUANTUM", drr_quantum);
-    pump_interval =
-        static_cast<Nanos>(base::envCount(
-            "LAKE_SERVE_PUMP_US",
-            static_cast<std::size_t>(pump_interval / 1000))) *
-        1000ull;
-    max_runahead =
-        static_cast<Nanos>(base::envCount(
-            "LAKE_SERVE_RUNAHEAD_US",
-            static_cast<std::size_t>(max_runahead / 1000))) *
-        1000ull;
+    pump_interval = base::envMicros("LAKE_SERVE_PUMP_US", pump_interval);
+    max_runahead = base::envMicros("LAKE_SERVE_RUNAHEAD_US", max_runahead);
     shards = base::envCount("LAKE_SERVE_SHARDS", shards);
     if (const char *v = std::getenv("LAKE_SERVE_TRACE"); v && *v)
         trace_path = v;

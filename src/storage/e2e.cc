@@ -1,14 +1,13 @@
 #include "storage/e2e.h"
 
 #include <array>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 
 #include "base/logging.h"
 #include "ml/backends.h"
 #include "policy/mlgate.h"
 #include "registry/manager.h"
+#include "registry/scoreserver.h"
 #include "sim/simulator.h"
 #include "storage/linnos.h"
 
@@ -31,23 +30,15 @@ namespace {
 constexpr std::size_t kDevices = 3;
 constexpr const char *kSys = "bio_latency_prediction";
 
-/** One read waiting in a device's inference batch. */
-struct QueuedRead
-{
-    Io io;
-    Nanos arrival;
-    Nanos commit_ts;
-};
-
 /** Mutable per-device state of the experiment. */
 struct DeviceState
 {
     std::unique_ptr<NvmeDevice> dev;
     std::array<std::uint32_t, kLinnosHistory> history{};
-    std::vector<QueuedRead> queued;
-    bool flush_scheduled = false;
-    Nanos next_commit_ts = 1;
     registry::Registry *reg = nullptr;
+    /** The device's batch former (LAKE modes). One server per device,
+     *  so a flush of this device never drains another device's reads. */
+    std::unique_ptr<registry::ScoreServer> batcher;
     /** Cached capture handle + interned columns: the completion and
      *  submission paths fire per I/O, so they must not re-hash feature
      *  names or re-walk the manager's registry map. */
@@ -156,6 +147,14 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                     return std::vector<float>(c.begin(), c.end());
                 });
             devs[d].reg->beginFvCapture(0);
+            // Every read is due at enqueue (max_delay 0): the depth
+            // trigger flushes at batch_max, and any poll by the quantum
+            // timer flushes whatever is pending.
+            devs[d].batcher = std::make_unique<registry::ScoreServer>(
+                lake.registries(), lake.clock(),
+                registry::ScoringConfig{.queue_capacity = config.batch_max,
+                                        .max_batch = config.batch_max,
+                                        .max_delay = 0});
         }
     }
 
@@ -207,94 +206,82 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
         }
     };
 
-    // ---- LakeNn batch flush ------------------------------------------
-    std::function<void(std::size_t)> flush = [&](std::size_t d) {
+    auto reroute = [&](std::size_t d) {
+        ++result.rerouted;
+        return (d + 1 + (rr++ % (kDevices - 1))) % kDevices;
+    };
+
+    // ---- LakeNn batch former -----------------------------------------
+    // The flush in progress (a flush runs whole inside one simulator
+    // event, so there is at most one): the clock when it began, and how
+    // many of its reads have resumed, `slow` of them predicted slow.
+    Nanos flush_start = 0;
+    std::size_t resumed = 0, slow = 0;
+
+    // Inference runs in the issuing context: its cost delays only the
+    // batch's own reads (LinnOS performs inference inline in the
+    // submitter, not on a shared thread). Runs before every ScoreServer
+    // call that can flush.
+    auto beginFlush = [&] {
+        lake.clock().advanceTo(simr.now());
+        return flush_start = lake.clock().now();
+    };
+
+    // One read's share of a scored batch. GPU inference finishes the
+    // whole batch at once; the CPU fallback classifies sequentially, so
+    // read i resumes after (i+1)/n of the batch's inference time.
+    auto onScored = [&](std::size_t d, const Io &io, Nanos arrival,
+                        const registry::ScoreResult &res) {
+        const std::size_t i = resumed++;
+        const std::size_t n = res.batch;
+        const bool on_gpu = res.engine == policy::Engine::Gpu;
+        if (i == 0) {
+            ++result.inference_batches;
+            batch_sizes.add(static_cast<double>(n));
+            if (on_gpu)
+                ++result.gpu_batches;
+        }
+        Nanos infer = res.scored - flush_start;
+        Nanos done = on_gpu ? infer
+                            : infer * static_cast<Nanos>(i + 1) /
+                                  static_cast<Nanos>(n);
+        std::size_t target = d;
+        if (res.scores[0] >= 0.5f) {
+            ++slow;
+            target = reroute(d);
+        }
+        simr.scheduleIn(done, [&, target, io, arrival] {
+            submitRead(target, io, arrival);
+        });
+        if (resumed < n)
+            return;
+        if (use_gate)
+            gate.observe(slow, n, simr.now());
+        resumed = slow = 0;
+        devs[d].reg->truncateFeatures();
+    };
+
+    // The §7.1 modulation gate, consulted once per flush before any
+    // scoring: when recent batches produced no slow predictions, the
+    // pending reads go straight to their home device, unscored, with
+    // zero added latency (their callbacks see Unavailable).
+    auto gateDrains = [&](std::size_t d) {
+        if (!use_gate || gate.shouldInfer(simr.now()))
+            return false;
         DeviceState &ds = devs[d];
-        ds.flush_scheduled = false;
-        if (ds.queued.empty())
-            return;
-
-        std::unordered_map<Nanos, std::size_t> by_ts;
-        for (std::size_t i = 0; i < ds.queued.size(); ++i)
-            by_ts.emplace(ds.queued[i].commit_ts, i);
-        // Listing 4: pin the window and select the queued rows — no
-        // copies, the scored floats stay in shm, and a truncate below
-        // defers recycling behind the pinned view.
-        std::vector<std::size_t> order;
-        registry::FvBatchView view;
-        {
-            registry::FvBatchView all = ds.reg->batchView();
-            std::vector<std::size_t> rows;
-            for (std::size_t i = 0; i < all.size(); ++i) {
-                auto it = by_ts.find(all.tsEnd(i));
-                if (it != by_ts.end()) {
-                    rows.push_back(i);
-                    order.push_back(it->second);
-                }
-            }
-            view = all.select(rows);
-        }
-
-        // The §7.1 modulation gate: when recent batches produced no
-        // slow predictions, skip inference entirely — the I/Os go
-        // straight to their home device with zero added latency.
-        if (use_gate && !gate.shouldInfer(simr.now())) {
-            ++result.gated_batches;
-            std::vector<QueuedRead> queued = std::move(ds.queued);
-            ds.queued.clear();
-            ds.reg->truncateFeatures();
-            for (const QueuedRead &qr : queued)
-                submitRead(d, qr.io, qr.arrival);
-            return;
-        }
-
-        // Inference runs in the issuing context: its cost delays only
-        // this batch's reads (LinnOS performs inference inline in the
-        // submitter, not on a shared thread).
-        Clock &clk = lake.clock();
-        clk.advanceTo(simr.now());
-        Nanos t0 = clk.now();
-        std::vector<float> scores = ds.reg->scoreFeatures(view, clk.now());
-        Nanos infer = clk.now() - t0;
-        if (use_gate) {
-            std::size_t positives = 0;
-            for (float v : scores)
-                positives += v >= 0.5f ? 1 : 0;
-            gate.observe(positives, scores.size(), simr.now());
-        }
-
-        ++result.inference_batches;
-        batch_sizes.add(static_cast<double>(order.size()));
-        if (ds.reg->lastEngine() == policy::Engine::Gpu)
-            ++result.gpu_batches;
-
-        std::vector<QueuedRead> queued = std::move(ds.queued);
-        ds.queued.clear();
+        ++result.gated_batches;
+        ds.batcher->failPending(ds.dev->name(), kSys);
         ds.reg->truncateFeatures();
+        return true;
+    };
 
-        // GPU inference finishes the whole batch at once; the CPU
-        // fallback classifies sequentially, so read i resumes after
-        // (i+1)/n of the batch's inference time.
-        bool on_gpu = ds.reg->lastEngine() == policy::Engine::Gpu;
-        std::size_t n = order.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            Nanos done = on_gpu
-                             ? infer
-                             : infer * static_cast<Nanos>(i + 1) /
-                                   static_cast<Nanos>(n);
-            const QueuedRead &qr = queued[order[i]];
-            bool slow = scores[i] >= 0.5f;
-            std::size_t target = d;
-            if (slow) {
-                ++result.rerouted;
-                target = (d + 1 + (rr++ % (kDevices - 1))) % kDevices;
-            }
-            Io io = qr.io;
-            Nanos arrival = qr.arrival;
-            simr.scheduleIn(done, [&, target, io, arrival] {
-                submitRead(target, io, arrival);
-            });
-        }
+    // The quantum timer. One armed before a depth flush still fires and
+    // flushes the next partial batch early.
+    auto pollBatch = [&](std::size_t d) {
+        DeviceState &ds = devs[d];
+        if (ds.batcher->pending() == 0 || gateDrains(d))
+            return;
+        ds.batcher->poll(beginFlush());
     };
 
     // ---- arrivals -----------------------------------------------------
@@ -328,13 +315,7 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                     std::vector<int> cls = cpu_mlp->classify(x);
                     Nanos infer = clk.now() - t0;
 
-                    bool slow = cls[0] == 1;
-                    std::size_t target = d;
-                    if (slow) {
-                        ++result.rerouted;
-                        target = (d + 1 + (rr++ % (kDevices - 1))) %
-                                 kDevices;
-                    }
+                    std::size_t target = cls[0] == 1 ? reroute(d) : d;
                     Nanos arrival = simr.now();
                     Io io = ev.io;
                     simr.scheduleIn(infer, [&, target, io, arrival] {
@@ -355,23 +336,33 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
                         break;
                     }
                     // Listing 4: the arriving I/O becomes a feature
-                    // vector; flush on batch size or quantum.
+                    // vector and joins its device's batch, which flushes
+                    // at batch_max or when the quantum timer polls it.
                     ds.cap.captureFeatureCol(
                         ds.pend_col,
                         static_cast<std::uint64_t>(ds.dev->pending()));
-                    Nanos ts = std::max(simr.now(), ds.next_commit_ts);
-                    ds.next_commit_ts = ts + 1;
-                    ds.reg->commitFvCapture(ts);
-                    ds.queued.push_back(
-                        QueuedRead{ev.io, simr.now(), ts});
-
-                    if (ds.queued.size() >= config.batch_max) {
-                        flush(d);
-                    } else if (!ds.flush_scheduled) {
-                        ds.flush_scheduled = true;
-                        simr.scheduleIn(config.quantum,
-                                        [&, d] { flush(d); });
+                    ds.reg->commitFvCapture(simr.now());
+                    if (ds.batcher->pending() + 1 >= config.batch_max &&
+                        gateDrains(d)) {
+                        submitRead(d, ev.io, simr.now());
+                        break;
                     }
+                    beginFlush();
+                    Status st = ds.batcher->submitView(
+                        ds.dev->name(), kSys, ds.reg->tailView(1), 0,
+                        [&, d, io = ev.io, arrival = simr.now()](
+                            const registry::ScoreResult &res) {
+                            if (res.status.isOk())
+                                onScored(d, io, arrival, res);
+                            else
+                                submitRead(d, io, arrival);
+                        });
+                    LAKE_ASSERT(st.isOk(), "score submit: %s",
+                                st.toString().c_str());
+                    // The read that opens a batch arms its timer.
+                    if (ds.batcher->pending() == 1)
+                        simr.scheduleIn(config.quantum,
+                                        [&, d] { pollBatch(d); });
                     break;
                   }
                 }
@@ -380,8 +371,12 @@ runE2e(const std::vector<TraceSpec> &per_device, const E2eConfig &config)
     }
 
     simr.run();
-    // The quantum timers always fire inside the run, so every queued
-    // batch has been flushed by the time the event queue drains.
+    // Every non-empty batch has a quantum timer armed, so every read
+    // has been scored or sent home by the time the event queue drains
+    // (and no batcher's destructor runs a callback into this frame).
+    for (const DeviceState &ds : devs)
+        LAKE_ASSERT(!ds.batcher || ds.batcher->pending() == 0,
+                    "%s: reads left unscored", ds.dev->name().c_str());
 
     core::RemoteStats rs = lake.remoteStats();
     result.remote_faults = rs.faults_seen;

@@ -5,10 +5,11 @@
  * @file
  * The §7.1 end-to-end study: ML-driven I/O rerouting on a 3-NVMe array.
  *
- * Reads arriving for a device are queued into that device's feature
- * registry (Listing 4's flow: capture -> commit -> batch -> score ->
- * act -> truncate). When a batch closes — size threshold or time
- * quantum — the registered classifier scores it; reads predicted slow
+ * Reads arriving for a device are committed into that device's feature
+ * registry and queued on that device's registry::ScoreServer (Listing
+ * 4's flow: capture -> commit -> batch -> score -> act -> truncate).
+ * When a batch closes — `batch_max` deep, or polled by the `quantum`
+ * timer — the registered classifier scores it; reads predicted slow
  * are reissued round-robin to another device. Inference runs on the
  * CPU or through LAKE on the GPU per the installed execution policy,
  * and its cost lands on the I/O issue path, so the experiment exposes

@@ -463,6 +463,20 @@ TEST(EnvCountTest, AcceptsOnlyPlainDecimalCounts)
     EXPECT_EQ(base::envCount("LAKE_TEST_COUNT", 9), 9u);
 }
 
+TEST(EnvCountTest, MicrosRejectValuesWhoseNanosOverflow)
+{
+    ::setenv("LAKE_TEST_US", "18446744073709551", 1);
+    EXPECT_EQ(base::envMicros("LAKE_TEST_US", 5), 18446744073709551000ull);
+    // 2^64 + 384 ns: must not wrap to 384.
+    for (const char *bad : {"18446744073709552", "-1", "4x", ""}) {
+        ::setenv("LAKE_TEST_US", bad, 1);
+        EXPECT_EQ(base::envMicros("LAKE_TEST_US", 5), 5u)
+            << "'" << bad << "'";
+    }
+    ::unsetenv("LAKE_TEST_US");
+    EXPECT_EQ(base::envMicros("LAKE_TEST_US", 7_us), 7_us);
+}
+
 TEST(StatusTest, CodesAndMessages)
 {
     Status ok;

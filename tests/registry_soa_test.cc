@@ -609,30 +609,6 @@ TEST(SoaViewTest, MatrixViewsBitIdenticalToDenseCompute)
     EXPECT_EQ(strided, knn.classifyBatch(dense.data(), n));
 }
 
-TEST(SoaViewTest, SelectRepinsRowSubsetInOrder)
-{
-    Schema s;
-    s.add("x");
-    SoaRig soa(std::move(s), 8);
-    soa.reg.beginFvCapture(0);
-    for (std::uint64_t i = 0; i < 6; ++i) {
-        soa.reg.captureFeature("x", i);
-        soa.reg.commitFvCapture(10 * (i + 1));
-    }
-    FvBatchView view = soa.reg.batchView();
-    FvBatchView sub = view.select({4, 1, 1});
-    ASSERT_EQ(sub.size(), 3u);
-    EXPECT_EQ(sub.get(0, featureKey("x")), 4u);
-    EXPECT_EQ(sub.get(1, featureKey("x")), 1u);
-    EXPECT_EQ(sub.get(2, featureKey("x")), 1u);
-    // The subset outlives the parent view.
-    view = FvBatchView();
-    EXPECT_EQ(sub.tsEnd(0), 50u);
-    std::vector<FeatureVector> mat = sub.materialize();
-    ASSERT_EQ(mat.size(), 3u);
-    EXPECT_EQ(mat[2].get("x"), 1u);
-}
-
 // Caller-built vectors reach a classifier as borrowed rows: every view
 // accessor reads the caller's FeatureVector through the schema, and
 // matrixViews() encodes the rows with the store's float encoder.
@@ -670,10 +646,10 @@ TEST(SoaViewTest, BorrowedRowsReadCallerVectors)
                EXPECT_EQ(mv[0].at(1, 0), 0.0f);
                // Row 0 stages x (8 B) and h (16 B); row 1 h and other.
                EXPECT_EQ(v.packBytesAvoided(), 40u);
-               std::vector<FeatureVector> mat = v.select({1, 0}).materialize();
+               std::vector<FeatureVector> mat = v.materialize();
                EXPECT_EQ(mat.size(), 2u);
-               EXPECT_EQ(mat[0].values, fvs[1].values);
-               EXPECT_EQ(mat[1].values, fvs[0].values);
+               EXPECT_EQ(mat[0].values, fvs[0].values);
+               EXPECT_EQ(mat[1].values, fvs[1].values);
                checked = true;
                return std::vector<float>(v.size(), 0.0f);
            })

@@ -980,5 +980,20 @@ TEST(ScoringConfigTest, EnvRejectsSignedAndTrailingGarbage)
     EXPECT_EQ(cfg.max_batch, 16u);
 }
 
+// 18446744073709552 us is 2^64 + 384 ns: the delay used to wrap to
+// 384 ns and now keeps the value in force.
+TEST(ScoringConfigTest, EnvRejectsDelayThatOverflowsNanos)
+{
+    ScoringConfig cfg;
+    ::setenv("LAKE_SCORE_MAX_DELAY_US", "18446744073709552", 1);
+    cfg.applyEnv();
+    EXPECT_EQ(cfg.max_delay, ScoringConfig{}.max_delay);
+
+    ::setenv("LAKE_SCORE_MAX_DELAY_US", "7", 1);
+    cfg.applyEnv();
+    ::unsetenv("LAKE_SCORE_MAX_DELAY_US");
+    EXPECT_EQ(cfg.max_delay, 7_us);
+}
+
 } // namespace
 } // namespace lake::registry

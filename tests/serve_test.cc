@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,6 +70,44 @@ struct Harness
         EXPECT_TRUE(mgr.enableScoring(scfg).isOk());
     }
 };
+
+// ---- ServeConfig::applyEnv -----------------------------------------
+
+// strtod parses "inf", "nan" and "1e999": an infinite rate made the
+// mean arrival gap 0 ns (the run never advanced) and a NaN reached a
+// float-to-Nanos cast. Non-finite values keep the value in force, as
+// do microsecond knobs whose nanosecond form overflows.
+TEST(ServeConfigTest, EnvRejectsNonFiniteAndOverflowingKnobs)
+{
+    const serve::ServeConfig defaults;
+    for (const char *bad : {"inf", "nan", "1e999", "-inf"}) {
+        ::setenv("LAKE_SERVE_RATE_RPS", bad, 1);
+        ::setenv("LAKE_SERVE_BUCKET_RATE", bad, 1);
+        ::setenv("LAKE_SERVE_BUCKET_BURST", bad, 1);
+        serve::ServeConfig cfg;
+        cfg.applyEnv();
+        EXPECT_EQ(cfg.rate_rps, defaults.rate_rps) << bad;
+        EXPECT_EQ(cfg.bucket_rate, defaults.bucket_rate) << bad;
+        EXPECT_EQ(cfg.bucket_burst, defaults.bucket_burst) << bad;
+    }
+    ::setenv("LAKE_SERVE_PUMP_US", "18446744073709552", 1);
+    ::setenv("LAKE_SERVE_RUNAHEAD_US", "18446744073709552", 1);
+    serve::ServeConfig cfg;
+    cfg.applyEnv();
+    EXPECT_EQ(cfg.pump_interval, defaults.pump_interval);
+    EXPECT_EQ(cfg.max_runahead, defaults.max_runahead);
+
+    ::setenv("LAKE_SERVE_RATE_RPS", "1500.5", 1);
+    ::setenv("LAKE_SERVE_PUMP_US", "20", 1);
+    cfg.applyEnv();
+    for (const char *name :
+         {"LAKE_SERVE_RATE_RPS", "LAKE_SERVE_BUCKET_RATE",
+          "LAKE_SERVE_BUCKET_BURST", "LAKE_SERVE_PUMP_US",
+          "LAKE_SERVE_RUNAHEAD_US"})
+        ::unsetenv(name);
+    EXPECT_EQ(cfg.rate_rps, 1500.5);
+    EXPECT_EQ(cfg.pump_interval, 20_us);
+}
 
 // ---- TokenBucket ---------------------------------------------------
 

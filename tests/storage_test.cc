@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "storage/e2e.h"
 #include "storage/linnos.h"
 #include "storage/nvme.h"
@@ -391,6 +394,117 @@ TEST(E2eTest, CpuModeChargesInferenceOnIssuePath)
     E2eResult base = runE2e(traces, base_cfg);
     E2eResult cpu = runE2e(traces, cpu_cfg);
     EXPECT_GT(cpu.avg_read_lat_us, base.avg_read_lat_us * 0.9);
+}
+
+/**
+ * A LinnOS-shaped network whose weights are all zero and whose output
+ * bias is (fast, slow) = @p fast_bias, @p slow_bias: every read gets
+ * the same class on any float codegen, so the batch-former tests below
+ * pin counts, not model quality.
+ */
+ml::Mlp
+constantLinnosModel(float fast_bias, float slow_bias)
+{
+    Rng rng(1);
+    ml::Mlp net(ml::MlpConfig::linnos(), rng);
+    std::vector<std::uint8_t> blob = net.serialize();
+    std::size_t params = net.paramCount() * sizeof(float);
+    std::fill(blob.end() - static_cast<std::ptrdiff_t>(params), blob.end(),
+              0);
+    const float out_bias[2] = {fast_bias, slow_bias};
+    std::memcpy(blob.data() + blob.size() - sizeof out_bias, out_bias,
+                sizeof out_bias);
+    return ml::Mlp::deserialize(blob).takeValue();
+}
+
+std::vector<TraceSpec>
+mixedTraces()
+{
+    return {TraceSpec::azure().rerated(3.0), TraceSpec::bingI().rerated(3.0),
+            TraceSpec::cosmos()};
+}
+
+TEST(E2eTest, EveryModeSubmitsEachTraceReadExactlyOnce)
+{
+    ml::Mlp always_slow = constantLinnosModel(0.0f, 1.0f);
+    ml::Mlp never_slow = constantLinnosModel(1.0f, 0.0f);
+    std::vector<TraceSpec> traces = mixedTraces();
+
+    E2eConfig cfg;
+    cfg.duration = 200_ms;
+    cfg.mode = E2eMode::Baseline;
+    E2eResult base = runE2e(traces, cfg);
+    ASSERT_GT(base.reads, 1000u);
+
+    // Every scored read is predicted slow and rerouted once.
+    cfg.mode = E2eMode::LakeNn;
+    cfg.model = &always_slow;
+    E2eResult lake = runE2e(traces, cfg);
+    EXPECT_EQ(lake.reads, base.reads);
+    EXPECT_EQ(lake.writes, base.writes);
+    EXPECT_EQ(lake.rerouted, lake.reads);
+
+    // Nothing is ever slow, so a small gate window closes: reads then
+    // skip ML or drain home unscored. Frequent probes and a long
+    // quantum leave reads queued on the other devices when a probe
+    // fails, so the closed gate drains them.
+    cfg.mode = E2eMode::LakeAdaptive;
+    cfg.model = &never_slow;
+    cfg.gate.window = 64;
+    cfg.gate.probe_interval = 1_ms;
+    cfg.quantum = 100_us;
+    E2eResult adaptive = runE2e(traces, cfg);
+    EXPECT_EQ(adaptive.reads, base.reads);
+    EXPECT_EQ(adaptive.writes, base.writes);
+    EXPECT_EQ(adaptive.rerouted, 0u);
+    EXPECT_GT(adaptive.gate_closures, 0u);
+    EXPECT_GT(adaptive.gated_batches, 0u);
+
+    // A faulty channel moves batches onto the CPU, never drops a read.
+    cfg.mode = E2eMode::LakeNn;
+    cfg.model = &always_slow;
+    cfg.gpu_batch_threshold = 2;
+    cfg.inject_faults = true;
+    cfg.faults.seed = 0x1a4e;
+    cfg.faults.drop = 0.25;
+    E2eResult faulty = runE2e(traces, cfg);
+    EXPECT_EQ(faulty.reads, base.reads);
+    EXPECT_EQ(faulty.writes, base.writes);
+    EXPECT_EQ(faulty.rerouted, faulty.reads);
+    EXPECT_GT(faulty.cpu_fallbacks, 0u);
+}
+
+TEST(E2eTest, BatchFormerFlushesOnDepthAndQuantum)
+{
+    ml::Mlp never_slow = constantLinnosModel(1.0f, 0.0f);
+    std::vector<TraceSpec> traces = mixedTraces();
+    E2eConfig cfg;
+    cfg.mode = E2eMode::LakeNn;
+    cfg.model = &never_slow;
+    cfg.duration = 100_ms;
+
+    // Depth 1: every read is its own batch.
+    cfg.batch_max = 1;
+    E2eResult single = runE2e(traces, cfg);
+    ASSERT_GT(single.reads, 500u);
+    EXPECT_EQ(single.inference_batches, single.reads);
+    EXPECT_EQ(single.avg_batch, 1.0);
+
+    // A quantum past the end of the trace: only full batches flush
+    // while reads arrive, and each device's timer then flushes its one
+    // partial batch.
+    cfg.batch_max = 16;
+    cfg.quantum = 2 * cfg.duration;
+    Rng rng(cfg.seed);
+    std::uint64_t expect = 0;
+    for (const TraceSpec &spec : traces) {
+        std::uint64_t n = 0;
+        for (const TraceEvent &ev : generateTrace(spec, cfg.duration, rng))
+            n += ev.io.is_read ? 1 : 0;
+        expect += (n + cfg.batch_max - 1) / cfg.batch_max;
+    }
+    E2eResult late = runE2e(traces, cfg);
+    EXPECT_EQ(late.inference_batches, expect);
 }
 
 } // namespace
