@@ -340,6 +340,35 @@ BM_SimulatorEventChurn(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorEventChurn);
 
+// The linnos_io shape: ~100k arrivals scheduled up front, each
+// scheduling one follow-up (its completion) when it fires, so every
+// push and pop sifts through a ~17-level heap. BM_SimulatorEventChurn's
+// 1,000 in-order events never build a deep one. items/s is events
+// fired per second.
+void
+BM_SimulatorDeepQueue(benchmark::State &state)
+{
+    const std::size_t n = 100000;
+    Rng rng(3);
+    std::vector<Nanos> arrival(n), service(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        arrival[i] = rng.uniformInt(0, 1000000000);  // 1 s of arrivals
+        service[i] = rng.uniformInt(10000, 200000); // 10-200 us each
+    }
+    for (auto _ : state) {
+        sim::Simulator simr;
+        std::uint64_t done = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            simr.schedule(arrival[i], [&simr, &done, d = service[i]] {
+                simr.scheduleIn(d, [&done] { ++done; });
+            });
+        simr.run();
+        benchmark::DoNotOptimize(done);
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * n);
+}
+BENCHMARK(BM_SimulatorDeepQueue)->Unit(benchmark::kMillisecond);
+
 void
 BM_FullRemotedMemAlloc(benchmark::State &state)
 {

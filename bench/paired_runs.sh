@@ -13,7 +13,8 @@
 #
 # Prints, per end-to-end metric of BENCHMARK.json: the base and change
 # medians with their quartiles, the ratio of medians (change/base) and
-# in how many pairs the change was strictly better. Exits 1 if any run
+# in how many pairs the change was strictly better; then each side's
+# median count of rounds (`reps`) per run. Exits 1 if any run
 # fails or reports correct=false, 2 on a usage or setup error.
 set -euo pipefail
 
@@ -37,9 +38,10 @@ mkdir "$WORK/base"
 git -C "$ROOT" archive "$SHA" | tar -x -C "$WORK/base"
 
 # run <arm> <tree> <pair>: one benchmark run; its result line (the last
-# stdout line) goes to $WORK/<arm>.jsonl. A run that prints no result
-# (a failed build or crash) ends the script; correct=false is counted
-# at the end.
+# stdout line) goes to $WORK/<arm>.jsonl and its detail line (the one
+# before) to $WORK/<arm>.detail.jsonl. A run that prints no result (a
+# failed build or crash) ends the script; correct=false is counted at
+# the end.
 run() {
     local out="$WORK/$1.$3.out" rc=0
     (cd "$2" && CARGO_TARGET_DIR="$WORK/$1-build" python3 perfbench/run.py \
@@ -51,6 +53,7 @@ run() {
         exit 1
     fi
     tail -n 1 "$out" >> "$WORK/$1.jsonl"
+    tail -n 2 "$out" | head -n 1 >> "$WORK/$1.detail.jsonl"
     echo "pair $3 $1: $(tail -n 1 "$out")" >&2
 }
 
@@ -65,7 +68,8 @@ for ((p = 1; p <= PAIRS; ++p)); do
 done
 
 echo "$WORKLOAD seed $SEED, $PAIRS pairs of ${SECONDS_PER_RUN} s runs; base ${SHA:0:12}, change = working tree"
-python3 - "$ROOT/BENCHMARK.json" "$WORK/base.jsonl" "$WORK/change.jsonl" <<'EOF'
+python3 - "$ROOT/BENCHMARK.json" "$WORK/base.jsonl" "$WORK/change.jsonl" \
+    "$WORK/base.detail.jsonl" "$WORK/change.detail.jsonl" <<'EOF'
 import json
 import statistics
 import sys
@@ -98,6 +102,13 @@ for m in spec["end_to_end"]:
           f"{f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':<38} "
           f"{ratio:>7.4f} {wins:>3}/{len(b):<2} {ties:>5}")
 
+# Rounds the driver fitted into the run: a faster build fits more, and
+# a driver that keeps per-round state (linnos_io keeps every round's
+# latencies) then peaks higher in RSS for that reason alone.
+for arm, path in (("base", sys.argv[4]), ("change", sys.argv[5])):
+    reps = [json.loads(l)["reps"] for l in open(path)]
+    q1, med, q3 = quartiles(reps)
+    print(f"{arm}: reps median {med:g} [{q1:g}, {q3:g}]")
 for arm, rs in (("base", base), ("change", change)):
     print(f"{arm}: failed/attempted per pair "
           + " ".join(f"{r['failed']}/{r['attempted']}" for r in rs))

@@ -107,3 +107,10 @@ ctest --test-dir "$BUILD" --output-on-failure -L crypto
 # mlp_forward body reading its input rows in place from device memory
 # — the indexing ASan/UBSan should sweep.
 ctest --test-dir "$BUILD" --output-on-failure -L ml
+
+# The simulator suite (ctest -L sim) runs the event loop every figure's
+# virtual time comes from: the key heap, the callback slab's free-list
+# reuse across a million events, and callbacks moved out of their slot
+# before they fire (and may reschedule into it) — the slot lifetimes
+# ASan should sweep.
+ctest --test-dir "$BUILD" --output-on-failure -L sim

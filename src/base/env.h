@@ -32,6 +32,19 @@ envCount(const char *name, std::size_t fallback)
 }
 
 /**
+ * envCount(@p name, @p fallback) for a knob its consumer requires to
+ * be positive (a batch size, a queue bound): 0 keeps @p fallback too,
+ * as a malformed value does, instead of reaching that consumer's
+ * assert.
+ */
+inline std::size_t
+envPositiveCount(const char *name, std::size_t fallback)
+{
+    const std::size_t v = envCount(name, fallback);
+    return v > 0 ? v : fallback;
+}
+
+/**
  * Reads environment variable @p name as an envCount() of microseconds
  * and returns it in nanoseconds, or @p fallback (already in
  * nanoseconds) when it is unset, malformed, or its nanosecond form

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "base/logging.h"
 
@@ -52,14 +53,14 @@ ECryptFs::writeFile(const std::string &path, const std::uint8_t *data,
         std::size_t n = std::min(extent_bytes_, size - off);
         Extent ext;
         ext.plain_len = n;
-        ext.cipher.resize(n);
+        ext.cipher = std::make_unique_for_overwrite<std::uint8_t[]>(n);
         std::memset(ext.iv, 0, sizeof(ext.iv));
         std::uint64_t ctr = iv_counter_++;
         std::memcpy(ext.iv, &ctr, sizeof(ctr));
 
         if (n > 0)
             cipher_.encryptExtent(ext.iv, data + off, n,
-                                  ext.cipher.data(), ext.tag);
+                                  ext.cipher.get(), ext.tag);
 
         Nanos t = diskTime(n, /*write=*/true);
         disk_free = std::max(disk_free, clock_.now()) + t;
@@ -99,7 +100,7 @@ ECryptFs::writeFileBatched(File &file, const std::uint8_t *data,
             std::size_t n = std::min(extent_bytes_, size - off);
             Extent &ext = file.extents[i];
             ext.plain_len = n;
-            ext.cipher.resize(n);
+            ext.cipher = std::make_unique_for_overwrite<std::uint8_t[]>(n);
             std::memset(ext.iv, 0, sizeof(ext.iv));
             std::uint64_t ctr = iv_counter_++;
             std::memcpy(ext.iv, &ctr, sizeof(ctr));
@@ -108,7 +109,7 @@ ECryptFs::writeFileBatched(File &file, const std::uint8_t *data,
             op.iv = ext.iv;
             op.in = data + off;
             op.len = n;
-            op.out = ext.cipher.data();
+            op.out = ext.cipher.get();
             ops.push_back(op);
         }
         cipher_.encryptBatch(ops.data(), ops.size());
@@ -161,7 +162,7 @@ ECryptFs::readFile(const std::string &path)
 
         if (ext.plain_len > 0) {
             Nanos c0 = clock_.now();
-            bool ok = cipher_.decryptExtent(ext.iv, ext.cipher.data(),
+            bool ok = cipher_.decryptExtent(ext.iv, ext.cipher.get(),
                                             ext.plain_len, ext.tag,
                                             out.data() + off);
             stats_.crypto_busy += clock_.now() - c0;
@@ -208,7 +209,7 @@ ECryptFs::readFileBatched(const File &file)
             if (ext.plain_len > 0) {
                 crypto::ExtentOp op;
                 op.iv = ext.iv;
-                op.in = ext.cipher.data();
+                op.in = ext.cipher.get();
                 op.len = ext.plain_len;
                 op.out = out.data() + off;
                 std::memcpy(op.tag, ext.tag, sizeof(op.tag));
@@ -244,7 +245,7 @@ ECryptFs::storedSize(const std::string &path) const
         return 0;
     std::size_t n = 0;
     for (const Extent &e : it->second.extents)
-        n += e.cipher.size() + sizeof(e.iv) + sizeof(e.tag);
+        n += e.plain_len + sizeof(e.iv) + sizeof(e.tag);
     return n;
 }
 

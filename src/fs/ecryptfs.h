@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,10 @@ class ECryptFs
   private:
     struct Extent
     {
-        std::vector<std::uint8_t> cipher;
+        /** plain_len bytes of ciphertext. Allocated uninitialized: the
+         *  cipher writes every byte, so value-initialising them was a
+         *  wasted pass over each extent. */
+        std::unique_ptr<std::uint8_t[]> cipher;
         std::uint8_t iv[crypto::kGcmIvBytes];
         std::uint8_t tag[crypto::kGcmTagBytes];
         std::size_t plain_len;

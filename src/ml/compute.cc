@@ -31,13 +31,34 @@ constexpr std::size_t kPackMinFloats = std::size_t{1} << 16;
 constexpr std::size_t kPackPanel = 16;
 
 /**
- * 4-row x 16-column register-tile microkernel. The k-loop accumulates
- * the full depth into 4x16 local accumulators (vector registers after
- * vectorization), so each output element is loaded/stored exactly
- * once; each wt vector load feeds four independent accumulator
- * streams. Per (row, column) the reduction still runs over i in
- * ascending order, one product at a time — the seed scalar loop's
- * summation order — so tiling never changes results.
+ * acc + a * b, as one fused multiply-add wherever the target has a
+ * fast one, else as a multiply then an add. Every GEMM accumulation
+ * goes through here, so each output element is the same chain of
+ * roundings whichever kernel (and loop shape) computes it: left to
+ * contraction, GCC fuses some loop shapes and splits others into a
+ * vector multiply and a scalar add.
+ */
+inline float
+fmadd(float a, float b, float acc)
+{
+#if defined(__FP_FAST_FMAF)
+    return __builtin_fmaf(a, b, acc);
+#else
+    return acc + a * b;
+#endif
+}
+
+/**
+ * 4-row x 16-column register-tile microkernel for the full row blocks.
+ * The k-loop accumulates the full depth into 4x16 local accumulators
+ * (vector registers after vectorization), so each output element is
+ * loaded/stored exactly once; each wt vector load feeds four
+ * independent accumulator streams. Per (row, column) the reduction
+ * still runs over i in ascending order, one fmadd at a time — the seed
+ * scalar loop's summation order — so tiling never changes results.
+ * Inlined into the column sweep, where GCC overlaps successive tiles;
+ * as a call (microRows<4, W>) the same math ran a 256x256 GEMM ~1.5x
+ * slower.
  */
 inline void
 micro4(const float *__restrict x0, const float *__restrict x1,
@@ -63,10 +84,10 @@ micro4(const float *__restrict x0, const float *__restrict x1,
         const float *__restrict wrow = wt + i * out + o;
         for (std::size_t c = 0; c < kRegTile; ++c) {
             const float wv = wrow[c];
-            a0[c] += v0 * wv;
-            a1[c] += v1 * wv;
-            a2[c] += v2 * wv;
-            a3[c] += v3 * wv;
+            a0[c] = fmadd(v0, wv, a0[c]);
+            a1[c] = fmadd(v1, wv, a1[c]);
+            a2[c] = fmadd(v2, wv, a2[c]);
+            a3[c] = fmadd(v3, wv, a3[c]);
         }
     }
     for (std::size_t c = 0; c < kRegTile; ++c) {
@@ -78,32 +99,134 @@ micro4(const float *__restrict x0, const float *__restrict x1,
 }
 
 /**
- * Edge kernel for the n % 4 rows below the last full row block, over
- * output columns [o0, o1): same ascending-i accumulation, y resident
- * in cache. gemmBlock passes the whole width: a constant 0 start made
- * GCC 12's code for 1-2 row batches ~10% slower (BM_MlpForwardLinnos).
+ * micro4's accumulation for the R = 1..3 rows of a batch's row tail,
+ * over W columns (a multiple of the 16-float tile): R x W local
+ * accumulators, i ascending, one fmadd at a time, so every element is
+ * the same rounding chain micro4 computes. Row r of x starts at
+ * x + r * x_stride, of y at y + r * y_stride. One named accumulator
+ * array per row (not an R x W array), a call rather than inlined, the
+ * c-loop unrolled whole and the i-loop not at all: otherwise GCC 12
+ * leaves some instances' accumulators in memory (all of them at -O2)
+ * or their loops scalar.
  */
-inline void
-tailKernel(const float *__restrict x, std::size_t nrows, std::size_t in,
-           std::size_t x_stride, const float *__restrict wt,
-           std::size_t out, std::size_t o0, std::size_t o1,
-           const float *__restrict bias, float *__restrict y)
+template <std::size_t R, std::size_t W>
+[[gnu::noinline]] void
+microRows(const float *__restrict x, std::size_t x_stride,
+          std::size_t in, const float *__restrict wt, std::size_t out,
+          std::size_t o, const float *__restrict bias,
+          float *__restrict y, std::size_t y_stride)
 {
-    for (std::size_t r = 0; r < nrows; ++r) {
-        float *__restrict yr = y + r * out;
-        for (std::size_t o = o0; o < o1; ++o)
-            yr[o] = bias ? bias[o] : 0.0f;
+    static_assert(R >= 1 && R < kRowBlock && W % kRegTile == 0);
+    const float *__restrict x0 = x;
+    const float *__restrict x1 = x + (R > 1 ? x_stride : 0);
+    const float *__restrict x2 = x + (R > 2 ? 2 * x_stride : 0);
+    float bv[W];
+    if (bias)
+        std::copy(bias + o, bias + o + W, bv);
+    else
+        std::fill(bv, bv + W, 0.0f);
+    float a0[W], a1[W], a2[W];
+    for (std::size_t c = 0; c < W; ++c) {
+        a0[c] = bv[c];
+        a1[c] = bv[c];
+        a2[c] = bv[c];
     }
-    for (std::size_t r = 0; r < nrows; ++r) {
-        const float *__restrict xr = x + r * x_stride;
-        float *__restrict yr = y + r * out;
-        for (std::size_t i = 0; i < in; ++i) {
-            const float a = xr[i];
-            const float *__restrict wrow = wt + i * out;
-            for (std::size_t o = o0; o < o1; ++o)
-                yr[o] += a * wrow[o];
+#pragma GCC unroll 1
+    for (std::size_t i = 0; i < in; ++i) {
+        const float *__restrict wrow = wt + i * out + o;
+        const float v0 = x0[i];
+        const float v1 = R > 1 ? x1[i] : 0.0f;
+        const float v2 = R > 2 ? x2[i] : 0.0f;
+#pragma GCC unroll 256
+        for (std::size_t c = 0; c < W; ++c) {
+            const float wv = wrow[c];
+            a0[c] = fmadd(v0, wv, a0[c]);
+            if constexpr (R > 1)
+                a1[c] = fmadd(v1, wv, a1[c]);
+            if constexpr (R > 2)
+                a2[c] = fmadd(v2, wv, a2[c]);
         }
     }
+    float *__restrict y0 = y + o;
+    float *__restrict y1 = y + y_stride + o;
+    float *__restrict y2 = y + 2 * y_stride + o;
+    for (std::size_t c = 0; c < W; ++c) {
+        y0[c] = a0[c];
+        if constexpr (R > 1)
+            y1[c] = a1[c];
+        if constexpr (R > 2)
+            y2[c] = a2[c];
+    }
+}
+
+/**
+ * Accumulator floats one microRows call may hold in registers: 16 of
+ * AVX-512's 32 vector registers, else 8 of 16 (AVX2).
+ */
+#if defined(__AVX512F__)
+constexpr std::size_t kTailAccFloats = 16 * 16;
+#else
+constexpr std::size_t kTailAccFloats = 8 * 8;
+#endif
+
+/**
+ * Columns per microRows call for an R-row tail: the widest power-of-two
+ * multiple of the tile whose R x W accumulators fit kTailAccFloats.
+ * Each call's chains are as deep as the layer's input, and a shallow
+ * layer (LinnOS's 31 inputs) is bound by that chain's FMA latency once
+ * per call, so fewer, wider calls win: a 1-row 31->256 layer on
+ * single tiles ran slower than the scalar loop it replaced.
+ */
+template <std::size_t R>
+constexpr std::size_t kSweepCols = [] {
+    std::size_t w = kRegTile;
+    while (2 * w * R <= kTailAccFloats)
+        w *= 2;
+    return w;
+}();
+
+/**
+ * All output columns of one R-row block: micro4 tile by tile for a
+ * full block; microRows kSweepCols<R> columns at a time for a row
+ * tail, then its remaining whole tiles one by one. A ragged column
+ * tail runs on the same kernel over @p tail_wt / @p tail_bias, those
+ * wt columns (and bias) zero-padded to one register tile; the padded
+ * outputs land in a scratch tile and are dropped.
+ */
+template <std::size_t R>
+inline void
+rowBlock(const float *x, std::size_t x_stride, std::size_t in,
+         const float *wt, std::size_t out, const float *bias,
+         const float *tail_wt, const float *tail_bias, float *y)
+{
+    const std::size_t full_cols = out - out % kRegTile;
+    float yt[R][kRegTile];
+    if constexpr (R == kRowBlock) {
+        const float *x1 = x + x_stride, *x2 = x1 + x_stride,
+                    *x3 = x2 + x_stride;
+        for (std::size_t o = 0; o < full_cols; o += kRegTile)
+            micro4(x, x1, x2, x3, in, wt, out, o, bias, y, y + out,
+                   y + 2 * out, y + 3 * out);
+        if (full_cols != out)
+            micro4(x, x1, x2, x3, in, tail_wt, kRegTile, 0, tail_bias,
+                   yt[0], yt[1], yt[2], yt[3]);
+    } else {
+        constexpr std::size_t kSweep = kSweepCols<R>;
+        std::size_t o = 0;
+        for (; o + kSweep <= full_cols; o += kSweep)
+            microRows<R, kSweep>(x, x_stride, in, wt, out, o, bias, y,
+                                 out);
+        for (; o < full_cols; o += kRegTile)
+            microRows<R, kRegTile>(x, x_stride, in, wt, out, o, bias, y,
+                                   out);
+        if (full_cols != out)
+            microRows<R, kRegTile>(x, x_stride, in, tail_wt, kRegTile, 0,
+                                   tail_bias, yt[0], kRegTile);
+    }
+    if (full_cols != out)
+        for (std::size_t r = 0; r < R; ++r)
+            std::copy(yt[r], yt[r] + (out - full_cols),
+                      y + r * out + full_cols);
 }
 
 /**
@@ -116,11 +239,17 @@ gemmRows(const float *x, std::size_t n, std::size_t in,
          const float *bias, float *y)
 {
     // Whole row blocks per chunk, so only the batch's last n % 4 rows
-    // reach tailKernel whatever the grain.
+    // take a short row block whatever the grain.
     const std::size_t rows =
         kGemmMinMacs / std::max<std::size_t>(1, in * out);
     const std::size_t grain = std::max(
         kGemmGrain, (rows + kRowBlock - 1) / kRowBlock * kRowBlock);
+    // One chunk (every inference batch of a few rows): no pool round
+    // trip. Same rows, same kernels as the chunked path.
+    if (n <= grain) {
+        gemmBlock(x, n, in, x_stride, wt, out, bias, y);
+        return;
+    }
     base::ThreadPool::global().parallelFor(
         0, n, grain, [&](std::size_t b, std::size_t e) {
             gemmBlock(x + b * x_stride, e - b, in, x_stride, wt, out,
@@ -167,15 +296,10 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
 {
     const std::size_t full_rows = n - n % kRowBlock;
     const std::size_t full_cols = out - out % kRegTile;
-    const std::size_t ragged = out - full_cols;
 
-    // The ragged column tail of the full row blocks runs on the
-    // microkernel too, over a copy of those wt columns (and bias)
-    // zero-padded to one register tile; the padded outputs land in a
-    // scratch tile and are dropped.
     std::vector<float> tail_wt;
     float tail_bias[kRegTile] = {};
-    if (ragged != 0 && full_rows != 0) {
+    if (full_cols != out) {
         tail_wt.assign(in * kRegTile, 0.0f);
         for (std::size_t i = 0; i < in; ++i)
             std::copy(wt + i * out + full_cols, wt + (i + 1) * out,
@@ -184,26 +308,25 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
             std::copy(bias + full_cols, bias + out, tail_bias);
     }
 
-    for (std::size_t r = 0; r < full_rows; r += kRowBlock) {
-        const float *x0 = x + r * x_stride;
-        float *y0 = y + r * out;
-        for (std::size_t o = 0; o < full_cols; o += kRegTile)
-            micro4(x0, x0 + x_stride, x0 + 2 * x_stride,
-                   x0 + 3 * x_stride, in, wt, out, o, bias, y0,
-                   y0 + out, y0 + 2 * out, y0 + 3 * out);
-        if (ragged != 0) {
-            float yt[kRowBlock][kRegTile];
-            micro4(x0, x0 + x_stride, x0 + 2 * x_stride,
-                   x0 + 3 * x_stride, in, tail_wt.data(), kRegTile, 0,
-                   tail_bias, yt[0], yt[1], yt[2], yt[3]);
-            for (std::size_t k = 0; k < kRowBlock; ++k)
-                std::copy(yt[k], yt[k] + ragged, y0 + k * out + full_cols);
-        }
+    for (std::size_t r = 0; r < full_rows; r += kRowBlock)
+        rowBlock<kRowBlock>(x + r * x_stride, x_stride, in, wt, out, bias,
+                            tail_wt.data(), tail_bias, y + r * out);
+    const float *xt = x + full_rows * x_stride;
+    float *yt = y + full_rows * out;
+    switch (n - full_rows) {
+    case 1:
+        rowBlock<1>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+                    tail_bias, yt);
+        break;
+    case 2:
+        rowBlock<2>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+                    tail_bias, yt);
+        break;
+    case 3:
+        rowBlock<3>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+                    tail_bias, yt);
+        break;
     }
-    if (full_rows < n)
-        tailKernel(x + full_rows * x_stride, n - full_rows, in,
-                   x_stride, wt, out, 0, out, bias,
-                   y + full_rows * out);
 }
 
 void

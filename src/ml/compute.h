@@ -32,7 +32,14 @@
  * the same order as the seed scalar loops — and parallelism never
  * splits a reduction. Results are therefore bit-identical at any
  * LAKE_CPU_THREADS setting (and to the seed scalar code under
- * identical floating-point contraction rules). That carries over to
+ * identical floating-point contraction rules). The FMA contract: each
+ * multiply-add is one explicit fused step (__builtin_fmaf) when the
+ * target has a fast FMA (__FP_FAST_FMAF), else a rounded multiply
+ * then an add, never left to the compiler's contraction, which fuses
+ * some loop shapes and splits others. So a row gives the same bits in
+ * a 4-row block, in the 1-3 row tail, or alone (tests/compute_test.cc
+ * pins both branches: compute_portable_test builds this file without
+ * FMA). That carries over to
  * training: a dW element sums its batch rows in ascending order from
  * 0.0f and a propagated-delta element sums its output units in
  * ascending order, exactly as the textbook backward loops do, so the
@@ -68,10 +75,10 @@ void packTranspose(const float *w, std::size_t rows, std::size_t cols,
  * MatrixView feeds the kernels in place; y rows are contiguous.
  * @p wt is the packed transpose (see packTranspose, ld == out);
  * @p bias may be null for no bias. Tiled over output columns with a
- * 4-row microkernel of independent accumulator streams; a ragged
+ * register-tile microkernel of independent accumulator streams, 4 rows
+ * at a time and the last n % 4 rows on its 1-3 row instance; a ragged
  * column tail runs on it too, over a per-call zero-padded copy of
- * those wt columns. Only the last n % 4 rows take the scalar edge
- * kernel.
+ * those wt columns.
  */
 void gemmBlock(const float *x, std::size_t n, std::size_t in,
                std::size_t x_stride, const float *wt, std::size_t out,

@@ -41,8 +41,9 @@ class FlushScope
 void
 ScoringConfig::applyEnv()
 {
-    max_batch = base::envCount("LAKE_SCORE_MAX_BATCH", max_batch);
-    queue_capacity = base::envCount("LAKE_SCORE_QUEUE_CAP", queue_capacity);
+    max_batch = base::envPositiveCount("LAKE_SCORE_MAX_BATCH", max_batch);
+    queue_capacity =
+        base::envPositiveCount("LAKE_SCORE_QUEUE_CAP", queue_capacity);
     max_delay = base::envMicros("LAKE_SCORE_MAX_DELAY_US", max_delay);
     shed_oldest =
         base::envCount("LAKE_SCORE_SHED", shed_oldest ? 1 : 0) != 0;

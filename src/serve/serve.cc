@@ -31,16 +31,20 @@ envDouble(const char *name, double fallback)
 void
 ServeConfig::applyEnv()
 {
-    tenants = base::envCount("LAKE_SERVE_TENANTS", tenants);
+    tenants = base::envPositiveCount("LAKE_SERVE_TENANTS", tenants);
     rate_rps = envDouble("LAKE_SERVE_RATE_RPS", rate_rps);
     seed = base::envCount("LAKE_SERVE_SEED", seed);
     bucket_rate = envDouble("LAKE_SERVE_BUCKET_RATE", bucket_rate);
     bucket_burst = envDouble("LAKE_SERVE_BUCKET_BURST", bucket_burst);
-    queue_capacity = base::envCount("LAKE_SERVE_QUEUE_CAP", queue_capacity);
+    queue_capacity =
+        base::envPositiveCount("LAKE_SERVE_QUEUE_CAP", queue_capacity);
     shed_oldest =
         base::envCount("LAKE_SERVE_SHED", shed_oldest ? 1 : 0) != 0;
-    drr_quantum = base::envCount("LAKE_SERVE_QUANTUM", drr_quantum);
-    pump_interval = base::envMicros("LAKE_SERVE_PUMP_US", pump_interval);
+    drr_quantum = base::envPositiveCount("LAKE_SERVE_QUANTUM", drr_quantum);
+    // 0 us keeps the interval in force, as 0 does for the count knobs
+    // above: TrafficGenerator requires all four positive.
+    if (Nanos pump = base::envMicros("LAKE_SERVE_PUMP_US", 0); pump > 0)
+        pump_interval = pump;
     max_runahead = base::envMicros("LAKE_SERVE_RUNAHEAD_US", max_runahead);
     shards = base::envCount("LAKE_SERVE_SHARDS", shards);
     if (const char *v = std::getenv("LAKE_SERVE_TRACE"); v && *v)

@@ -114,7 +114,9 @@ struct ServeConfig
      * LAKE_SERVE_QUEUE_CAP / LAKE_SERVE_SHED / LAKE_SERVE_QUANTUM /
      * LAKE_SERVE_PUMP_US / LAKE_SERVE_RUNAHEAD_US /
      * LAKE_SERVE_SHARDS / LAKE_SERVE_SEED / LAKE_SERVE_TRACE
-     * environment overrides. Explicit opt-in; a
+     * environment overrides. A 0 for the tenants, queue-capacity,
+     * quantum or pump knob keeps the value in force (the
+     * TrafficGenerator requires those positive). Explicit opt-in; a
      * default-constructed Lake never reads the environment.
      */
     void applyEnv();

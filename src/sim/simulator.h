@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "base/time.h"
@@ -26,7 +25,10 @@ namespace lake::sim {
  * A deterministic event loop over virtual time.
  *
  * Events at equal times fire in scheduling order (FIFO tie-break), so a
- * run is a pure function of its inputs.
+ * run is a pure function of its inputs. The queue is a binary heap of
+ * small (when, seq, slot) keys; callbacks sit in a slab of slots
+ * recycled through a free list, and each is moved out of its slot to
+ * fire.
  */
 class Simulator
 {
@@ -62,20 +64,25 @@ class Simulator
     std::uint64_t eventsFired() const { return fired_; }
 
     /** True when no events remain. */
-    bool idle() const { return queue_.empty(); }
+    bool idle() const { return heap_.empty(); }
 
   private:
-    struct Event
+    /**
+     * Queue entry: the firing order (when, then seq) and the slab slot
+     * holding the callback. Trivially copyable and 24 bytes, so heap
+     * sifts move keys, never std::functions.
+     */
+    struct Key
     {
         Nanos when;
         std::uint64_t seq;
-        Callback fn;
+        std::uint32_t slot;
     };
 
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -83,7 +90,12 @@ class Simulator
         }
     };
 
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
+    /** Pops the earliest key, frees its slot and fires its callback. */
+    void fireNext();
+
+    std::vector<Key> heap_; //!< binary min-heap under Later
+    std::vector<Callback> slots_;
+    std::vector<std::uint32_t> free_; //!< unused indices into slots_
     Nanos now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t fired_ = 0;

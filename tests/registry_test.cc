@@ -980,6 +980,28 @@ TEST(ScoringConfigTest, EnvRejectsSignedAndTrailingGarbage)
     EXPECT_EQ(cfg.max_batch, 16u);
 }
 
+// A 0 batch or queue bound used to pass through applyEnv and abort
+// the process in ScoreServer's constructor; it keeps the value in
+// force, so a server built from the config runs.
+TEST(ScoringConfigTest, EnvZeroCountsKeepTheValueInForce)
+{
+    ScoringConfig cfg;
+    cfg.max_batch = 8;
+    cfg.queue_capacity = 64;
+    ::setenv("LAKE_SCORE_MAX_BATCH", "0", 1);
+    ::setenv("LAKE_SCORE_QUEUE_CAP", "0", 1);
+    cfg.applyEnv();
+    ::unsetenv("LAKE_SCORE_MAX_BATCH");
+    ::unsetenv("LAKE_SCORE_QUEUE_CAP");
+    EXPECT_EQ(cfg.max_batch, 8u);
+    EXPECT_EQ(cfg.queue_capacity, 64u);
+
+    Clock clock;
+    RegistryManager mgr(clock);
+    ScoreServer server(mgr, clock, cfg);
+    EXPECT_EQ(server.config().max_batch, 8u);
+}
+
 // 18446744073709552 us is 2^64 + 384 ns: the delay used to wrap to
 // 384 ns and now keeps the value in force.
 TEST(ScoringConfigTest, EnvRejectsDelayThatOverflowsNanos)

@@ -109,6 +109,31 @@ TEST(ServeConfigTest, EnvRejectsNonFiniteAndOverflowingKnobs)
     EXPECT_EQ(cfg.pump_interval, 20_us);
 }
 
+// A 0 tenant count, queue bound, DRR quantum or pump interval used to
+// pass through applyEnv and abort the process in the TrafficGenerator
+// constructor; each keeps the value in force, so a generator built
+// from the config runs.
+TEST(ServeConfigTest, EnvZeroCountsKeepTheValueInForce)
+{
+    const serve::ServeConfig defaults;
+    const char *knobs[] = {"LAKE_SERVE_TENANTS", "LAKE_SERVE_QUEUE_CAP",
+                           "LAKE_SERVE_QUANTUM", "LAKE_SERVE_PUMP_US"};
+    for (const char *name : knobs)
+        ::setenv(name, "0", 1);
+    serve::ServeConfig cfg;
+    cfg.applyEnv();
+    for (const char *name : knobs)
+        ::unsetenv(name);
+    EXPECT_EQ(cfg.tenants, defaults.tenants);
+    EXPECT_EQ(cfg.queue_capacity, defaults.queue_capacity);
+    EXPECT_EQ(cfg.drr_quantum, defaults.drr_quantum);
+    EXPECT_EQ(cfg.pump_interval, defaults.pump_interval);
+
+    Harness h;
+    serve::TrafficGenerator gen(h.mgr, h.clock, cfg, kSys, h.shards);
+    EXPECT_EQ(gen.config().tenants, defaults.tenants);
+}
+
 // ---- TokenBucket ---------------------------------------------------
 
 TEST(TokenBucketTest, BurstThenSustainedRate)
