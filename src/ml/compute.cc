@@ -99,41 +99,51 @@ micro4(const float *__restrict x0, const float *__restrict x1,
 }
 
 /**
+ * Accumulator floats one microRows call may hold in registers: 16 of
+ * AVX-512's 32 vector registers, else 8 of 16 (AVX2).
+ */
+#if defined(__AVX512F__)
+constexpr std::size_t kTailAccFloats = 16 * 16;
+#else
+constexpr std::size_t kTailAccFloats = 8 * 8;
+#endif
+
+/** The bias tile of a bias-free GEMM: microRows always reads one. */
+alignas(64) constexpr float kZeroBias[kTailAccFloats] = {};
+
+/**
  * micro4's accumulation for the R = 1..3 rows of a batch's row tail,
  * over W columns (a multiple of the 16-float tile): R x W local
  * accumulators, i ascending, one fmadd at a time, so every element is
- * the same rounding chain micro4 computes. Row r of x starts at
- * x + r * x_stride, of y at y + r * y_stride. One named accumulator
- * array per row (not an R x W array), a call rather than inlined, the
- * c-loop unrolled whole and the i-loop not at all: otherwise GCC 12
+ * the same rounding chain micro4 computes. @p wt, @p bias and @p y
+ * point at the tile's first column; @p bias is never null (W floats).
+ * Row r reads x_r and writes y_r (rows past R are null); wt row i
+ * starts at wt + i * ld. One restrict pointer and one named
+ * accumulator array per row (not a stride, not an R x W array), a call
+ * rather than inlined, the c-loops unrolled whole and the i-loop not
+ * at all: otherwise GCC 12 adds a scalar path for overlapping rows,
  * leaves some instances' accumulators in memory (all of them at -O2)
  * or their loops scalar.
  */
 template <std::size_t R, std::size_t W>
 [[gnu::noinline]] void
-microRows(const float *__restrict x, std::size_t x_stride,
-          std::size_t in, const float *__restrict wt, std::size_t out,
-          std::size_t o, const float *__restrict bias,
-          float *__restrict y, std::size_t y_stride)
+microRows(const float *__restrict x0, const float *__restrict x1,
+          const float *__restrict x2, std::size_t in,
+          const float *__restrict wt, std::size_t ld,
+          const float *__restrict bias, float *__restrict y0,
+          float *__restrict y1, float *__restrict y2)
 {
     static_assert(R >= 1 && R < kRowBlock && W % kRegTile == 0);
-    const float *__restrict x0 = x;
-    const float *__restrict x1 = x + (R > 1 ? x_stride : 0);
-    const float *__restrict x2 = x + (R > 2 ? 2 * x_stride : 0);
-    float bv[W];
-    if (bias)
-        std::copy(bias + o, bias + o + W, bv);
-    else
-        std::fill(bv, bv + W, 0.0f);
     float a0[W], a1[W], a2[W];
+#pragma GCC unroll 256
     for (std::size_t c = 0; c < W; ++c) {
-        a0[c] = bv[c];
-        a1[c] = bv[c];
-        a2[c] = bv[c];
+        a0[c] = bias[c];
+        a1[c] = bias[c];
+        a2[c] = bias[c];
     }
 #pragma GCC unroll 1
     for (std::size_t i = 0; i < in; ++i) {
-        const float *__restrict wrow = wt + i * out + o;
+        const float *__restrict wrow = wt + i * ld;
         const float v0 = x0[i];
         const float v1 = R > 1 ? x1[i] : 0.0f;
         const float v2 = R > 2 ? x2[i] : 0.0f;
@@ -147,9 +157,7 @@ microRows(const float *__restrict x, std::size_t x_stride,
                 a2[c] = fmadd(v2, wv, a2[c]);
         }
     }
-    float *__restrict y0 = y + o;
-    float *__restrict y1 = y + y_stride + o;
-    float *__restrict y2 = y + 2 * y_stride + o;
+#pragma GCC unroll 256
     for (std::size_t c = 0; c < W; ++c) {
         y0[c] = a0[c];
         if constexpr (R > 1)
@@ -158,16 +166,6 @@ microRows(const float *__restrict x, std::size_t x_stride,
             y2[c] = a2[c];
     }
 }
-
-/**
- * Accumulator floats one microRows call may hold in registers: 16 of
- * AVX-512's 32 vector registers, else 8 of 16 (AVX2).
- */
-#if defined(__AVX512F__)
-constexpr std::size_t kTailAccFloats = 16 * 16;
-#else
-constexpr std::size_t kTailAccFloats = 8 * 8;
-#endif
 
 /**
  * Columns per microRows call for an R-row tail: the widest power-of-two
@@ -212,16 +210,26 @@ rowBlock(const float *x, std::size_t x_stride, std::size_t in,
                    yt[0], yt[1], yt[2], yt[3]);
     } else {
         constexpr std::size_t kSweep = kSweepCols<R>;
+        const float *x1 = R > 1 ? x + x_stride : nullptr;
+        const float *x2 = R > 2 ? x + 2 * x_stride : nullptr;
+        // Row r's outputs from column o on, and in the scratch tile
+        // (null past R).
+        auto yr = [&](std::size_t r, std::size_t o) {
+            return r < R ? y + r * out + o : nullptr;
+        };
+        auto ytr = [&](std::size_t r) { return r < R ? yt[r] : nullptr; };
         std::size_t o = 0;
         for (; o + kSweep <= full_cols; o += kSweep)
-            microRows<R, kSweep>(x, x_stride, in, wt, out, o, bias, y,
-                                 out);
+            microRows<R, kSweep>(x, x1, x2, in, wt + o, out,
+                                 bias ? bias + o : kZeroBias, yr(0, o),
+                                 yr(1, o), yr(2, o));
         for (; o < full_cols; o += kRegTile)
-            microRows<R, kRegTile>(x, x_stride, in, wt, out, o, bias, y,
-                                   out);
+            microRows<R, kRegTile>(x, x1, x2, in, wt + o, out,
+                                   bias ? bias + o : kZeroBias, yr(0, o),
+                                   yr(1, o), yr(2, o));
         if (full_cols != out)
-            microRows<R, kRegTile>(x, x_stride, in, tail_wt, kRegTile, 0,
-                                   tail_bias, yt[0], kRegTile);
+            microRows<R, kRegTile>(x, x1, x2, in, tail_wt, kRegTile,
+                                   tail_bias, ytr(0), ytr(1), ytr(2));
     }
     if (full_cols != out)
         for (std::size_t r = 0; r < R; ++r)
