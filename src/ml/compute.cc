@@ -56,9 +56,9 @@ fmadd(float a, float b, float acc)
  * independent accumulator streams. Per (row, column) the reduction
  * still runs over i in ascending order, one fmadd at a time — the seed
  * scalar loop's summation order — so tiling never changes results.
- * Inlined into the column sweep, where GCC overlaps successive tiles;
- * as a call (microRows<4, W>) the same math ran a 256x256 GEMM ~1.5x
- * slower.
+ * Kept apart from microRows and inlined into the column sweep: a
+ * 4-row instance of microRows (a call per tile, wider tiles) ran the
+ * 256x256 GEMM (BM_GemmBlocked256) slower.
  */
 inline void
 micro4(const float *__restrict x0, const float *__restrict x1,
