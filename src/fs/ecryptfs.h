@@ -88,9 +88,8 @@ class ECryptFs
   private:
     struct Extent
     {
-        /** plain_len bytes of ciphertext. Allocated uninitialized: the
-         *  cipher writes every byte, so value-initialising them was a
-         *  wasted pass over each extent. */
+        /** plain_len bytes of ciphertext, allocated uninitialized:
+         *  the cipher writes every byte. */
         std::unique_ptr<std::uint8_t[]> cipher;
         std::uint8_t iv[crypto::kGcmIvBytes];
         std::uint8_t tag[crypto::kGcmTagBytes];

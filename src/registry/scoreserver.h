@@ -102,8 +102,8 @@ struct ScoringConfig
      * Applies LAKE_SCORE_MAX_BATCH / LAKE_SCORE_MAX_DELAY_US /
      * LAKE_SCORE_QUEUE_CAP / LAKE_SCORE_SHED environment overrides.
      * A 0 batch or queue bound keeps the value in force (ScoreServer
-     * requires both positive). Explicit opt-in (benches call it); a default-constructed Lake
-     * never reads the environment.
+     * requires both positive). Explicit opt-in (benches call it); a
+     * default-constructed Lake never reads the environment.
      */
     void applyEnv();
 };

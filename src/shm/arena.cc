@@ -6,10 +6,16 @@
 
 namespace lake::shm {
 
-ShmArena::ShmArena(std::size_t capacity) : region_(roundUp(capacity))
+ShmArena::ShmArena(std::size_t capacity) : capacity_(roundUp(capacity))
 {
     LAKE_ASSERT(capacity > 0, "arena capacity must be positive");
-    insertFree(0, region_.size());
+    storage_.reset(
+        static_cast<std::uint8_t *>(std::calloc(capacity_ + kAlign - 1, 1)));
+    LAKE_ASSERT(storage_ != nullptr, "cannot allocate a %zu-byte arena",
+                capacity_);
+    const auto raw = reinterpret_cast<std::uintptr_t>(storage_.get());
+    region_ = storage_.get() + ((kAlign - raw % kAlign) % kAlign);
+    insertFree(0, capacity_);
 }
 
 std::size_t
@@ -142,7 +148,7 @@ bool
 ShmArena::validRange(ShmOffset offset, std::size_t bytes) const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (offset >= region_.size())
+    if (offset >= capacity_)
         return false;
     // The candidate is the live allocation with the greatest base not
     // past the offset.

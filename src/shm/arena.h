@@ -20,13 +20,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <utility>
-#include <vector>
-
-#include "base/aligned.h"
 
 namespace lake::shm {
 
@@ -72,14 +71,14 @@ class ShmArena
     void *
     at(ShmOffset offset)
     {
-        return region_.data() + offset;
+        return region_ + offset;
     }
 
     /** Const pointer to a buffer. */
     const void *
     at(ShmOffset offset) const
     {
-        return region_.data() + offset;
+        return region_ + offset;
     }
 
     /** Size originally requested for a live buffer; 0 if unknown. */
@@ -95,7 +94,7 @@ class ShmArena
     bool validRange(ShmOffset offset, std::size_t bytes) const;
 
     /** Total region capacity. */
-    std::size_t capacity() const { return region_.size(); }
+    std::size_t capacity() const { return capacity_; }
     /** Bytes currently handed out (after alignment rounding). */
     std::size_t used() const;
     /**
@@ -119,14 +118,28 @@ class ShmArena
     /** Removes a free block from both indexes. */
     void eraseFree(ShmOffset offset, std::size_t size);
 
+    /** Releases calloc'd storage. */
+    struct Free
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
+
     mutable std::mutex mu_;
     /**
-     * Cache-line-aligned backing: every offset alloc() hands out is a
-     * kAlign multiple, so the *base* must sit on a cache line too or
-     * no carve-out (SoA column planes, GEMM staging buffers) actually
-     * gets the alignment the offsets promise.
+     * The region's zero-filled storage, from calloc: the allocator
+     * hands out fresh pages that are zero already, so a Lake's 128 MiB
+     * region is resident only where buffers have been written, and
+     * boot does not write every byte.
      */
-    std::vector<std::uint8_t, base::AlignedAlloc<std::uint8_t>> region_;
+    std::unique_ptr<std::uint8_t, Free> storage_;
+    /**
+     * Cache-line-aligned base inside storage_: every offset alloc()
+     * hands out is a kAlign multiple, so the *base* must sit on a
+     * cache line too or no carve-out (SoA column planes, GEMM staging
+     * buffers) actually gets the alignment the offsets promise.
+     */
+    std::uint8_t *region_ = nullptr;
+    std::size_t capacity_ = 0;
     /** Free blocks by offset, for neighbour coalescing. */
     std::map<ShmOffset, std::size_t> free_by_offset_;
     /**
