@@ -56,9 +56,9 @@ fmadd(float a, float b, float acc)
  * independent accumulator streams. Per (row, column) the reduction
  * still runs over i in ascending order, one fmadd at a time — the seed
  * scalar loop's summation order — so tiling never changes results.
- * Kept apart from microRows and inlined into the column sweep: a
- * 4-row instance of microRows (a call per tile, wider tiles) ran the
- * 256x256 GEMM (BM_GemmBlocked256) slower.
+ * Kept apart from microRows and inlined into gemmBlock's column
+ * sweep: a 4-row instance of microRows (a call per tile, wider tiles)
+ * ran the 256x256 GEMM (BM_GemmBlocked256) slower.
  */
 inline void
 micro4(const float *__restrict x0, const float *__restrict x1,
@@ -184,57 +184,44 @@ constexpr std::size_t kSweepCols = [] {
 }();
 
 /**
- * All output columns of one R-row block: micro4 tile by tile for a
- * full block; microRows kSweepCols<R> columns at a time for a row
- * tail, then its remaining whole tiles one by one. A ragged column
- * tail runs on the same kernel over @p tail_wt / @p tail_bias, those
- * wt columns (and bias) zero-padded to one register tile; the padded
- * outputs land in a scratch tile and are dropped.
+ * All output columns of a batch's R = 1..3 tail rows: kSweepCols<R>
+ * columns per microRows call, then the remaining whole tiles one by
+ * one. A ragged column tail runs on the same kernel over @p tail_wt /
+ * @p tail_bias (see gemmBlock); the padded outputs land in a scratch
+ * tile and are dropped.
  */
 template <std::size_t R>
 inline void
-rowBlock(const float *x, std::size_t x_stride, std::size_t in,
+tailRows(const float *x, std::size_t x_stride, std::size_t in,
          const float *wt, std::size_t out, const float *bias,
          const float *tail_wt, const float *tail_bias, float *y)
 {
+    constexpr std::size_t kSweep = kSweepCols<R>;
     const std::size_t full_cols = out - out % kRegTile;
-    float yt[R][kRegTile];
-    if constexpr (R == kRowBlock) {
-        const float *x1 = x + x_stride, *x2 = x1 + x_stride,
-                    *x3 = x2 + x_stride;
-        for (std::size_t o = 0; o < full_cols; o += kRegTile)
-            micro4(x, x1, x2, x3, in, wt, out, o, bias, y, y + out,
-                   y + 2 * out, y + 3 * out);
-        if (full_cols != out)
-            micro4(x, x1, x2, x3, in, tail_wt, kRegTile, 0, tail_bias,
-                   yt[0], yt[1], yt[2], yt[3]);
-    } else {
-        constexpr std::size_t kSweep = kSweepCols<R>;
-        const float *x1 = R > 1 ? x + x_stride : nullptr;
-        const float *x2 = R > 2 ? x + 2 * x_stride : nullptr;
-        // Row r's outputs from column o on, and in the scratch tile
-        // (null past R).
-        auto yr = [&](std::size_t r, std::size_t o) {
-            return r < R ? y + r * out + o : nullptr;
-        };
+    const float *x1 = R > 1 ? x + x_stride : nullptr;
+    const float *x2 = R > 2 ? x + 2 * x_stride : nullptr;
+    // Row r's outputs from column o on (null past R).
+    auto yr = [&](std::size_t r, std::size_t o) {
+        return r < R ? y + r * out + o : nullptr;
+    };
+    std::size_t o = 0;
+    for (; o + kSweep <= full_cols; o += kSweep)
+        microRows<R, kSweep>(x, x1, x2, in, wt + o, out,
+                             bias ? bias + o : kZeroBias, yr(0, o),
+                             yr(1, o), yr(2, o));
+    for (; o < full_cols; o += kRegTile)
+        microRows<R, kRegTile>(x, x1, x2, in, wt + o, out,
+                               bias ? bias + o : kZeroBias, yr(0, o),
+                               yr(1, o), yr(2, o));
+    if (full_cols != out) {
+        float yt[R][kRegTile];
         auto ytr = [&](std::size_t r) { return r < R ? yt[r] : nullptr; };
-        std::size_t o = 0;
-        for (; o + kSweep <= full_cols; o += kSweep)
-            microRows<R, kSweep>(x, x1, x2, in, wt + o, out,
-                                 bias ? bias + o : kZeroBias, yr(0, o),
-                                 yr(1, o), yr(2, o));
-        for (; o < full_cols; o += kRegTile)
-            microRows<R, kRegTile>(x, x1, x2, in, wt + o, out,
-                                   bias ? bias + o : kZeroBias, yr(0, o),
-                                   yr(1, o), yr(2, o));
-        if (full_cols != out)
-            microRows<R, kRegTile>(x, x1, x2, in, tail_wt, kRegTile,
-                                   tail_bias, ytr(0), ytr(1), ytr(2));
-    }
-    if (full_cols != out)
+        microRows<R, kRegTile>(x, x1, x2, in, tail_wt, kRegTile,
+                               tail_bias, ytr(0), ytr(1), ytr(2));
         for (std::size_t r = 0; r < R; ++r)
             std::copy(yt[r], yt[r] + (out - full_cols),
                       y + r * out + full_cols);
+    }
 }
 
 /**
@@ -305,9 +292,14 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
     const std::size_t full_rows = n - n % kRowBlock;
     const std::size_t full_cols = out - out % kRegTile;
 
+    const std::size_t ragged = out - full_cols;
+
+    // A ragged column tail runs on the microkernels too, over a copy
+    // of those wt columns (and bias) zero-padded to one register tile;
+    // the padded outputs land in a scratch tile and are dropped.
     std::vector<float> tail_wt;
     float tail_bias[kRegTile] = {};
-    if (full_cols != out) {
+    if (ragged != 0) {
         tail_wt.assign(in * kRegTile, 0.0f);
         for (std::size_t i = 0; i < in; ++i)
             std::copy(wt + i * out + full_cols, wt + (i + 1) * out,
@@ -316,22 +308,38 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
             std::copy(bias + full_cols, bias + out, tail_bias);
     }
 
-    for (std::size_t r = 0; r < full_rows; r += kRowBlock)
-        rowBlock<kRowBlock>(x + r * x_stride, x_stride, in, wt, out, bias,
-                            tail_wt.data(), tail_bias, y + r * out);
+    // Full row blocks keep the seed's loop shape, so GCC 12 emits the
+    // seed's k-loop for them (through a helper it picked other
+    // addressing for the same micro4).
+    for (std::size_t r = 0; r < full_rows; r += kRowBlock) {
+        const float *x0 = x + r * x_stride;
+        float *y0 = y + r * out;
+        for (std::size_t o = 0; o < full_cols; o += kRegTile)
+            micro4(x0, x0 + x_stride, x0 + 2 * x_stride,
+                   x0 + 3 * x_stride, in, wt, out, o, bias, y0,
+                   y0 + out, y0 + 2 * out, y0 + 3 * out);
+        if (ragged != 0) {
+            float yt[kRowBlock][kRegTile];
+            micro4(x0, x0 + x_stride, x0 + 2 * x_stride,
+                   x0 + 3 * x_stride, in, tail_wt.data(), kRegTile, 0,
+                   tail_bias, yt[0], yt[1], yt[2], yt[3]);
+            for (std::size_t k = 0; k < kRowBlock; ++k)
+                std::copy(yt[k], yt[k] + ragged, y0 + k * out + full_cols);
+        }
+    }
     const float *xt = x + full_rows * x_stride;
     float *yt = y + full_rows * out;
     switch (n - full_rows) {
     case 1:
-        rowBlock<1>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+        tailRows<1>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
                     tail_bias, yt);
         break;
     case 2:
-        rowBlock<2>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+        tailRows<2>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
                     tail_bias, yt);
         break;
     case 3:
-        rowBlock<3>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+        tailRows<3>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
                     tail_bias, yt);
         break;
     }
