@@ -74,11 +74,11 @@ void packTranspose(const float *w, std::size_t rows, std::size_t cols,
  * Row r of @p x starts at x + r * x_stride (x_stride >= in), so a
  * MatrixView feeds the kernels in place; y rows are contiguous.
  * @p wt is the packed transpose (see packTranspose, ld == out);
- * @p bias may be null for no bias. Tiled over output columns with a
- * register-tile microkernel of independent accumulator streams, 4 rows
- * at a time and the last n % 4 rows on its 1-3 row instance; a ragged
- * column tail runs on it too, over a per-call zero-padded copy of
- * those wt columns.
+ * @p bias may be null for no bias. Tiled over output columns with
+ * register-tile microkernels of independent accumulator streams: a
+ * 4-row one for the full row blocks and a 1-3 row one, several tiles
+ * wide, for the last n % 4 rows. A ragged column tail runs on them
+ * too, over a per-call zero-padded copy of those wt columns.
  */
 void gemmBlock(const float *x, std::size_t n, std::size_t in,
                std::size_t x_stride, const float *wt, std::size_t out,
