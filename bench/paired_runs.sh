@@ -16,6 +16,12 @@
 # in how many pairs the change was strictly better; then each side's
 # median count of rounds (`reps`) per run. Exits 1 if any run
 # fails or reports correct=false, 2 on a usage or setup error.
+#
+# CONTROL=1 runs a base-vs-base control instead: the "change" arm is a
+# second build of the same <base-rev> snapshot (its own CARGO_TARGET_DIR),
+# not the working tree. Its ratios and wins show what this machine's
+# spread alone produces, to set a claimed gain against; five pairs once
+# read 1.18x on a path no change touched.
 set -euo pipefail
 
 [[ $# == 3 || $# == 4 ]] || {
@@ -28,7 +34,10 @@ SHA="$(git -C "$ROOT" rev-parse --verify -q "$1^{commit}")" ||
 WORKLOAD="$2"
 PAIRS="$3"
 SEED="${4:-1}"
+CONTROL="${CONTROL:-0}"
 [[ "$PAIRS" =~ ^[1-9][0-9]*$ ]] || { echo "$0: pairs must be >= 1" >&2; exit 2; }
+[[ "$CONTROL" == 0 || "$CONTROL" == 1 ]] ||
+    { echo "$0: CONTROL must be 0 or 1" >&2; exit 2; }
 SECONDS_PER_RUN="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$ROOT/BENCHMARK.json")"
 
@@ -36,6 +45,12 @@ WORK="$(mktemp -d "${TMPDIR:-/tmp}/lake-paired.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
 mkdir "$WORK/base"
 git -C "$ROOT" archive "$SHA" | tar -x -C "$WORK/base"
+CHANGE_TREE="$ROOT"
+CHANGE_NAME="working tree"
+if [[ "$CONTROL" == 1 ]]; then
+    CHANGE_TREE="$WORK/base"
+    CHANGE_NAME="second build of base (CONTROL=1)"
+fi
 
 # run <arm> <tree> <pair>: one benchmark run; its result line (the last
 # stdout line) goes to $WORK/<arm>.jsonl and its detail line (the one
@@ -60,14 +75,14 @@ run() {
 for ((p = 1; p <= PAIRS; ++p)); do
     if ((p % 2)); then
         run base "$WORK/base" "$p"
-        run change "$ROOT" "$p"
+        run change "$CHANGE_TREE" "$p"
     else
-        run change "$ROOT" "$p"
+        run change "$CHANGE_TREE" "$p"
         run base "$WORK/base" "$p"
     fi
 done
 
-echo "$WORKLOAD seed $SEED, $PAIRS pairs of ${SECONDS_PER_RUN} s runs; base ${SHA:0:12}, change = working tree"
+echo "$WORKLOAD seed $SEED, $PAIRS pairs of ${SECONDS_PER_RUN} s runs; base ${SHA:0:12}, change = $CHANGE_NAME"
 python3 - "$ROOT/BENCHMARK.json" "$WORK/base.jsonl" "$WORK/change.jsonl" \
     "$WORK/base.detail.jsonl" "$WORK/change.detail.jsonl" <<'EOF'
 import json

@@ -54,7 +54,15 @@ PercentileTracker::percentile(double p) const
     std::size_t lo = static_cast<std::size_t>(rank);
     std::size_t hi = std::min(lo + 1, samples_.size() - 1);
     double frac = rank - static_cast<double>(lo);
+    // Fused by hand, not left to contraction: GCC picks which product
+    // to fuse from the surrounding code (indexing a deque and a vector
+    // fused different ones), and a percentile must not move by an ulp
+    // when the storage does.
+#if defined(__FP_FAST_FMA)
+    return std::fma(samples_[lo], 1.0 - frac, samples_[hi] * frac);
+#else
     return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+#endif
 }
 
 MovingAverage::MovingAverage(std::size_t window) : window_(window)

@@ -56,6 +56,9 @@ class RunningStat
  *
  * The evaluation sweeps are small enough (at most a few million I/Os)
  * that exact percentiles are affordable and avoid sketch error bars.
+ * Samples live in fixed-size chunks (a deque), so growing to millions
+ * of them never holds the old and the doubled buffer at once, as a
+ * vector's reallocation does.
  */
 class PercentileTracker
 {
@@ -84,7 +87,7 @@ class PercentileTracker
     void reset() { samples_.clear(); }
 
   private:
-    mutable std::vector<double> samples_;
+    mutable std::deque<double> samples_;
     mutable bool sorted_ = false;
 };
 

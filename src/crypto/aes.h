@@ -10,11 +10,16 @@
  * engines. Only block *encryption* is implemented — CTR and GCM never
  * run the inverse cipher.
  *
- * Two bodies, one chosen by the build target: where it has AES-NI and
- * PCLMULQDQ (LAKE_CRYPTO_AESNI below) the rounds run `aesenc` and GCM's
- * GHASH runs carry-less multiplies; elsewhere the table-driven body
- * (T-table AES, Shoup byte-table GHASH) is the only path. Both produce
- * the same bytes; only the table body is not constant-time.
+ * Three bodies, one chosen by the build target:
+ *  - VAES, VPCLMULQDQ and AVX-512 (LAKE_CRYPTO_VAES below): GCM's bulk
+ *    loops run four blocks per 512-bit register through `vaesenc` and
+ *    `vpclmulqdq`, and the AES-NI body below runs what is left over;
+ *  - AES-NI and PCLMULQDQ (LAKE_CRYPTO_AESNI): the rounds run `aesenc`
+ *    on 128-bit registers and GHASH runs carry-less multiplies;
+ *  - elsewhere the table-driven body (T-table AES, Shoup byte-table
+ *    GHASH) is the only path.
+ * All three produce the same bytes; only the table body is not
+ * constant-time.
  */
 
 #if defined(__AES__) && defined(__PCLMUL__) && defined(__SSSE3__)
@@ -25,10 +30,71 @@
 #include <array>
 #endif
 
+#if LAKE_CRYPTO_AESNI && defined(__VAES__) && defined(__VPCLMULQDQ__) &&   \
+    defined(__AVX512F__) && defined(__AVX512BW__)
+#define LAKE_CRYPTO_VAES 1
+#else
+#define LAKE_CRYPTO_VAES 0
+#endif
+
 #include <cstddef>
 #include <cstdint>
 
 namespace lake::crypto {
+
+#if LAKE_CRYPTO_AESNI
+namespace detail {
+
+// AES-NI rounds on one block per __m128i or, with VAES, four per
+// __m512i. The round keys are 128-bit; splat puts one in every block.
+
+template <typename V>
+V splat(__m128i k);
+
+template <>
+inline __m128i
+splat<__m128i>(__m128i k)
+{
+    return k;
+}
+
+inline __m128i
+aesRound(__m128i b, __m128i k)
+{
+    return _mm_aesenc_si128(b, k);
+}
+
+inline __m128i
+aesLastRound(__m128i b, __m128i k)
+{
+    return _mm_aesenclast_si128(b, k);
+}
+
+#if LAKE_CRYPTO_VAES
+// A full-mask broadcast: GCC 12's unmasked one passes an undefined
+// register that -Wmaybe-uninitialized flags.
+template <>
+inline __m512i
+splat<__m512i>(__m128i k)
+{
+    return _mm512_maskz_broadcast_i32x4(0xffff, k);
+}
+
+inline __m512i
+aesRound(__m512i b, __m512i k)
+{
+    return _mm512_aesenc_epi128(b, k);
+}
+
+inline __m512i
+aesLastRound(__m512i b, __m512i k)
+{
+    return _mm512_aesenclast_epi128(b, k);
+}
+#endif
+
+} // namespace detail
+#endif
 
 /** AES key schedule + block encryption. */
 class Aes
@@ -63,24 +129,27 @@ class Aes
     friend class AesGcm;
 
     /**
-     * The one round body: @p L blocks side by side through each round,
-     * so L independent `aesenc` chains fill the pipeline.
+     * The one round body: @p L registers of blocks (__m128i, or __m512i
+     * with VAES) side by side through each round, so L independent
+     * `aesenc` chains fill the pipeline.
      */
-    template <int L>
-    void encryptLanes(__m128i (&b)[L]) const
+    template <typename V, int L>
+    void encryptLanes(V (&b)[L]) const
     {
+        const V first = detail::splat<V>(round_keys_[0]);
 #pragma GCC unroll 8
         for (int l = 0; l < L; ++l)
-            b[l] = _mm_xor_si128(b[l], round_keys_[0]);
+            b[l] ^= first;
         for (int r = 1; r < rounds_; ++r) {
-            const __m128i k = round_keys_[r];
+            const V k = detail::splat<V>(round_keys_[r]);
 #pragma GCC unroll 8
             for (int l = 0; l < L; ++l)
-                b[l] = _mm_aesenc_si128(b[l], k);
+                b[l] = detail::aesRound(b[l], k);
         }
+        const V last = detail::splat<V>(round_keys_[rounds_]);
 #pragma GCC unroll 8
         for (int l = 0; l < L; ++l)
-            b[l] = _mm_aesenclast_si128(b[l], round_keys_[rounds_]);
+            b[l] = detail::aesLastRound(b[l], last);
     }
 
     int rounds_;

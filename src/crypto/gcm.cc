@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <type_traits>
 
 #include "base/logging.h"
 
@@ -12,91 +13,251 @@ namespace {
 
 #if LAKE_CRYPTO_AESNI
 
-__m128i
-loadu(const std::uint8_t *p)
+// Field elements live in registers byte-reversed from GCM's order, so
+// bit 127 of the register is GCM's x^0 coefficient and bit 0 its x^127.
+//
+// The bulk loops below are templates over the register type V: __m128i
+// carries one 16-byte block, __m512i (VAES/VPCLMULQDQ) four, lane 0 the
+// block at the lowest address. XOR is GCC's vector ^; the overloads and
+// `if constexpr` branches here are the only places the widths differ.
+
+using detail::splat;
+
+template <typename V>
+V
+loadu(const void *p)
 {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+    V v;
+    std::memcpy(&v, p, sizeof v);
+    return v;
 }
 
+template <typename V>
 void
-storeu(std::uint8_t *p, __m128i v)
+storeu(void *p, V v)
 {
-    _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
+    std::memcpy(p, &v, sizeof v);
+}
+
+template <int Imm>
+__m128i
+clmul(__m128i a, __m128i b)
+{
+    return _mm_clmulepi64_si128(a, b, Imm);
+}
+
+/** Shuffles the bytes of each block by @p index. */
+__m128i
+shuffleBytes(__m128i v, __m128i index)
+{
+    return _mm_shuffle_epi8(v, index);
+}
+
+/** Swaps the two 64-bit halves of each block. */
+__m128i
+swapHalves(__m128i v)
+{
+    return _mm_shuffle_epi32(v, 0x4e);
+}
+
+/** XOR of a register's blocks. */
+__m128i
+foldBlocks(__m128i v)
+{
+    return v;
+}
+
+#if LAKE_CRYPTO_VAES
+
+template <int Imm>
+__m512i
+clmul(__m512i a, __m512i b)
+{
+    return _mm512_clmulepi64_epi128(a, b, Imm);
+}
+
+__m512i
+shuffleBytes(__m512i v, __m128i index)
+{
+    return _mm512_shuffle_epi8(v, splat<__m512i>(index));
+}
+
+// Masked forms with a full mask, as in detail::splat.
+
+__m512i
+swapHalves(__m512i v)
+{
+    return _mm512_maskz_shuffle_epi32(0xffff, v, _MM_PERM_BADC);
+}
+
+__m128i
+foldBlocks(__m512i v)
+{
+    const __m256i t = _mm512_maskz_extracti64x4_epi64(0xff, v, 0) ^
+                      _mm512_maskz_extracti64x4_epi64(0xff, v, 1);
+    return _mm256_castsi256_si128(t) ^ _mm256_extracti128_si256(t, 1);
+}
+
+#endif // LAKE_CRYPTO_VAES
+
+/**
+ * Reverses the 16 bytes of each block: GCM's byte order to the register
+ * form, and back.
+ */
+template <typename V>
+V
+reverseBytes(V v)
+{
+    return shuffleBytes(v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                        11, 12, 13, 14, 15));
 }
 
 /**
- * Reverses the 16 bytes: GCM's byte order to the register form where
- * bit 127 is the x^0 coefficient, and back.
+ * The byte swap between a counter block in GCM's order and the counter
+ * register, where the counter word (bytes 12..15, big-endian) sits
+ * byte-swapped in lane 3; it is its own inverse.
  */
 __m128i
-reverseBytes(__m128i v)
+swapCtr()
 {
-    const __m128i rev =
-        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-    return _mm_shuffle_epi8(v, rev);
+    return _mm_set_epi8(12, 13, 14, 15, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1,
+                        0);
 }
 
 /**
- * A 256-bit carry-less product before reduction: lo and hi halves plus
- * the two cross terms, summed. Products XOR into it, so several
- * multiplications share one reduce().
+ * Advances the counter register @p count by one per block of @p ks
+ * (_mm_add_epi32 wraps the counter word mod 2^32 exactly as inc32
+ * does) and sets @p ks to those counter blocks in GCM byte order.
  */
+template <typename V>
+void
+nextCounters(__m128i &count, V &ks)
+{
+    if constexpr (sizeof(V) == 16) {
+        count = _mm_add_epi32(count, _mm_set_epi32(1, 0, 0, 0));
+        ks = shuffleBytes(count, swapCtr());
+    }
+#if LAKE_CRYPTO_VAES
+    else {
+        // Block k's counter word is count + k + 1.
+        const __m512i steps = _mm512_set_epi32(4, 0, 0, 0, 3, 0, 0, 0, 2,
+                                               0, 0, 0, 1, 0, 0, 0);
+        ks = shuffleBytes(_mm512_add_epi32(splat<V>(count), steps),
+                          swapCtr());
+        count = _mm_add_epi32(count, _mm_set_epi32(4, 0, 0, 0));
+    }
+#endif
+}
+
+/**
+ * A 256-bit carry-less product before reduction, block by block: the
+ * a_lo·b_lo and a_hi·b_hi halves and the sum of the two cross terms.
+ * Products XOR into it, so several multiplications share one reduce().
+ */
+template <typename V>
 struct Wide
 {
-    __m128i lo = _mm_setzero_si128();
-    __m128i mid = _mm_setzero_si128();
-    __m128i hi = _mm_setzero_si128();
+    V lo;
+    V mid;
+    V hi;
 };
 
-void
-mulAdd(Wide &acc, __m128i a, __m128i b)
+/** The unreduced product a·b, block by block. */
+template <typename V>
+Wide<V>
+product(V a, V b)
 {
-    acc.lo = _mm_xor_si128(acc.lo, _mm_clmulepi64_si128(a, b, 0x00));
-    acc.hi = _mm_xor_si128(acc.hi, _mm_clmulepi64_si128(a, b, 0x11));
-    acc.mid = _mm_xor_si128(acc.mid, _mm_clmulepi64_si128(a, b, 0x10));
-    acc.mid = _mm_xor_si128(acc.mid, _mm_clmulepi64_si128(a, b, 0x01));
+    return {clmul<0x00>(a, b), clmul<0x10>(a, b) ^ clmul<0x01>(a, b),
+            clmul<0x11>(a, b)};
+}
+
+/** acc += a·b. */
+template <typename V>
+void
+mulAdd(Wide<V> &acc, V a, V b)
+{
+    const Wide<V> p = product(a, b);
+    acc.lo ^= p.lo;
+    acc.mid ^= p.mid;
+    acc.hi ^= p.hi;
 }
 
 /**
- * Reduces a product of two byte-reversed field elements to one: the
- * product of bit-reflected operands comes out reflected and one bit
- * short, so shift the 256 bits left by one, then fold the low half
- * back modulo x^128 + x^7 + x^2 + x + 1 (the white paper's Algorithm 5
- * shift-and-XOR reduction).
+ * Reduces each block's product to one field element by Montgomery
+ * reduction. In the register's bit order the field is GF(2)[t] modulo
+ * t^128 + t^127 + t^126 + t^121 + 1; each of two steps cancels the low
+ * 64 bits with a multiple of it (one carry-less multiply by 0xc2 << 56
+ * and a swap of halves) and drops them, so the product is divided by
+ * t^128. The register product of two reversed elements a and b is the
+ * reversal of a·b one bit short, and the division turns it into the
+ * reversal of a·b·x; the caller's b carries a factor x^-1 (see
+ * AesGcm::h_pow_), so the result is the reversed a·b.
  */
-__m128i
-reduce(const Wide &acc)
+template <typename V>
+V
+reduce(const Wide<V> &acc)
 {
-    __m128i lo = _mm_xor_si128(acc.lo, _mm_slli_si128(acc.mid, 8));
-    __m128i hi = _mm_xor_si128(acc.hi, _mm_srli_si128(acc.mid, 8));
-
-    // [hi:lo] <<= 1, carrying across the 32-bit lanes and the halves.
-    __m128i lo_carry = _mm_srli_epi32(lo, 31);
-    __m128i hi_carry = _mm_srli_epi32(hi, 31);
-    lo = _mm_or_si128(_mm_slli_epi32(lo, 1), _mm_slli_si128(lo_carry, 4));
-    hi = _mm_or_si128(_mm_slli_epi32(hi, 1), _mm_slli_si128(hi_carry, 4));
-    hi = _mm_or_si128(hi, _mm_srli_si128(lo_carry, 12));
-
-    // Fold lo into hi in two shift-and-XOR phases: the 32-bit lane
-    // shifts by 31, 30 and 25, then by 1, 2 and 7, are the x, x^2 and
-    // x^7 terms of the polynomial in reflected order.
-    __m128i a = _mm_xor_si128(
-        _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
-        _mm_slli_epi32(lo, 25));
-    __m128i a_spill = _mm_srli_si128(a, 4);
-    lo = _mm_xor_si128(lo, _mm_slli_si128(a, 12));
-    __m128i b = _mm_xor_si128(
-        _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
-        _mm_xor_si128(_mm_srli_epi32(lo, 7), a_spill));
-    return _mm_xor_si128(hi, _mm_xor_si128(lo, b));
+    const V poly = splat<V>(
+        _mm_set_epi64x(0, static_cast<long long>(0xc200000000000000ULL)));
+    const V mid = acc.mid ^ swapHalves(acc.lo) ^ clmul<0x00>(acc.lo, poly);
+    return acc.hi ^ swapHalves(mid) ^ clmul<0x00>(mid, poly);
 }
 
+/** a·b for b stored as AesGcm::h_pow_ stores its powers. */
 __m128i
 gfMul(__m128i a, __m128i b)
 {
-    Wide acc;
-    mulAdd(acc, a, b);
-    return reduce(acc);
+    return reduce(product(a, b));
+}
+
+/**
+ * b·x^-1: in the register's bit order, a left shift by one, bit 127 (x^0)
+ * coming back as x^-1 = x^127 + x^6 + x + 1.
+ */
+__m128i
+divX(__m128i b)
+{
+    const std::uint64_t lo = static_cast<std::uint64_t>(_mm_cvtsi128_si64(b));
+    const std::uint64_t hi = static_cast<std::uint64_t>(
+        _mm_cvtsi128_si64(_mm_unpackhi_epi64(b, b)));
+    const std::uint64_t wrap = hi >> 63;
+    return _mm_set_epi64x(
+        static_cast<long long>((hi << 1 | lo >> 63) ^
+                               wrap * 0xc200000000000000ULL),
+        static_cast<long long>(lo << 1 ^ wrap));
+}
+
+/**
+ * One aggregated GHASH step over the n = R·sizeof(V)/16 blocks X0..
+ * X(n-1) at @p p: Y = (Y + X0)·H^n + X1·H^(n-1) + ... + X(n-1)·H, the
+ * same value as n Horner steps, with one reduction (aggregated
+ * reduction; lanes are reduced side by side, then summed). @p hp
+ * points at H^n, the lower powers following in order.
+ */
+template <typename V, int R>
+__m128i
+ghashStep(__m128i y, const std::uint8_t *p, const __m128i *hp)
+{
+    constexpr int kBlocks = sizeof(V) / 16;
+    auto block = [&](int r) {
+        return reverseBytes(loadu<V>(p + sizeof(V) * r));
+    };
+    auto power = [&](int r) { return loadu<V>(hp + kBlocks * r); };
+    // Y's product is added last: the others do not wait for Y.
+    Wide<V> acc{};
+#pragma GCC unroll 8
+    for (int r = 1; r < R; ++r)
+        mulAdd(acc, block(r), power(r));
+    V first = block(0);
+    if constexpr (sizeof(V) == 16)
+        first ^= y;
+#if LAKE_CRYPTO_VAES
+    else
+        first = _mm512_mask_xor_epi64(first, 0x03, first,
+                                      _mm512_castsi128_si512(y));
+#endif
+    mulAdd(acc, first, power(0));
+    return foldBlocks(reduce(acc));
 }
 
 #else // !LAKE_CRYPTO_AESNI
@@ -162,9 +323,10 @@ AesGcm::AesGcm(const std::uint8_t *key, std::size_t key_bytes)
     aes_.encryptBlock(zero, h);
 
 #if LAKE_CRYPTO_AESNI
-    h_pow_[0] = reverseBytes(loadu(h));
-    for (int i = 1; i < 8; ++i)
-        h_pow_[i] = gfMul(h_pow_[i - 1], h_pow_[0]);
+    const __m128i h1 = divX(reverseBytes(loadu<__m128i>(h)));
+    h_pow_[kHPowers - 1] = h1;
+    for (int i = kHPowers - 2; i >= 0; --i)
+        h_pow_[i] = gfMul(h_pow_[i + 1], h1);
 #else
     // hh_/hl_[n] = n·H for every byte n, where n's bits are x^0..x^7
     // from its most significant bit down. H itself is entry 128; each
@@ -199,43 +361,41 @@ AesGcm::ghash(const std::uint8_t *aad, std::size_t aad_len,
               const std::uint8_t *text, std::size_t text_len,
               std::uint8_t out[16]) const
 {
-    __m128i y = _mm_setzero_si128();
-    const __m128i h = h_pow_[0];
-    auto absorb = [&](const std::uint8_t *data, std::size_t len) {
+    // absorb takes and returns Y by value, so Y stays in a register
+    // across the loop instead of round-tripping through memory.
+    const __m128i *h = h_pow_ + kHPowers - 1;
+    auto absorb = [h](__m128i y, const std::uint8_t *data,
+                      std::size_t len) {
         const std::size_t blocks = len / 16;
         std::size_t i = 0;
-        // Eight blocks per reduction: Y = (Y + X0)·H^8 + X1·H^7 + ...
-        // + X7·H, the same value as eight Horner steps.
-        for (; i + 8 <= blocks; i += 8) {
-            Wide acc;
-            const std::uint8_t *p = data + 16 * i;
-            mulAdd(acc, _mm_xor_si128(y, reverseBytes(loadu(p))),
-                   h_pow_[7]);
-#pragma GCC unroll 7
-            for (int l = 1; l < 8; ++l)
-                mulAdd(acc, reverseBytes(loadu(p + 16 * l)), h_pow_[7 - l]);
-            y = reduce(acc);
-        }
+        // Sixteen, then eight blocks per reduction, then one.
+#if LAKE_CRYPTO_VAES
+        for (; i + 16 <= blocks; i += 16)
+            y = ghashStep<__m512i, 4>(y, data + 16 * i, h - 15);
+#endif
+        for (; i + 8 <= blocks; i += 8)
+            y = ghashStep<__m128i, 8>(y, data + 16 * i, h - 7);
         for (; i < blocks; ++i)
-            y = gfMul(_mm_xor_si128(y, reverseBytes(loadu(data + 16 * i))),
-                      h);
+            y = ghashStep<__m128i, 1>(y, data + 16 * i, h);
         if (len % 16 != 0) {
             std::uint8_t padded[16] = {};
             std::memcpy(padded, data + 16 * blocks, len % 16);
-            y = gfMul(_mm_xor_si128(y, reverseBytes(loadu(padded))), h);
+            y = ghashStep<__m128i, 1>(y, padded, h);
         }
+        return y;
     };
+    __m128i y = _mm_setzero_si128();
     if (aad_len)
-        absorb(aad, aad_len);
+        y = absorb(y, aad, aad_len);
     if (text_len)
-        absorb(text, text_len);
+        y = absorb(y, text, text_len);
 
     // len(A) || len(C) in bits, each big-endian 64: reversed, the text
     // length is the low quadword and the AAD length the high one.
     const __m128i lens =
         _mm_set_epi64x(static_cast<long long>(aad_len * 8),
                        static_cast<long long>(text_len * 8));
-    y = gfMul(_mm_xor_si128(y, lens), h);
+    y = gfMul(y ^ lens, *h);
     storeu(out, reverseBytes(y));
 }
 
@@ -244,48 +404,54 @@ AesGcm::ctr(const std::uint8_t *iv, const std::uint8_t *in,
             std::size_t len, std::uint8_t *out) const
 {
     // J0 = IV || 0^31 || 1 for 96-bit IVs; the first keystream block
-    // is E(K, inc32(J0)). The counter word (bytes 12..15, big-endian)
-    // is kept byte-swapped in lane 3, where _mm_add_epi32 wraps it
-    // mod 2^32 exactly as inc32 does.
+    // is E(K, inc32(J0)).
     std::uint8_t j0[16] = {};
     std::memcpy(j0, iv, kGcmIvBytes);
     j0[15] = 1;
-    const __m128i swap_ctr =
-        _mm_set_epi8(12, 13, 14, 15, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-    const __m128i one = _mm_set_epi32(1, 0, 0, 0);
-    __m128i count = _mm_shuffle_epi8(loadu(j0), swap_ctr);
-    auto next = [&] {
-        count = _mm_add_epi32(count, one);
-        return _mm_shuffle_epi8(count, swap_ctr);
-    };
+    __m128i count = _mm_shuffle_epi8(loadu<__m128i>(j0), swapCtr());
 
-    // Eight counter blocks per AES pass while 128 bytes remain, then
-    // one block at a time. Each block of in is loaded before the same
-    // block of out is stored, so in may alias out.
+    // One pass: the registers of @p ks filled with the next counter
+    // blocks, through the AES rounds together, XORed into the text.
+    // Each register of in is loaded before the same bytes of out are
+    // stored, so in may alias out.
     std::size_t off = 0;
-    for (; len - off >= 128; off += 128) {
-        __m128i ks[8];
+    auto pass = [&](auto &ks) {
+        using V = std::remove_reference_t<decltype(ks[0])>;
 #pragma GCC unroll 8
-        for (int l = 0; l < 8; ++l)
-            ks[l] = next();
+        for (V &k : ks)
+            nextCounters(count, k);
         aes_.encryptLanes(ks);
 #pragma GCC unroll 8
-        for (int l = 0; l < 8; ++l)
-            storeu(out + off + 16 * l,
-                   _mm_xor_si128(loadu(in + off + 16 * l), ks[l]));
-    }
-    for (; off < len; off += 16) {
-        __m128i ks[1] = {next()};
-        aes_.encryptLanes(ks);
-        if (len - off >= 16) {
-            storeu(out + off, _mm_xor_si128(loadu(in + off), ks[0]));
-        } else {
-            std::uint8_t bytes[16];
-            storeu(bytes, ks[0]);
-            for (std::size_t i = 0; i < len - off; ++i)
-                out[off + i] =
-                    static_cast<std::uint8_t>(in[off + i] ^ bytes[i]);
+        for (const V &k : ks) {
+            storeu(out + off, loadu<V>(in + off) ^ k);
+            off += sizeof(V);
         }
+    };
+    // Sixteen blocks per pass while 256 bytes remain, then eight, then
+    // one at a time; a partial last block takes its bytes from a whole
+    // keystream block.
+#if LAKE_CRYPTO_VAES
+    while (len - off >= 256) {
+        __m512i ks[4];
+        pass(ks);
+    }
+#endif
+    while (len - off >= 128) {
+        __m128i ks[8];
+        pass(ks);
+    }
+    while (len - off >= 16) {
+        __m128i ks[1];
+        pass(ks);
+    }
+    if (off < len) {
+        __m128i ks[1];
+        nextCounters(count, ks[0]);
+        aes_.encryptLanes(ks);
+        std::uint8_t bytes[16];
+        storeu(bytes, ks[0]);
+        for (std::size_t i = 0; off + i < len; ++i)
+            out[off + i] = static_cast<std::uint8_t>(in[off + i] ^ bytes[i]);
     }
 }
 

@@ -16,8 +16,14 @@
  * by precomputed powers H^1..H^8, folding eight blocks per reduction
  * (aggregated reduction, Gueron & Kounavis, "Intel Carry-Less
  * Multiplication Instruction and its Usage for Computing the GCM
- * Mode"). Without them, CTR runs four blocks per AES call and GHASH
- * uses Shoup's 8-bit table (one lookup per byte).
+ * Mode"). With VAES and VPCLMULQDQ as well, both bulk loops first run
+ * sixteen blocks per pass as four 512-bit registers of four blocks:
+ * CTR encrypts sixteen counter blocks per AES pass, and GHASH
+ * multiplies each register lane by its power of H^1..H^16, reduces the
+ * lanes side by side and XORs them into one, once per sixteen blocks;
+ * the 128-bit loops take the fewer-than-sixteen blocks left over. Without AES-NI,
+ * CTR runs four blocks per AES call and GHASH uses Shoup's 8-bit table
+ * (one lookup per byte).
  */
 
 #include <cstddef>
@@ -93,11 +99,17 @@ class AesGcm
 
     Aes aes_;
 #if LAKE_CRYPTO_AESNI
+    /** Powers of H the widest GHASH loop multiplies by. */
+    static constexpr int kHPowers = LAKE_CRYPTO_VAES ? 16 : 8;
     /**
-     * h_pow_[i] = H^(i+1), H = E(K, 0^128), byte-reversed so bit 127 of
-     * the register is GCM's x^0 coefficient (128 bytes per key).
+     * h_pow_[i] = H^(kHPowers - i)·x^-1, highest power first, H = E(K,
+     * 0^128), byte-reversed so bit 127 of the register is GCM's x^0
+     * coefficient (16 bytes per power). The x^-1 cancels the factor x
+     * the reduction leaves. Highest first, so the powers the n blocks
+     * of one aggregated step multiply by are the last n entries, in
+     * block order.
      */
-    __m128i h_pow_[8];
+    __m128i h_pow_[kHPowers];
 #else
     /**
      * Y = Y·H in GF(2^128); Y as big-endian 64-bit halves. Shoup's

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <memory>
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/aligned.h"
 #include "base/env.h"
 #include "base/ring_buffer.h"
 #include "base/rng.h"
@@ -158,6 +160,95 @@ TEST(PercentileTest, InterleavedAddQuery)
             double want = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
             EXPECT_DOUBLE_EQ(q.percentile(95.0), want) << "at i=" << i;
         }
+    }
+}
+
+TEST(AlignedAllocTest, CacheLineAlignedAtEverySize)
+{
+    // Every element is written, so a short block shows under ASan.
+    base::AlignedAlloc<float> floats;
+    base::AlignedAlloc<char, 8> chars8;
+    base::AlignedAlloc<char, 4096> pages;
+    for (std::size_t n = 1; n <= 4097; ++n) {
+        float *f = floats.allocate(n);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(f) % 64, 0u) << n;
+        std::fill(f, f + n, 1.0f);
+        floats.deallocate(f, n);
+
+        char *c = chars8.allocate(n);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 8, 0u) << n;
+        std::fill(c, c + n, 'x');
+        chars8.deallocate(c, n);
+    }
+    for (std::size_t n : {1u, 4095u, 4096u, 4097u}) {
+        char *c = pages.allocate(n);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 4096, 0u) << n;
+        std::fill(c, c + n, 'y');
+        pages.deallocate(c, n);
+    }
+
+    base::AlignedVec<double> v;
+    for (int i = 0; i < 10000; ++i) {
+        v.push_back(i);
+        ASSERT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
+    }
+    EXPECT_EQ(v[9999], 9999.0);
+}
+
+TEST(PercentileTest, MatchesSortedVectorOnRandomData)
+{
+    // Bit-identical to interpolating over a sorted std::vector, with
+    // adds and queries interleaved and enough samples to span many of
+    // the tracker's storage chunks. Samples are sixteenths below 2^16
+    // (with ties) and the quantiles dyadic, so every product in the
+    // interpolation is exact and the comparison holds whether or not
+    // the compiler fuses it into an FMA.
+    Rng rng(42);
+    PercentileTracker p;
+    std::vector<double> ref;
+    for (int i = 0; i < 20000; ++i) {
+        double v = std::floor(rng.lognormalByMoments(100.0, 80.0) * 16.0) /
+                   16.0;
+        p.add(v);
+        ref.push_back(v);
+        if (i % 1999 != 0 && i != 19999)
+            continue;
+        std::vector<double> sorted = ref;
+        std::sort(sorted.begin(), sorted.end());
+        for (double q : {0.0, 12.5, 25.0, 50.0, 75.0, 87.5, 100.0}) {
+            double rank = (q / 100.0) * static_cast<double>(sorted.size() - 1);
+            std::size_t lo = static_cast<std::size_t>(rank);
+            std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+            double frac = rank - static_cast<double>(lo);
+            EXPECT_EQ(p.percentile(q),
+                      sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+                << "p" << q << " after " << i + 1 << " samples";
+        }
+    }
+    EXPECT_EQ(p.count(), ref.size());
+
+    // On arbitrary doubles and quantiles the interpolation's rounding
+    // shows: where the target has FMA it rounds once, after
+    // samples[hi]·frac, whatever code surrounds it.
+    PercentileTracker raw;
+    std::vector<double> raw_ref;
+    for (int i = 0; i < 5000; ++i) {
+        raw_ref.push_back(rng.lognormalByMoments(1700.0, 40.0));
+        raw.add(raw_ref.back());
+    }
+    std::sort(raw_ref.begin(), raw_ref.end());
+    for (int k = 1; k < 200; ++k) {
+        const double q = k * 0.4987;
+        double rank = (q / 100.0) * static_cast<double>(raw_ref.size() - 1);
+        std::size_t lo = static_cast<std::size_t>(rank);
+        double frac = rank - static_cast<double>(lo);
+        const double a = raw_ref[lo], b = raw_ref[lo + 1];
+#if defined(__FP_FAST_FMA)
+        const double want = std::fma(a, 1.0 - frac, b * frac);
+#else
+        const double want = a * (1.0 - frac) + b * frac;
+#endif
+        EXPECT_EQ(raw.percentile(q), want) << "p" << q;
     }
 }
 

@@ -1,8 +1,10 @@
 // Tests for the AES and AES-GCM primitives: NIST vectors and a
-// bit-serial reference model. Built twice: into crypto_test against
-// lake::crypto, and into crypto_portable_test with the crypto sources
-// compiled without AES-NI and PCLMULQDQ, so the table-driven body is
-// checked on every host as well as the body the build target selects.
+// bit-serial reference model. Built three times: into crypto_test
+// against lake::crypto (the body the build target selects), into
+// crypto_aesni_test with the crypto sources compiled without VAES and
+// VPCLMULQDQ (the 128-bit AES-NI body), and into crypto_portable_test
+// compiled without AES-NI and PCLMULQDQ (the table-driven body), so
+// every body is checked on every host that can run it.
 
 #include <gtest/gtest.h>
 
@@ -321,7 +323,13 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GcmSizeTest,
                                            // the eight-block CTR and
                                            // GHASH loops, +/- 1 byte.
                                            255, 256, 257, 1023, 1024,
-                                           1025));
+                                           1025,
+                                           // Two and sixteen passes of
+                                           // the sixteen-block loops,
+                                           // +/- 1 byte, and one
+                                           // 256 KiB extent.
+                                           511, 512, 513, 4095, 4097,
+                                           262144));
 
 // ---- reference model ---------------------------------------------------
 //
@@ -553,14 +561,16 @@ randomBytes(std::mt19937_64 &rng, std::size_t n)
  * Text lengths for the reference tests: block and page edges, the
  * 256 KiB eCryptfs extent, the edges of the four-lane CTR loop
  * (48..193: 3 blocks, 4 blocks +/- 1 byte, 8 blocks +/- 1, 12 blocks,
- * 12 blocks + 1) that exercise its 16-byte tail, and the second and
+ * 12 blocks + 1) that exercise its 16-byte tail, the second and
  * eighth passes of the eight-block CTR and GHASH loops (16 and 64
- * blocks +/- 1 byte).
+ * blocks +/- 1 byte), and the first, second and sixteenth passes of
+ * the sixteen-block loops (16, 32 and 256 blocks +/- 1 byte; whole
+ * passes with in aliasing out in InPlaceGcmMatchesReference).
  */
-constexpr std::size_t kRefTextLens[] = {0,   1,   15,  16,   17,   48,
-                                        63,  64,  65,  127,  128,  129,
-                                        192, 193, 4095, 4101, 262144,
-                                        255, 256, 257, 1023, 1024, 1025};
+constexpr std::size_t kRefTextLens[] = {
+    0,   1,   15,  16,   17,   48,   63,   64,   65,   127,  128,    129,
+    192, 193, 4095, 4096, 4097, 4101, 262144, 255, 256, 257, 1023, 1024,
+    1025, 511, 512, 513};
 
 TEST(ReferenceTest, GcmMatchesBitSerialReference)
 {
@@ -568,7 +578,7 @@ TEST(ReferenceTest, GcmMatchesBitSerialReference)
     for (std::size_t key_bytes : {16u, 32u}) {
         for (std::size_t len : kRefTextLens) {
             for (std::size_t aad_len : {0u, 1u, 13u, 16u, 20u, 64u, 65u,
-                                        4101u, 129u}) {
+                                        4101u, 129u, 257u}) {
                 SCOPED_TRACE(testing::Message()
                              << "key " << key_bytes << " len " << len
                              << " aad " << aad_len);
@@ -609,7 +619,7 @@ TEST(ReferenceTest, InPlaceGcmMatchesReference)
         for (std::size_t len : kRefTextLens) {
             if (len == 0)
                 continue; // no buffer to alias
-            for (std::size_t aad_len : {0u, 64u, 65u, 4101u, 129u}) {
+            for (std::size_t aad_len : {0u, 64u, 65u, 4101u, 129u, 257u}) {
                 SCOPED_TRACE(testing::Message()
                              << "key " << key_bytes << " len " << len
                              << " aad " << aad_len);
