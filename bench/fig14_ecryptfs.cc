@@ -63,8 +63,10 @@ main()
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<std::uint8_t>(i * 131 + 17);
 
-    crypto::CpuCipher cpu(key, 32, lake.clock(), cpu_spec);
-    crypto::AesNiCipher ni(key, 32, lake.clock(), cpu_spec);
+    crypto::CpuCipher cpu(key, 32, lake.clock(),
+                          crypto::CpuCipher::Rate::software(cpu_spec));
+    crypto::CpuCipher ni(key, 32, lake.clock(),
+                         crypto::CpuCipher::Rate::aesNi(cpu_spec));
     crypto::LakeGpuCipher gpu(key, 32, lake.lib(), 4 << 20);
     crypto::HybridCipher hybrid(key, 32, lake.lib(), lake.clock(),
                                 cpu_spec, 4 << 20);

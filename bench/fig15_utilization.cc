@@ -58,11 +58,13 @@ main()
             engine = std::make_unique<crypto::LakeGpuCipher>(
                 key, 32, lake.lib(), 2 << 20);
         } else if (use_ni) {
-            engine = std::make_unique<crypto::AesNiCipher>(
-                key, 32, lake.clock(), cpu_spec);
+            engine = std::make_unique<crypto::CpuCipher>(
+                key, 32, lake.clock(),
+                crypto::CpuCipher::Rate::aesNi(cpu_spec));
         } else {
             engine = std::make_unique<crypto::CpuCipher>(
-                key, 32, lake.clock(), cpu_spec);
+                key, 32, lake.clock(),
+                crypto::CpuCipher::Rate::software(cpu_spec));
         }
 
         fs::ECryptFs fs(*engine, lake.clock(),

@@ -5,11 +5,16 @@
 #
 # Builds <base-rev> from a `git archive` snapshot under ${TMPDIR:-/tmp}
 # with the generator, CMAKE_BUILD_TYPE and LAKE_NATIVE_ARCH of the
-# current build tree (default build/; a mismatch changes float codegen),
-# runs every bench/fig* and bench/table* plus ablation_hardware,
-# `fleet_scaling --smoke`, `serve_slo --smoke` and the streamed arms
-# (`LAKE_STREAMS=4` fig07_linnos_e2e and fig14_ecryptfs) of both builds
-# in an empty directory and diffs stdout and exit code. The two builds
+# current build tree (default build/; a mismatch changes float codegen)
+# and keeps that build for the next run: it is keyed by (sha, generator,
+# build type, native arch) under ${TMPDIR:-/tmp}/lake-stdout-diff-cache,
+# reused only when its stamp (written after a successful build) exists,
+# and only the two most recently used builds are kept (so two runs must
+# not share a TMPDIR at the same time). It then runs every bench/fig*
+# and bench/table* plus ablation_hardware, `fleet_scaling --smoke`,
+# `serve_slo --smoke` and the streamed arms (`LAKE_STREAMS=4`
+# fig07_linnos_e2e and fig14_ecryptfs) of both builds in an empty
+# directory and diffs stdout and exit code. The two builds
 # of an entry run at the same time, each in its own directory; the
 # SAME/DIFF/NEW lines come out in entry order. An entry's leading
 # NAME=value words are set in the binary's environment. Exits 1 on any
@@ -23,17 +28,37 @@ BUILD="$(cd "${2:-$ROOT/build}" && pwd)"
 SHA="$(git -C "$ROOT" rev-parse --verify "$1^{commit}")"
 var() { sed -n "s/^$1:[A-Z]*=//p" "$BUILD/CMakeCache.txt"; }
 
+GEN="$(var CMAKE_GENERATOR)"
+TYPE="$(var CMAKE_BUILD_TYPE)"
+NATIVE="$(var LAKE_NATIVE_ARCH)"
+
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/lake-stdout-diff.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
-mkdir "$WORK/src"
-git -C "$ROOT" archive "$SHA" | tar -x -C "$WORK/src"
 build() {
     "$@" > "$WORK/build.log" 2>&1 || { tail -n 30 "$WORK/build.log" >&2; exit 2; }
 }
-build cmake -S "$WORK/src" -B "$WORK/build" -G "$(var CMAKE_GENERATOR)" \
-    -DCMAKE_BUILD_TYPE="$(var CMAKE_BUILD_TYPE)" \
-    -DLAKE_NATIVE_ARCH="$(var LAKE_NATIVE_ARCH)"
-build cmake --build "$WORK/build" -j "$(nproc)"
+
+# The base build, cached across runs. The stamp is written only after a
+# successful build; without it the build is redone from scratch.
+CACHE="${TMPDIR:-/tmp}/lake-stdout-diff-cache"
+BASE="$CACHE/$SHA-${GEN// /_}-${TYPE:-none}-native_$NATIVE"
+if [[ ! -f "$BASE/stamp" ]]; then
+    rm -rf "$BASE"
+    mkdir -p "$BASE/src"
+    git -C "$ROOT" archive "$SHA" | tar -x -C "$BASE/src"
+    build cmake -S "$BASE/src" -B "$BASE/build" -G "$GEN" \
+        -DCMAKE_BUILD_TYPE="$TYPE" -DLAKE_NATIVE_ARCH="$NATIVE"
+    build cmake --build "$BASE/build" -j "$(nproc)"
+fi
+touch "$BASE/stamp"
+# Keep the two most recently used builds; drop older and unfinished ones.
+for dir in "$CACHE"/*/; do
+    dir="${dir%/}"
+    [[ "$dir" == "$BASE" || -f "$dir/stamp" ]] || rm -rf "$dir"
+done
+ls -1t "$CACHE"/*/stamp | tail -n +3 | while read -r stamp; do
+    rm -rf "$(dirname "$stamp")"
+done
 build cmake --build "$BUILD" -j "$(nproc)"
 
 # run <out> <binary> [args...]: stdout and exit code into <out>.
@@ -61,11 +86,11 @@ for entry in "${entries[@]}"; do
     name="${words[0]}"
     args=("${words[@]:1}")
     out="$WORK/${entry//[^A-Za-z0-9_.-]/_}"
-    if [[ ! -x "$WORK/build/bench/$name" ]]; then
+    if [[ ! -x "$BASE/build/bench/$name" ]]; then
         echo "NEW   $entry"
         continue
     fi
-    run "$out.base" env "${envs[@]}" "$WORK/build/bench/$name" "${args[@]}" &
+    run "$out.base" env "${envs[@]}" "$BASE/build/bench/$name" "${args[@]}" &
     run "$out.cur" env "${envs[@]}" "$BUILD/bench/$name" "${args[@]}"
     wait
     if diff -u "$out.base" "$out.cur"; then

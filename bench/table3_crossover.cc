@@ -195,7 +195,8 @@ main()
         for (int i = 0; i < 32; ++i)
             key[i] = static_cast<std::uint8_t>(i);
         gpu::CpuSpec spec = gpu::CpuSpec::xeonGold6226R();
-        crypto::AesNiCipher ni(key, 32, lake.clock(), spec);
+        crypto::CpuCipher ni(key, 32, lake.clock(),
+                             crypto::CpuCipher::Rate::aesNi(spec));
         crypto::LakeGpuCipher gpu_eng(key, 32, lake.lib(), 4 << 20);
         std::uint8_t iv[12] = {};
         std::vector<std::uint8_t> buf(4 << 20), out(4 << 20);

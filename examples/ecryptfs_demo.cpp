@@ -26,8 +26,10 @@ main()
         db[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 24);
 
     gpu::CpuSpec cpu_spec = lake.config().cpu;
-    crypto::CpuCipher sw(key, 32, lake.clock(), cpu_spec);
-    crypto::AesNiCipher ni(key, 32, lake.clock(), cpu_spec);
+    crypto::CpuCipher sw(key, 32, lake.clock(),
+                         crypto::CpuCipher::Rate::software(cpu_spec));
+    crypto::CpuCipher ni(key, 32, lake.clock(),
+                         crypto::CpuCipher::Rate::aesNi(cpu_spec));
     crypto::LakeGpuCipher gpu_eng(key, 32, lake.lib(), 1 << 20);
 
     std::printf("%-8s %14s %14s %14s\n", "engine", "write (ms)",

@@ -45,9 +45,7 @@ Lake::Lake(LakeConfig config)
     bound_tracer_clock_ = obs::Tracer::global().enabled();
     if (bound_tracer_clock_)
         obs::Tracer::global().bindClock(&clock());
-    // The serving front end dispatches through the scoring service,
-    // so enabling serving implies enabling scoring.
-    if (config_.scoring.enabled || config_.serving.enabled) {
+    if (config_.scoring.enabled) {
         Status s = registries_.enableScoring(config_.scoring);
         LAKE_ASSERT(s.isOk(), "scoring service boot failed: %s",
                     s.message().c_str());

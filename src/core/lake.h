@@ -34,7 +34,6 @@
 #include "remote/fleet.h"
 #include "remote/lakelib.h"
 #include "remote/streampool.h"
-#include "serve/serve.h"
 #include "shm/arena.h"
 
 namespace lake::core {
@@ -90,15 +89,6 @@ struct LakeConfig
      * unchanged unless a caller opts in.
      */
     remote::StreamingConfig streaming;
-    /**
-     * Multi-tenant serving front end (DESIGN.md §11), default off.
-     * When serving.enabled is true, boot brings up the scoring
-     * service the generator dispatches through (using the `scoring`
-     * knobs above even if scoring.enabled was left false); the
-     * TrafficGenerator itself is constructed by the application once
-     * its shard registries exist. While false nothing changes.
-     */
-    serve::ServeConfig serving;
     /**
      * The device fleet (DESIGN.md §13). Lake always boots a fleet,
      * lakeD shards over it and a FleetRouter; fleet.spec is the

@@ -34,6 +34,44 @@ check(CuResult r, const char *what)
                 gpu::cuResultName(r));
 }
 
+/**
+ * Writes one extent's control block: key, iv, direction and, to
+ * decrypt, the expected tag.
+ */
+void
+writeCtl(std::uint8_t *ctl, const std::uint8_t *key, std::size_t key_bytes,
+         bool encrypt, const std::uint8_t iv[kGcmIvBytes],
+         const std::uint8_t *tag_in)
+{
+    std::memset(ctl, 0, kCtlBytes);
+    std::memcpy(ctl + kCtlKeyOff, key, key_bytes);
+    std::memcpy(ctl + kCtlIvOff, iv, kGcmIvBytes);
+    ctl[kCtlEncOff] = encrypt ? 1 : 0;
+    if (!encrypt)
+        std::memcpy(ctl + kCtlTagOff, tag_in, kGcmTagBytes);
+}
+
+/**
+ * Reads one finished extent back from its control block @p ctl and
+ * output @p data: the bytes and, after encrypt, the tag.
+ * @param sent false when the remoted calls failed
+ * @return false, with @p out zeroed, on a failed transport or tag check
+ */
+bool
+readCtl(bool sent, bool encrypt, const std::uint8_t *ctl,
+        const std::uint8_t *data, std::size_t len, std::uint8_t *out,
+        std::uint8_t *tag_out)
+{
+    if (!sent || ctl[kCtlOkOff] != 1) {
+        std::memset(out, 0, len);
+        return false;
+    }
+    std::memcpy(out, data, len);
+    if (encrypt)
+        std::memcpy(tag_out, ctl + kCtlTagOff, kGcmTagBytes);
+    return true;
+}
+
 CuResult
 aesGcmBody(gpu::Device &dev, const gpu::LaunchConfig &cfg)
 {
@@ -107,8 +145,8 @@ registerCryptoKernels()
 }
 
 CpuCipher::CpuCipher(const std::uint8_t *key, std::size_t key_bytes,
-                     Clock &clock, gpu::CpuSpec spec)
-    : gcm_(key, key_bytes), clock_(clock), spec_(std::move(spec))
+                     Clock &clock, Rate rate)
+    : gcm_(key, key_bytes), clock_(clock), rate_(rate)
 {
 }
 
@@ -118,9 +156,7 @@ CpuCipher::encryptExtent(const std::uint8_t iv[kGcmIvBytes],
                          std::uint8_t *cipher,
                          std::uint8_t tag[kGcmTagBytes])
 {
-    clock_.advance(kPerExtent +
-                   static_cast<Nanos>(static_cast<double>(len) /
-                                      spec_.aes_sw_gbps));
+    clock_.advance(rate_.cost(len));
     gcm_.encrypt(iv, plain, len, nullptr, 0, cipher, tag);
 }
 
@@ -130,39 +166,7 @@ CpuCipher::decryptExtent(const std::uint8_t iv[kGcmIvBytes],
                          const std::uint8_t tag[kGcmTagBytes],
                          std::uint8_t *plain)
 {
-    clock_.advance(kPerExtent +
-                   static_cast<Nanos>(static_cast<double>(len) /
-                                      spec_.aes_sw_gbps));
-    return gcm_.decrypt(iv, cipher, len, nullptr, 0, tag, plain);
-}
-
-AesNiCipher::AesNiCipher(const std::uint8_t *key, std::size_t key_bytes,
-                         Clock &clock, gpu::CpuSpec spec)
-    : gcm_(key, key_bytes), clock_(clock), spec_(std::move(spec))
-{
-}
-
-void
-AesNiCipher::encryptExtent(const std::uint8_t iv[kGcmIvBytes],
-                           const std::uint8_t *plain, std::size_t len,
-                           std::uint8_t *cipher,
-                           std::uint8_t tag[kGcmTagBytes])
-{
-    clock_.advance(kPerExtent +
-                   static_cast<Nanos>(static_cast<double>(len) /
-                                      spec_.aes_ni_gbps));
-    gcm_.encrypt(iv, plain, len, nullptr, 0, cipher, tag);
-}
-
-bool
-AesNiCipher::decryptExtent(const std::uint8_t iv[kGcmIvBytes],
-                           const std::uint8_t *cipher, std::size_t len,
-                           const std::uint8_t tag[kGcmTagBytes],
-                           std::uint8_t *plain)
-{
-    clock_.advance(kPerExtent +
-                   static_cast<Nanos>(static_cast<double>(len) /
-                                      spec_.aes_ni_gbps));
+    clock_.advance(rate_.cost(len));
     return gcm_.decrypt(iv, cipher, len, nullptr, 0, tag, plain);
 }
 
@@ -183,7 +187,7 @@ LakeGpuCipher::LakeGpuCipher(const std::uint8_t *key,
     LAKE_ASSERT(h_buf_ != shm::kNullOffset && h_ctl_ != shm::kNullOffset,
                 "lakeShm exhausted");
 
-    // Stage the key once; iv/flags are refreshed per extent.
+    // Stage the key once; every extent rewrites the whole block.
     auto *ctl = static_cast<std::uint8_t *>(arena_.at(h_ctl_));
     std::memset(ctl, 0, kCtlBytes);
     std::memcpy(ctl + kCtlKeyOff, key, key_bytes);
@@ -223,17 +227,14 @@ LakeGpuCipher::enableStreaming(remote::StreamOrchestrator *orch)
 bool
 LakeGpuCipher::run(bool encrypt, const std::uint8_t iv[kGcmIvBytes],
                    const std::uint8_t *in, std::size_t len,
-                   std::uint8_t *out, std::uint8_t tag[kGcmTagBytes])
+                   std::uint8_t *out, const std::uint8_t *tag_in,
+                   std::uint8_t *tag_out)
 {
     LAKE_ASSERT(len > 0 && len <= max_extent_,
                 "extent %zu outside 1..%zu", len, max_extent_);
 
-    auto *ctl = static_cast<std::uint8_t *>(arena_.at(h_ctl_));
-    std::memcpy(ctl + kCtlIvOff, iv, kGcmIvBytes);
-    ctl[kCtlEncOff] = encrypt ? 1 : 0;
-    if (!encrypt)
-        std::memcpy(ctl + kCtlTagOff, tag, kGcmTagBytes);
-
+    writeCtl(static_cast<std::uint8_t *>(arena_.at(h_ctl_)), key_,
+             key_bytes_, encrypt, iv, tag_in);
     std::memcpy(arena_.at(h_buf_), in, len);
 
     gpu::LaunchConfig cfg;
@@ -255,19 +256,10 @@ LakeGpuCipher::run(bool encrypt, const std::uint8_t iv[kGcmIvBytes],
         lib_.cuLaunchKernel(cfg, 0) == CuResult::Success &&
         lib_.cuMemcpyDtoHShm(h_buf_, d_buf_, len) == CuResult::Success &&
         lib_.cuMemcpyDtoHShm(h_ctl_, d_ctl_, kCtlBytes) == CuResult::Success;
-    if (!sent) {
-        std::memset(out, 0, len);
-        return false;
-    }
-
-    std::memcpy(out, arena_.at(h_buf_), len);
-    ctl = static_cast<std::uint8_t *>(arena_.at(h_ctl_));
-    if (encrypt)
-        std::memcpy(tag, ctl + kCtlTagOff, kGcmTagBytes);
-    bool ok = ctl[kCtlOkOff] == 1;
-    if (!encrypt && !ok)
-        std::memset(out, 0, len);
-    return ok;
+    return readCtl(sent, encrypt,
+                   static_cast<const std::uint8_t *>(arena_.at(h_ctl_)),
+                   static_cast<const std::uint8_t *>(arena_.at(h_buf_)),
+                   len, out, tag_out);
 }
 
 bool
@@ -292,17 +284,8 @@ LakeGpuCipher::runBatch(bool encrypt, ExtentOp *ops, std::size_t n)
     auto complete = [&](Pending &p, gpu::CuResult sync_r) {
         ExtentOp &op = ops[p.idx];
         auto *slot = static_cast<std::uint8_t *>(arena_.at(p.buf->shm));
-        if (sync_r != CuResult::Success) {
-            op.ok = false;
-            std::memset(op.out, 0, op.len);
-        } else {
-            std::memcpy(op.out, slot + kCtlSlot, op.len);
-            if (encrypt)
-                std::memcpy(op.tag, slot + kCtlTagOff, kGcmTagBytes);
-            op.ok = slot[kCtlOkOff] == 1;
-            if (!encrypt && !op.ok)
-                std::memset(op.out, 0, op.len);
-        }
+        op.ok = readCtl(sync_r == CuResult::Success, encrypt, slot,
+                        slot + kCtlSlot, op.len, op.out, op.tag);
         all = all && op.ok;
         p.buf = nullptr;
     };
@@ -320,18 +303,14 @@ LakeGpuCipher::runBatch(bool encrypt, ExtentOp *ops, std::size_t n)
         if (buf == nullptr) {
             // Slot bigger than the pool's largest class: this extent
             // takes the classic serial path (h_ctl_/h_buf_ still fit).
-            op.ok = run(encrypt, op.iv, op.in, op.len, op.out, op.tag);
+            op.ok = run(encrypt, op.iv, op.in, op.len, op.out, op.tag,
+                        op.tag);
             all = all && op.ok;
             continue;
         }
 
         auto *slot = static_cast<std::uint8_t *>(arena_.at(buf->shm));
-        std::memset(slot, 0, kCtlSlot);
-        std::memcpy(slot + kCtlKeyOff, key_, key_bytes_);
-        std::memcpy(slot + kCtlIvOff, op.iv, kGcmIvBytes);
-        slot[kCtlEncOff] = encrypt ? 1 : 0;
-        if (!encrypt)
-            std::memcpy(slot + kCtlTagOff, op.tag, kGcmTagBytes);
+        writeCtl(slot, key_, key_bytes_, encrypt, op.iv, op.tag);
         std::memcpy(slot + kCtlSlot, op.in, op.len);
 
         // ONE coalesced HtoD moves ctl + data; the serial path pays
@@ -384,7 +363,7 @@ LakeGpuCipher::encryptExtent(const std::uint8_t iv[kGcmIvBytes],
                              std::uint8_t *cipher,
                              std::uint8_t tag[kGcmTagBytes])
 {
-    bool ok = run(true, iv, plain, len, cipher, tag);
+    bool ok = run(true, iv, plain, len, cipher, nullptr, tag);
     LAKE_ASSERT(ok, "GPU encrypt failed (degraded transport?)");
 }
 
@@ -394,16 +373,14 @@ LakeGpuCipher::decryptExtent(const std::uint8_t iv[kGcmIvBytes],
                              const std::uint8_t tag[kGcmTagBytes],
                              std::uint8_t *plain)
 {
-    std::uint8_t tag_in[kGcmTagBytes];
-    std::memcpy(tag_in, tag, kGcmTagBytes);
-    return run(false, iv, cipher, len, plain, tag_in);
+    return run(false, iv, cipher, len, plain, tag, nullptr);
 }
 
 HybridCipher::HybridCipher(const std::uint8_t *key, std::size_t key_bytes,
                            remote::LakeLib &lib, Clock &clock,
                            gpu::CpuSpec cpu, std::size_t max_extent)
     : gcm_(key, key_bytes), gpu_(key, key_bytes, lib, max_extent),
-      clock_(clock), cpu_(std::move(cpu))
+      clock_(clock), ni_(CpuCipher::Rate::aesNi(cpu))
 {
 }
 
@@ -415,7 +392,10 @@ namespace {
  */
 constexpr double kNiShare = 0.25;
 
-/** Splits an extent at a 16-byte boundary. */
+/**
+ * Splits an extent at a 16-byte boundary; the GPU half of a non-empty
+ * extent is never empty.
+ */
 std::size_t
 splitPoint(std::size_t len)
 {
@@ -443,27 +423,20 @@ HybridCipher::encryptExtent(const std::uint8_t iv[kGcmIvBytes],
     std::size_t ni_len = splitPoint(len);
     std::size_t gpu_len = len - ni_len;
 
-    // GPU half runs first so its elapsed time is observable; the NI
-    // half executes concurrently on the CPU, so only the excess of its
-    // modeled time over the GPU's is charged afterwards.
+    // GPU half runs first and charges the clock; the NI half executes
+    // concurrently on the CPU from the same start, so the extent ends
+    // when the later of the two does.
     Nanos t0 = clock_.now();
+    std::uint8_t iv2[kGcmIvBytes];
+    secondIv(iv, iv2);
     std::uint8_t tag_gpu[kGcmTagBytes] = {};
-    if (gpu_len > 0) {
-        std::uint8_t iv2[kGcmIvBytes];
-        secondIv(iv, iv2);
-        gpu_.encryptExtent(iv2, plain + ni_len, gpu_len, cipher + ni_len,
-                           tag_gpu);
-    }
-    Nanos gpu_elapsed = clock_.now() - t0;
+    gpu_.encryptExtent(iv2, plain + ni_len, gpu_len, cipher + ni_len,
+                       tag_gpu);
 
     std::uint8_t tag_ni[kGcmTagBytes] = {};
     if (ni_len > 0) {
         gcm_.encrypt(iv, plain, ni_len, nullptr, 0, cipher, tag_ni);
-        Nanos t_ni = AesNiCipher::kPerExtent +
-                     static_cast<Nanos>(static_cast<double>(ni_len) /
-                                        cpu_.aes_ni_gbps);
-        if (t_ni > gpu_elapsed)
-            clock_.advance(t_ni - gpu_elapsed);
+        clock_.advanceTo(t0 + ni_.cost(ni_len));
     }
 
     for (std::size_t i = 0; i < kGcmTagBytes; ++i)
@@ -479,45 +452,30 @@ HybridCipher::decryptExtent(const std::uint8_t iv[kGcmIvBytes],
     std::size_t ni_len = splitPoint(len);
     std::size_t gpu_len = len - ni_len;
 
-    // Each half's authentic tag is a function of its ciphertext alone,
-    // so both are checked before any plaintext is released.
-    std::uint8_t iv2[kGcmIvBytes];
-    secondIv(iv, iv2);
+    // The extent tag is tag_ni ^ tag_gpu, and each half's tag is a
+    // function of its ciphertext alone: take the NI half's on the host
+    // (before any plaintext can overwrite an in-place buffer), and the
+    // GPU checks its half against what remains before it decrypts.
     std::uint8_t tag_ni[kGcmTagBytes] = {};
-    std::uint8_t tag_gpu[kGcmTagBytes] = {};
     if (ni_len > 0)
         gcm_.tag(iv, cipher, ni_len, nullptr, 0, tag_ni);
-    if (gpu_len > 0)
-        gcm_.tag(iv2, cipher + ni_len, gpu_len, nullptr, 0, tag_gpu);
-
-    // The GPU half decrypts without a per-half tag: CTR is its own
-    // inverse, so encrypting the ciphertext yields the plaintext.
-    Nanos t0 = clock_.now();
-    std::vector<std::uint8_t> tmp(gpu_len);
-    if (gpu_len > 0) {
-        std::uint8_t scratch_tag[kGcmTagBytes];
-        gpu_.encryptExtent(iv2, cipher + ni_len, gpu_len, tmp.data(),
-                           scratch_tag);
-    }
-    Nanos gpu_elapsed = clock_.now() - t0;
-
-    if (ni_len > 0) {
-        Nanos t_ni = AesNiCipher::kPerExtent +
-                     static_cast<Nanos>(static_cast<double>(ni_len) /
-                                        cpu_.aes_ni_gbps);
-        if (t_ni > gpu_elapsed)
-            clock_.advance(t_ni - gpu_elapsed);
-    }
-
-    std::uint8_t diff = 0;
+    std::uint8_t tag_gpu[kGcmTagBytes] = {};
     for (std::size_t i = 0; i < kGcmTagBytes; ++i)
-        diff |= static_cast<std::uint8_t>(tag[i] ^ tag_ni[i] ^ tag_gpu[i]);
-    if (diff != 0) {
+        tag_gpu[i] = static_cast<std::uint8_t>(tag[i] ^ tag_ni[i]);
+
+    Nanos t0 = clock_.now();
+    std::uint8_t iv2[kGcmIvBytes];
+    secondIv(iv, iv2);
+    bool ok = gpu_.decryptExtent(iv2, cipher + ni_len, gpu_len, tag_gpu,
+                                 plain + ni_len);
+    if (ni_len > 0)
+        clock_.advanceTo(t0 + ni_.cost(ni_len));
+
+    // A failed tag or transport fails the whole extent.
+    if (!ok) {
         std::memset(plain, 0, len);
         return false;
     }
-    if (gpu_len > 0)
-        std::memcpy(plain + ni_len, tmp.data(), gpu_len);
     gcm_.ctr(iv, cipher, ni_len, plain);
     return true;
 }

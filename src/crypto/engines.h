@@ -3,14 +3,15 @@
 
 /**
  * @file
- * Cipher execution engines: the four bars of Fig. 14.
+ * Cipher execution engines: the four bars of Fig. 14, from three
+ * classes.
  *
  * All engines produce bit-identical AES-GCM output; they differ in
  * where the work runs and what virtual time it costs:
  *
- *  - CpuCipher:    scalar kernel crypto (the paper's "CPU" line)
- *  - AesNiCipher:  AES-NI instructions (same core, ~6x throughput in
- *    modelled virtual time)
+ *  - CpuCipher: kernel crypto on the host CPU, at one of two modelled
+ *    rates — scalar software AES (the paper's "CPU" line) or AES-NI
+ *    instructions ("AES-NI", ~6x the throughput in virtual time)
  *  - LakeGpuCipher: extents shipped to the GPU through LAKE ("LAKE")
  *  - HybridCipher: GPU and AES-NI operate on disjoint halves of every
  *    extent concurrently ("GPU+AES-NI"), the +31%/+22% configuration
@@ -72,9 +73,9 @@ class CipherEngine
 
     /**
      * True when the engine has a genuinely pipelined batch path.
-     * eCryptfs only takes its batched submission route for such
-     * engines, so engines using the default per-extent loops keep
-     * their exact serial virtual-time trajectory.
+     * eCryptfs submits such engines a group of extents per call and
+     * every other engine one, so engines using the default per-extent
+     * loops keep their exact serial virtual-time trajectory.
      */
     virtual bool batched() const { return false; }
 
@@ -91,15 +92,43 @@ class CipherEngine
     virtual const char *name() const = 0;
 };
 
-/** Scalar software AES-GCM in kernel context. */
+/**
+ * AES-GCM on the host CPU in kernel context. The "CPU" (scalar
+ * software AES) and "AES-NI" lines of Fig. 14 are the same data path
+ * at two modelled rates.
+ */
 class CpuCipher final : public CipherEngine
 {
   public:
-    /** Fixed per-extent overhead (crypto API dispatch + scatterlist). */
-    static constexpr Nanos kPerExtent = 2_us;
+    /** Modelled cost of one extent: a fixed overhead plus a rate. */
+    struct Rate
+    {
+        Nanos per_extent;  //!< crypto API dispatch + scatterlist
+        double gbps;       //!< streaming throughput, bytes per ns
+        const char *label; //!< the figures' engine name
+
+        /** Scalar software AES ("CPU"). */
+        static Rate software(const gpu::CpuSpec &spec)
+        {
+            return {2_us, spec.aes_sw_gbps, "CPU"};
+        }
+
+        /** AES-NI instructions ("AES-NI"). */
+        static Rate aesNi(const gpu::CpuSpec &spec)
+        {
+            return {1500_ns, spec.aes_ni_gbps, "AES-NI"};
+        }
+
+        /** Virtual time to transform one extent of @p len bytes. */
+        Nanos cost(std::size_t len) const
+        {
+            return per_extent +
+                   static_cast<Nanos>(static_cast<double>(len) / gbps);
+        }
+    };
 
     CpuCipher(const std::uint8_t *key, std::size_t key_bytes, Clock &clock,
-              gpu::CpuSpec spec);
+              Rate rate);
 
     void encryptExtent(const std::uint8_t iv[kGcmIvBytes],
                        const std::uint8_t *plain, std::size_t len,
@@ -109,38 +138,12 @@ class CpuCipher final : public CipherEngine
                        const std::uint8_t *cipher, std::size_t len,
                        const std::uint8_t tag[kGcmTagBytes],
                        std::uint8_t *plain) override;
-    const char *name() const override { return "CPU"; }
+    const char *name() const override { return rate_.label; }
 
   private:
     AesGcm gcm_;
     Clock &clock_;
-    gpu::CpuSpec spec_;
-};
-
-/** AES-NI-accelerated AES-GCM (same data path, different cost). */
-class AesNiCipher final : public CipherEngine
-{
-  public:
-    /** Fixed per-extent overhead. */
-    static constexpr Nanos kPerExtent = 1500_ns;
-
-    AesNiCipher(const std::uint8_t *key, std::size_t key_bytes,
-                Clock &clock, gpu::CpuSpec spec);
-
-    void encryptExtent(const std::uint8_t iv[kGcmIvBytes],
-                       const std::uint8_t *plain, std::size_t len,
-                       std::uint8_t *cipher,
-                       std::uint8_t tag[kGcmTagBytes]) override;
-    bool decryptExtent(const std::uint8_t iv[kGcmIvBytes],
-                       const std::uint8_t *cipher, std::size_t len,
-                       const std::uint8_t tag[kGcmTagBytes],
-                       std::uint8_t *plain) override;
-    const char *name() const override { return "AES-NI"; }
-
-  private:
-    AesGcm gcm_;
-    Clock &clock_;
-    gpu::CpuSpec spec_;
+    Rate rate_;
 };
 
 /**
@@ -190,13 +193,14 @@ class LakeGpuCipher final : public CipherEngine
 
   private:
     /**
-     * Shared transform: ships one extent through the GPU.
+     * Shared transform: ships one extent through the GPU. Decrypt
+     * checks @p tag_in; encrypt writes @p tag_out.
      * @return false, with @p out zeroed, on a failed tag check or a
      *         failed remoted call
      */
     bool run(bool encrypt, const std::uint8_t iv[kGcmIvBytes],
              const std::uint8_t *in, std::size_t len, std::uint8_t *out,
-             std::uint8_t tag[kGcmTagBytes]);
+             const std::uint8_t *tag_in, std::uint8_t *tag_out);
 
     /** Pipelined batch transform over the orchestrator's streams. */
     bool runBatch(bool encrypt, ExtentOp *ops, std::size_t n);
@@ -218,7 +222,8 @@ class LakeGpuCipher final : public CipherEngine
 /**
  * GPU + AES-NI: each extent is split proportionally to the two
  * engines' throughputs and processed concurrently; elapsed time is the
- * slower half (the GPU path also pays its LAKE transport).
+ * slower half (the GPU path also pays its LAKE transport). Extents
+ * span 1..max_extent bytes, as for LakeGpuCipher.
  */
 class HybridCipher final : public CipherEngine
 {
@@ -238,10 +243,10 @@ class HybridCipher final : public CipherEngine
     const char *name() const override { return "GPU+AES-NI"; }
 
   private:
-    AesGcm gcm_;      //!< performs the real transform
+    AesGcm gcm_;      //!< performs the NI half's transform
     LakeGpuCipher gpu_;
     Clock &clock_;
-    gpu::CpuSpec cpu_;
+    CpuCipher::Rate ni_; //!< the NI half's cost
 };
 
 /** Registers the "aes_gcm" GPU kernel; idempotent. */

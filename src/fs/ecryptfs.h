@@ -91,9 +91,9 @@ class ECryptFs
         /** plain_len bytes of ciphertext, allocated uninitialized:
          *  the cipher writes every byte. */
         std::unique_ptr<std::uint8_t[]> cipher;
-        std::uint8_t iv[crypto::kGcmIvBytes];
-        std::uint8_t tag[crypto::kGcmTagBytes];
-        std::size_t plain_len;
+        std::uint8_t iv[crypto::kGcmIvBytes] = {};
+        std::uint8_t tag[crypto::kGcmTagBytes] = {};
+        std::size_t plain_len = 0;
     };
 
     struct File
@@ -106,19 +106,12 @@ class ECryptFs
     Nanos diskTime(std::size_t bytes, bool write) const;
 
     /**
-     * Extents per capture group on the batched (streaming-cipher)
-     * paths: the double-buffering grain — group i's crypto overlaps
-     * the lower FS streaming group i+1 (read) or flushing group i-1
-     * (write).
+     * Extents per group when the engine is batched(): the
+     * double-buffering grain — group i's crypto overlaps the lower FS
+     * streaming group i+1 (read) or flushing group i-1 (write). Every
+     * other engine walks one extent per group, its serial trajectory.
      */
     static constexpr std::size_t kBatchExtents = 32;
-
-    /** writeFile body for engines with a pipelined batch path. */
-    Status writeFileBatched(File &file, const std::uint8_t *data,
-                            std::size_t size);
-
-    /** readFile body for engines with a pipelined batch path. */
-    Result<std::vector<std::uint8_t>> readFileBatched(const File &file);
 
     crypto::CipherEngine &cipher_;
     Clock &clock_;

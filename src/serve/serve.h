@@ -16,10 +16,11 @@
  * shed-on-pressure, and deficit-round-robin fair sharing of the
  * coalesced GPU/CPU dispatch path.
  *
- * Everything here is default-off (LakeConfig.serving.enabled == false
- * constructs nothing), and all knobs have LAKE_SERVE_* environment
- * overrides applied only by an explicit applyEnv() call — the same
- * opt-in contract as ScoringConfig.
+ * Nothing here runs until an application constructs a
+ * TrafficGenerator over a Lake booted with scoring.enabled, and all
+ * knobs have LAKE_SERVE_* environment overrides applied only by an
+ * explicit applyEnv() call — the same opt-in contract as
+ * ScoringConfig.
  */
 
 #include <cstdint>
@@ -31,12 +32,12 @@
 
 namespace lake::serve {
 
-/** Boot-time knobs of the serving front end (LakeConfig.serving). */
+/** Knobs of the serving front end, passed to TrafficGenerator. */
 struct ServeConfig
 {
     /**
-     * Master switch. While false nothing is constructed and no
-     * virtual-time number anywhere in the repository changes.
+     * Informational only: TrafficGenerator ignores it, since
+     * constructing a generator is what enables serving.
      */
     bool enabled = false;
 

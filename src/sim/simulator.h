@@ -9,8 +9,8 @@
  * concurrent actors — a user-space hashing process and kernel-space
  * predictors sharing one GPU. Rather than depending on host-thread
  * scheduling (non-deterministic, machine-dependent), those experiments
- * run on this event queue: actors schedule callbacks at virtual times
- * and contend for sim::Resource objects.
+ * run on this event queue: actors schedule callbacks at virtual
+ * times.
  */
 
 #include <cstdint>

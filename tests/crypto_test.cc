@@ -32,8 +32,8 @@ class EnginesTest : public ::testing::Test
 TEST_F(EnginesTest, AllEnginesProduceIdenticalCiphertext)
 {
     gpu::CpuSpec cpu = gpu::CpuSpec::xeonGold6226R();
-    CpuCipher sw(key_, 32, lake_.clock(), cpu);
-    AesNiCipher ni(key_, 32, lake_.clock(), cpu);
+    CpuCipher sw(key_, 32, lake_.clock(), CpuCipher::Rate::software(cpu));
+    CpuCipher ni(key_, 32, lake_.clock(), CpuCipher::Rate::aesNi(cpu));
     LakeGpuCipher gpu_eng(key_, 32, lake_.lib(), 1 << 16);
 
     std::vector<std::uint8_t> plain(10000);
@@ -62,8 +62,8 @@ TEST_F(EnginesTest, AllEnginesProduceIdenticalCiphertext)
 TEST_F(EnginesTest, ThroughputOrderingAtLargeExtents)
 {
     gpu::CpuSpec cpu = gpu::CpuSpec::xeonGold6226R();
-    CpuCipher sw(key_, 32, lake_.clock(), cpu);
-    AesNiCipher ni(key_, 32, lake_.clock(), cpu);
+    CpuCipher sw(key_, 32, lake_.clock(), CpuCipher::Rate::software(cpu));
+    CpuCipher ni(key_, 32, lake_.clock(), CpuCipher::Rate::aesNi(cpu));
     LakeGpuCipher gpu_eng(key_, 32, lake_.lib(), 2 << 20);
 
     std::vector<std::uint8_t> plain(2 << 20);
@@ -156,7 +156,7 @@ TEST_F(EnginesTest, HybridInPlaceRoundTripAndTamper)
 TEST_F(EnginesTest, HybridFasterThanAesNiAlone)
 {
     gpu::CpuSpec cpu = gpu::CpuSpec::xeonGold6226R();
-    AesNiCipher ni(key_, 32, lake_.clock(), cpu);
+    CpuCipher ni(key_, 32, lake_.clock(), CpuCipher::Rate::aesNi(cpu));
     HybridCipher hybrid(key_, 32, lake_.lib(), lake_.clock(), cpu,
                         4 << 20);
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <memory>
+#include <string>
 
 #include "core/lake.h"
 #include "fs/ecryptfs.h"
@@ -35,8 +39,9 @@ class ECryptFsTest : public ::testing::Test
 
 TEST_F(ECryptFsTest, WriteReadRoundTripCpu)
 {
-    crypto::CpuCipher cipher(key_, 32, lake_.clock(),
-                             gpu::CpuSpec::xeonGold6226R());
+    crypto::CpuCipher cipher(
+        key_, 32, lake_.clock(),
+        crypto::CpuCipher::Rate::software(gpu::CpuSpec::xeonGold6226R()));
     ECryptFs fs(cipher, lake_.clock(), LowerFsModel::testbed(), 64 << 10);
 
     auto data = pattern(1 << 20);
@@ -61,8 +66,9 @@ TEST_F(ECryptFsTest, WriteReadRoundTripGpu)
 
 TEST_F(ECryptFsTest, CiphertextIsNotPlaintext)
 {
-    crypto::CpuCipher cipher(key_, 32, lake_.clock(),
-                             gpu::CpuSpec::xeonGold6226R());
+    crypto::CpuCipher cipher(
+        key_, 32, lake_.clock(),
+        crypto::CpuCipher::Rate::software(gpu::CpuSpec::xeonGold6226R()));
     ECryptFs fs(cipher, lake_.clock(), LowerFsModel::testbed(), 16 << 10);
     auto data = pattern(64 << 10);
     fs.writeFile("/s", data.data(), data.size());
@@ -72,16 +78,18 @@ TEST_F(ECryptFsTest, CiphertextIsNotPlaintext)
 
 TEST_F(ECryptFsTest, MissingFileIsNotFound)
 {
-    crypto::CpuCipher cipher(key_, 32, lake_.clock(),
-                             gpu::CpuSpec::xeonGold6226R());
+    crypto::CpuCipher cipher(
+        key_, 32, lake_.clock(),
+        crypto::CpuCipher::Rate::software(gpu::CpuSpec::xeonGold6226R()));
     ECryptFs fs(cipher, lake_.clock(), LowerFsModel::testbed(), 16 << 10);
     EXPECT_EQ(fs.readFile("/nope").status().code(), Code::NotFound);
 }
 
 TEST_F(ECryptFsTest, EmptyFileRoundTrips)
 {
-    crypto::CpuCipher cipher(key_, 32, lake_.clock(),
-                             gpu::CpuSpec::xeonGold6226R());
+    crypto::CpuCipher cipher(
+        key_, 32, lake_.clock(),
+        crypto::CpuCipher::Rate::software(gpu::CpuSpec::xeonGold6226R()));
     ECryptFs fs(cipher, lake_.clock(), LowerFsModel::testbed(), 16 << 10);
     ASSERT_TRUE(fs.writeFile("/e", nullptr, 0).isOk());
     auto back = fs.readFile("/e");
@@ -106,8 +114,10 @@ TEST_F(ECryptFsTest, ThroughputOrderingMatchesFig14)
         return static_cast<double>(data.size()) / secs / 1e6; // MB/s
     };
 
-    crypto::CpuCipher sw(key_, 32, lake_.clock(), cpu_spec);
-    crypto::AesNiCipher ni(key_, 32, lake_.clock(), cpu_spec);
+    crypto::CpuCipher sw(key_, 32, lake_.clock(),
+                         crypto::CpuCipher::Rate::software(cpu_spec));
+    crypto::CpuCipher ni(key_, 32, lake_.clock(),
+                         crypto::CpuCipher::Rate::aesNi(cpu_spec));
     crypto::LakeGpuCipher gpu_eng(key_, 32, lake_.lib(), 2 << 20);
 
     double sw_mbps = read_throughput(sw);
@@ -122,7 +132,8 @@ TEST_F(ECryptFsTest, ThroughputOrderingMatchesFig14)
 TEST_F(ECryptFsTest, ReadaheadOverlapHelps)
 {
     gpu::CpuSpec cpu_spec = gpu::CpuSpec::xeonGold6226R();
-    crypto::AesNiCipher eng(key_, 32, lake_.clock(), cpu_spec);
+    crypto::CpuCipher eng(key_, 32, lake_.clock(),
+                          crypto::CpuCipher::Rate::aesNi(cpu_spec));
     auto data = pattern(16 << 20);
 
     ECryptFs with_ra(eng, lake_.clock(), LowerFsModel::testbed(),
@@ -144,8 +155,9 @@ TEST_F(ECryptFsTest, ReadaheadOverlapHelps)
 
 TEST_F(ECryptFsTest, StatsAccumulate)
 {
-    crypto::CpuCipher cipher(key_, 32, lake_.clock(),
-                             gpu::CpuSpec::xeonGold6226R());
+    crypto::CpuCipher cipher(
+        key_, 32, lake_.clock(),
+        crypto::CpuCipher::Rate::software(gpu::CpuSpec::xeonGold6226R()));
     ECryptFs fs(cipher, lake_.clock(), LowerFsModel::testbed(), 16 << 10);
     auto data = pattern(64 << 10);
     fs.writeFile("/x", data.data(), data.size());
@@ -155,6 +167,224 @@ TEST_F(ECryptFsTest, StatsAccumulate)
     EXPECT_EQ(fs.stats().bytes_read, data.size());
     EXPECT_GT(fs.stats().crypto_busy, 0u);
     EXPECT_GT(fs.stats().disk_busy, 0u);
+}
+
+// ---- extent trajectories ----------------------------------------------
+
+// Every Fig. 14 engine through the extent pipeline at a 4 KiB extent:
+// the exact virtual time of a write and a read-back and every counter,
+// so that a change to how ECryptFs groups extents cannot move any
+// engine's trajectory unnoticed.
+
+enum PinEngine
+{
+    kPinCpu,
+    kPinAesNi,
+    kPinLake,
+    kPinLakeStreamed,
+    kPinHybrid,
+    kPinEngines
+};
+
+constexpr std::size_t kPinExtent = 4096;
+constexpr std::size_t kPinSizes[] = {0, 4095, 4096, 4097, 33 * 4096 + 7};
+constexpr std::size_t kPinSizeCount = std::size(kPinSizes);
+
+/** Virtual ns of one write + read-back on a fresh ECryptFs. */
+struct Pin
+{
+    Nanos write;
+    Nanos read;
+    Nanos disk_busy;
+    Nanos crypto_busy;
+};
+
+constexpr Pin kPins[kPinEngines][kPinSizeCount] = {
+    // {write, read, disk_busy, crypto_busy} at sizes 0, 4095, 4096,
+    // 4097 and 33 extents + 7 bytes.
+    {// CPU
+     {9000, 9000, 18000, 0},
+     {42391, 42274, 24183, 30241},
+     {42398, 42282, 24184, 30248},
+     {51398, 44288, 42184, 32254},
+     {1019339, 1012266, 816082, 1000232}},
+    {// AES-NI
+     {9000, 9000, 18000, 0},
+     {19500, 19383, 24183, 7350},
+     {19501, 19385, 24184, 7351},
+     {28501, 22535, 42184, 8852},
+     {417306, 407637, 816082, 244093}},
+    {// LAKE, serial
+     {9000, 9000, 18000, 0},
+     {124823, 124706, 24183, 112673},
+     {124823, 124707, 24184, 112673},
+     {234176, 237210, 42184, 225176},
+     {3839717, 3842746, 816082, 3830712}},
+    {// LAKE, streamed
+     {9000, 9000, 18000, 0},
+     {124823, 124706, 24183, 112673},
+     {124823, 124707, 24184, 112673},
+     {165150, 165034, 42184, 144000},
+     {2713955, 2833088, 816082, 2448000}},
+    {// GPU+AES-NI
+     {9000, 9000, 18000, 0},
+     {124781, 124664, 24183, 112631},
+     {124781, 124665, 24184, 112631},
+     {234134, 237168, 42184, 225134},
+     {3838331, 3841360, 816082, 3829326}},
+};
+
+/** Boots a Lake for @p engine (streamed engines need the orchestrator). */
+core::LakeConfig
+pinConfig(int engine)
+{
+    core::LakeConfig cfg;
+    cfg.streaming.enabled = engine == kPinLakeStreamed;
+    return cfg;
+}
+
+std::unique_ptr<crypto::CipherEngine>
+makePinEngine(int engine, core::Lake &lake, const std::uint8_t *key)
+{
+    gpu::CpuSpec cpu = gpu::CpuSpec::xeonGold6226R();
+    switch (engine) {
+    case kPinCpu:
+        return std::make_unique<crypto::CpuCipher>(
+            key, 32, lake.clock(), crypto::CpuCipher::Rate::software(cpu));
+    case kPinAesNi:
+        return std::make_unique<crypto::CpuCipher>(
+            key, 32, lake.clock(), crypto::CpuCipher::Rate::aesNi(cpu));
+    case kPinHybrid:
+        return std::make_unique<crypto::HybridCipher>(
+            key, 32, lake.lib(), lake.clock(), cpu, kPinExtent);
+    default: {
+        auto gpu = std::make_unique<crypto::LakeGpuCipher>(
+            key, 32, lake.lib(), kPinExtent);
+        if (engine == kPinLakeStreamed)
+            gpu->enableStreaming(lake.streaming());
+        return gpu;
+    }
+    }
+}
+
+TEST_F(ECryptFsTest, ExtentTrajectoriesArePinned)
+{
+    for (int e = 0; e < kPinEngines; ++e) {
+        core::Lake lake(pinConfig(e));
+        auto engine = makePinEngine(e, lake, key_);
+        for (std::size_t s = 0; s < kPinSizeCount; ++s) {
+            std::size_t size = kPinSizes[s];
+            SCOPED_TRACE("engine " + std::to_string(e) + ", size " +
+                         std::to_string(size));
+            ECryptFs fs(*engine, lake.clock(), LowerFsModel::testbed(),
+                        kPinExtent);
+            auto data = pattern(size);
+
+            Nanos t0 = lake.clock().now();
+            ASSERT_TRUE(fs.writeFile("/p", data.data(), size).isOk());
+            Nanos write = lake.clock().now() - t0;
+            t0 = lake.clock().now();
+            auto back = fs.readFile("/p");
+            Nanos read = lake.clock().now() - t0;
+            ASSERT_TRUE(back.isOk());
+            EXPECT_EQ(back.value(), data);
+
+            const Pin &want = kPins[e][s];
+            const ECryptFsStats &st = fs.stats();
+            std::uint64_t extents =
+                std::max<std::size_t>(1, (size + kPinExtent - 1) /
+                                             kPinExtent);
+            EXPECT_EQ(write, want.write);
+            EXPECT_EQ(read, want.read);
+            EXPECT_EQ(st.disk_busy, want.disk_busy);
+            EXPECT_EQ(st.crypto_busy, want.crypto_busy);
+            EXPECT_EQ(st.extents_written, extents);
+            EXPECT_EQ(st.extents_read, extents);
+            EXPECT_EQ(st.bytes_written, size);
+            EXPECT_EQ(st.bytes_read, size);
+        }
+    }
+}
+
+/** Forwards to an engine, corrupting the stored tag of one extent. */
+class TagTamperCipher final : public crypto::CipherEngine
+{
+  public:
+    TagTamperCipher(crypto::CipherEngine &inner, std::uint64_t victim)
+        : inner_(inner), victim_(victim)
+    {}
+
+    void encryptExtent(const std::uint8_t iv[crypto::kGcmIvBytes],
+                       const std::uint8_t *plain, std::size_t len,
+                       std::uint8_t *cipher,
+                       std::uint8_t tag[crypto::kGcmTagBytes]) override
+    {
+        inner_.encryptExtent(iv, plain, len, cipher, tag);
+        if (seen_++ == victim_)
+            tag[0] ^= 1;
+    }
+
+    bool decryptExtent(const std::uint8_t iv[crypto::kGcmIvBytes],
+                       const std::uint8_t *cipher, std::size_t len,
+                       const std::uint8_t tag[crypto::kGcmTagBytes],
+                       std::uint8_t *plain) override
+    {
+        return inner_.decryptExtent(iv, cipher, len, tag, plain);
+    }
+
+    bool batched() const override { return inner_.batched(); }
+
+    void encryptBatch(crypto::ExtentOp *ops, std::size_t n) override
+    {
+        inner_.encryptBatch(ops, n);
+        for (std::size_t i = 0; i < n; ++i)
+            if (seen_++ == victim_)
+                ops[i].tag[0] ^= 1;
+    }
+
+    bool decryptBatch(crypto::ExtentOp *ops, std::size_t n) override
+    {
+        return inner_.decryptBatch(ops, n);
+    }
+
+    const char *name() const override { return inner_.name(); }
+
+  private:
+    crypto::CipherEngine &inner_;
+    std::uint64_t victim_;
+    std::uint64_t seen_ = 0;
+};
+
+// A failed read on the streamed engine: extent 5 of 40 fails its tag,
+// so the first 32-extent group fails as a whole. An extent counts as
+// read only once its group has authenticated, so none does; the
+// virtual times and busy counters are pinned like the trajectories
+// above.
+TEST_F(ECryptFsTest, FailedGroupReadIsNotCounted)
+{
+    core::Lake lake(pinConfig(kPinLakeStreamed));
+    auto gpu = makePinEngine(kPinLakeStreamed, lake, key_);
+    TagTamperCipher tamper(*gpu, 5);
+    ECryptFs fs(tamper, lake.clock(), LowerFsModel::testbed(), kPinExtent);
+    auto data = pattern(40 * kPinExtent);
+
+    Nanos t0 = lake.clock().now();
+    ASSERT_TRUE(fs.writeFile("/t", data.data(), data.size()).isOk());
+    Nanos write = lake.clock().now() - t0;
+    t0 = lake.clock().now();
+    auto back = fs.readFile("/t");
+    Nanos read = lake.clock().now() - t0;
+    EXPECT_EQ(back.status().code(), Code::Internal);
+
+    const ECryptFsStats &st = fs.stats();
+    EXPECT_EQ(write, 2977200);
+    EXPECT_EQ(read, 2689088);
+    EXPECT_EQ(st.disk_busy, 871088);
+    EXPECT_EQ(st.crypto_busy, 2304000);
+    EXPECT_EQ(st.extents_written, 40u);
+    EXPECT_EQ(st.bytes_written, data.size());
+    EXPECT_EQ(st.extents_read, 0u);
+    EXPECT_EQ(st.bytes_read, 0u);
 }
 
 // ---- prefetch ---------------------------------------------------------

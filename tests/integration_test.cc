@@ -11,7 +11,6 @@
 #include "ml/backends.h"
 #include "ml/gpu_kernels.h"
 #include "policy/bpf.h"
-#include "sim/resource.h"
 #include "sim/simulator.h"
 
 namespace lake {

@@ -463,6 +463,41 @@ TEST(CipherFaultTest, SerialDecryptFailsInsteadOfPanicking)
     EXPECT_EQ(back, plain);
 }
 
+// The hybrid engine's GPU half fails the same way: a dropped response
+// zeroes the whole extent and returns false, with no assert.
+TEST(CipherFaultTest, HybridDecryptFailsInsteadOfPanicking)
+{
+    core::Lake lake;
+    std::uint8_t key[32];
+    for (int i = 0; i < 32; ++i)
+        key[i] = static_cast<std::uint8_t>(i + 100);
+    crypto::HybridCipher cipher(key, 32, lake.lib(), lake.clock(),
+                                lake.config().cpu, 1 << 16);
+
+    std::vector<std::uint8_t> plain(1 << 16);
+    for (std::size_t i = 0; i < plain.size(); ++i)
+        plain[i] = static_cast<std::uint8_t>(i * 31 + 5);
+    std::uint8_t iv[crypto::kGcmIvBytes] = {1, 2, 3};
+    std::uint8_t tag[crypto::kGcmTagBytes];
+    std::vector<std::uint8_t> ct(plain.size());
+    cipher.encryptExtent(iv, plain.data(), plain.size(), ct.data(), tag);
+
+    FaultSpec spec;
+    spec.drop = 1.0;
+    spec.kernel_to_user = false;
+    lake.channel().installFaults(spec);
+
+    std::vector<std::uint8_t> back(plain.size(), 0xee);
+    EXPECT_FALSE(
+        cipher.decryptExtent(iv, ct.data(), ct.size(), tag, back.data()));
+    EXPECT_EQ(back, std::vector<std::uint8_t>(plain.size(), 0));
+
+    lake.channel().faults()->disarm();
+    ASSERT_TRUE(
+        cipher.decryptExtent(iv, ct.data(), ct.size(), tag, back.data()));
+    EXPECT_EQ(back, plain);
+}
+
 // ---------------------------------------------------------------------
 // Malformed-command corpus: lakeD must reject, never crash
 // ---------------------------------------------------------------------

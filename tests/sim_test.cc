@@ -1,4 +1,4 @@
-// Tests for the discrete-event simulator and its shared resources.
+// Tests for the discrete-event simulator.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "sim/resource.h"
 #include "sim/simulator.h"
 
 namespace lake::sim {
@@ -162,54 +161,6 @@ TEST(SimulatorTest, CallbacksAreDestroyedAfterFiringAndWithTheSimulator)
     }
     EXPECT_EQ(*token, 1);
     EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(ResourceTest, SerializesWork)
-{
-    Simulator s;
-    Resource r(s, "engine");
-    std::vector<std::pair<Nanos, Nanos>> spans;
-    auto record = [&](Nanos a, Nanos b) { spans.emplace_back(a, b); };
-
-    s.schedule(0, [&] {
-        r.submit(100, record);
-        r.submit(50, record);
-    });
-    s.schedule(120, [&] { r.submit(30, record); });
-    s.run();
-
-    ASSERT_EQ(spans.size(), 3u);
-    EXPECT_EQ(spans[0].first, 0u);
-    EXPECT_EQ(spans[0].second, 100u);
-    EXPECT_EQ(spans[1].first, 100u);
-    EXPECT_EQ(spans[1].second, 150u);
-    // Third submission arrives while the queue is still draining.
-    EXPECT_EQ(spans[2].first, 150u);
-    EXPECT_EQ(spans[2].second, 180u);
-}
-
-TEST(ResourceTest, IdleResourceStartsImmediately)
-{
-    Simulator s;
-    Resource r(s, "engine");
-    Nanos started = ~0ull;
-    s.schedule(500, [&] {
-        r.submit(10, [&](Nanos a, Nanos) { started = a; });
-    });
-    s.run();
-    EXPECT_EQ(started, 500u);
-}
-
-TEST(ResourceTest, UtilizationReflectsLoad)
-{
-    Simulator s;
-    Resource r(s, "engine");
-    s.schedule(0, [&] { r.submit(500); });
-    s.schedule(1000, [&] {
-        // Window [0,1000]: busy 500 of 1000.
-        EXPECT_NEAR(r.utilization(1000), 50.0, 1e-9);
-    });
-    s.run();
 }
 
 } // namespace
