@@ -11,7 +11,9 @@
 #include "base/ring_buffer.h"
 #include "core/lake.h"
 #include "crypto/gcm.h"
+#include "gpu/context.h"
 #include "ml/compute.h"
+#include "ml/gpu_kernels.h"
 #include "ml/knn.h"
 #include "ml/mlp.h"
 #include "policy/bpf.h"
@@ -280,6 +282,63 @@ BM_GemmBlocked256(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()); // GEMMs
 }
 BENCHMARK(BM_GemmBlocked256);
+
+// One single-threaded gemmBlock at an inference shape: 32 rows of
+// LinnOS's 31->256 first layer (a shallow layer, on the wide tile) and
+// 32 rows of a 256->16 layer (a deep one, on micro4). Args: in, out.
+void
+BM_GemmShallow(benchmark::State &state)
+{
+    const std::size_t n = 32, in = state.range(0), out = state.range(1);
+    Rng rng(7);
+    std::vector<float> x(n * in), w(out * in), wt(in * out), b(out),
+        y(n * out);
+    for (float &v : x)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    for (float &v : w)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    ml::compute::packTranspose(w.data(), out, in, out, wt.data());
+    for (auto _ : state) {
+        ml::compute::gemmBlock(x.data(), n, in, in, wt.data(), out,
+                               b.data(), y.data());
+        benchmark::DoNotOptimize(y.data());
+    }
+    state.SetItemsProcessed(state.iterations() * n); // rows
+}
+BENCHMARK(BM_GemmShallow)->Args({31, 256})->Args({256, 16});
+
+// One mlp_forward launch of the LinnOS model through a GpuContext, the
+// model and the input already resident: the kernel body's host cost
+// (plus the context's bookkeeping) per batch. Arg = batch rows.
+void
+BM_MlpForwardLaunch(benchmark::State &state)
+{
+    const std::size_t rows = state.range(0);
+    ml::registerMlKernels();
+    Rng rng(1);
+    ml::Mlp net(ml::MlpConfig::linnos(), rng);
+    std::vector<std::uint8_t> blob = net.serialize();
+    std::vector<float> x(rows * 31, 0.3f);
+
+    gpu::Device dev(gpu::DeviceSpec::a100());
+    Clock clock;
+    gpu::GpuContext ctx(dev, clock);
+    gpu::DevicePtr d_model = 0, d_in = 0, d_out = 0;
+    ctx.memAlloc(&d_model, blob.size());
+    ctx.memAlloc(&d_in, x.size() * sizeof(float));
+    ctx.memAlloc(&d_out, rows * 2 * sizeof(float));
+    ctx.memcpyHtoD(d_model, blob.data(), blob.size());
+    ctx.memcpyHtoD(d_in, x.data(), x.size() * sizeof(float));
+    gpu::LaunchConfig cfg;
+    cfg.kernel = "mlp_forward";
+    cfg.arg(d_model).arg(d_in).arg(d_out).arg(rows, nullptr);
+    for (auto _ : state) {
+        if (ctx.launchKernel(cfg) != gpu::CuResult::Success)
+            state.SkipWithError("mlp_forward launch failed");
+    }
+    state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_MlpForwardLaunch)->Arg(1)->Arg(8)->Arg(32);
 
 // kNN at the Fig. 12 shape (16K refs x 1024 dims, k=16). items/s is
 // queries/s for both variants, so the two rates compare directly even

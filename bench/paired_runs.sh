@@ -14,8 +14,11 @@
 # Prints, per end-to-end metric of BENCHMARK.json: the base and change
 # medians with their quartiles, the ratio of medians (change/base) and
 # in how many pairs the change was strictly better; then each side's
-# median count of rounds (`reps`) per run. Exits 1 if any run
-# fails or reports correct=false, 2 on a usage or setup error.
+# median count of rounds (`reps`) per run, and each side's median minor
+# page faults and system CPU seconds per run (getrusage RUSAGE_CHILDREN
+# around each run.py call: the driver and, in each arm's first run, its
+# incremental build). Exits 1 if any run fails or reports
+# correct=false, 2 on a usage or setup error.
 #
 # CONTROL=1 runs a base-vs-base control instead: the "change" arm is a
 # second build of the same <base-rev> snapshot (its own CARGO_TARGET_DIR),
@@ -52,14 +55,28 @@ if [[ "$CONTROL" == 1 ]]; then
     CHANGE_NAME="second build of base (CONTROL=1)"
 fi
 
+# Runs argv[2:] and appends its children's minor faults and system
+# seconds, as one JSON line, to the file argv[1]; exits with its status.
+RUSAGE_PY='
+import json, resource, subprocess, sys
+before = resource.getrusage(resource.RUSAGE_CHILDREN)
+rc = subprocess.call(sys.argv[2:])
+after = resource.getrusage(resource.RUSAGE_CHILDREN)
+with open(sys.argv[1], "a") as f:
+    f.write(json.dumps({"minflt": after.ru_minflt - before.ru_minflt,
+                        "sys_s": after.ru_stime - before.ru_stime}) + "\n")
+sys.exit(rc)
+'
+
 # run <arm> <tree> <pair>: one benchmark run; its result line (the last
-# stdout line) goes to $WORK/<arm>.jsonl and its detail line (the one
-# before) to $WORK/<arm>.detail.jsonl. A run that prints no result (a
-# failed build or crash) ends the script; correct=false is counted at
-# the end.
+# stdout line) goes to $WORK/<arm>.jsonl, its detail line (the one
+# before) to $WORK/<arm>.detail.jsonl and its rusage line to
+# $WORK/<arm>.rusage.jsonl. A run that prints no result (a failed build
+# or crash) ends the script; correct=false is counted at the end.
 run() {
     local out="$WORK/$1.$3.out" rc=0
-    (cd "$2" && CARGO_TARGET_DIR="$WORK/$1-build" python3 perfbench/run.py \
+    (cd "$2" && CARGO_TARGET_DIR="$WORK/$1-build" python3 -c "$RUSAGE_PY" \
+        "$WORK/$1.rusage.jsonl" python3 perfbench/run.py \
         --workload "$WORKLOAD" --seed "$SEED" --seconds "$SECONDS_PER_RUN" \
         --trace 0) > "$out" 2> "$out.err" || rc=$?
     if ! tail -n 1 "$out" | grep -q '"correct"'; then
@@ -84,7 +101,8 @@ done
 
 echo "$WORKLOAD seed $SEED, $PAIRS pairs of ${SECONDS_PER_RUN} s runs; base ${SHA:0:12}, change = $CHANGE_NAME"
 python3 - "$ROOT/BENCHMARK.json" "$WORK/base.jsonl" "$WORK/change.jsonl" \
-    "$WORK/base.detail.jsonl" "$WORK/change.detail.jsonl" <<'EOF'
+    "$WORK/base.detail.jsonl" "$WORK/change.detail.jsonl" \
+    "$WORK/base.rusage.jsonl" "$WORK/change.rusage.jsonl" <<'EOF'
 import json
 import statistics
 import sys
@@ -124,6 +142,13 @@ for arm, path in (("base", sys.argv[4]), ("change", sys.argv[5])):
     reps = [json.loads(l)["reps"] for l in open(path)]
     q1, med, q3 = quartiles(reps)
     print(f"{arm}: reps median {med:g} [{q1:g}, {q3:g}]")
+# Page faults and system time per run: heap churn that glibc trims and
+# re-faults shows here before it shows in the ratios.
+for arm, path in (("base", sys.argv[6]), ("change", sys.argv[7])):
+    rus = [json.loads(l) for l in open(path)]
+    _, flt, _ = quartiles([r["minflt"] for r in rus])
+    _, sys_s, _ = quartiles([r["sys_s"] for r in rus])
+    print(f"{arm}: minor faults median {flt:g}, sys s median {sys_s:.3f} per run")
 for arm, rs in (("base", base), ("change", change)):
     print(f"{arm}: failed/attempted per pair "
           + " ".join(f"{r['failed']}/{r['attempted']}" for r in rs))

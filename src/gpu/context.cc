@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "base/logging.h"
 #include "obs/trace.h"
@@ -131,16 +132,24 @@ GpuContext::copy(bool to_device, DevicePtr dev, void *host,
                  std::size_t bytes, StreamId stream, bool blocking)
 {
     chargeCall();
-    void *d = device_.resolve(dev, bytes);
-    if (!d || !host)
+    if (!host)
         return CuResult::InvalidValue;
     // Data moves eagerly; only the completion time is modeled. An async
     // caller must not touch the host buffer until synchronize, same
-    // contract as cudaMemcpyAsync with pinned memory.
-    if (to_device)
+    // contract as cudaMemcpyAsync with pinned memory. Only a copy
+    // toward the device resolves for writing, which retires the
+    // allocation's resident object.
+    if (to_device) {
+        void *d = device_.resolve(dev, bytes);
+        if (!d)
+            return CuResult::InvalidValue;
         std::memcpy(d, host, bytes);
-    else
+    } else {
+        const void *d = std::as_const(device_).resolve(dev, bytes);
+        if (!d)
+            return CuResult::InvalidValue;
         std::memcpy(host, d, bytes);
+    }
     // Async copies pin the allocation to their stream so a later
     // memFreeAsync orders behind them.
     if (!blocking)

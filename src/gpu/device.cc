@@ -99,7 +99,7 @@ Device::memAlloc(DevicePtr *out, std::size_t bytes)
     if (next > va_limit_)
         return CuResult::OutOfMemory;
     next_ptr_ = next;
-    allocs_.emplace(ptr, std::vector<std::uint8_t>(bytes));
+    allocs_[ptr].bytes.resize(bytes);
     mem_used_ += bytes;
     *out = ptr;
     return CuResult::Success;
@@ -111,44 +111,68 @@ Device::memFree(DevicePtr ptr)
     auto it = allocs_.find(ptr);
     if (it == allocs_.end())
         return CuResult::InvalidValue;
-    mem_used_ -= it->second.size();
+    mem_used_ -= it->second.bytes.size();
     allocs_.erase(it);
     return CuResult::Success;
 }
 
-void *
-Device::resolve(DevicePtr ptr, std::size_t bytes)
+Device::Allocation *
+Device::below(DevicePtr ptr, std::size_t *off) const
 {
     if (!ownsVa(ptr))
         return nullptr;
-    // Find the allocation with the greatest base <= ptr.
+    // The allocation with the greatest base <= ptr.
     auto it = allocs_.upper_bound(ptr);
     if (it == allocs_.begin())
         return nullptr;
     --it;
-    std::uint64_t off = ptr - it->first;
-    // Written so that no untrusted length can wrap the bounds check.
-    if (off > it->second.size() || bytes > it->second.size() - off)
-        return nullptr;
-    return it->second.data() + off;
+    *off = ptr - it->first;
+    return const_cast<Allocation *>(&it->second);
 }
 
 const void *
 Device::resolve(DevicePtr ptr, std::size_t bytes) const
 {
-    return const_cast<Device *>(this)->resolve(ptr, bytes);
+    std::size_t off = 0;
+    const Allocation *a = below(ptr, &off);
+    if (a == nullptr)
+        return nullptr;
+    const std::size_t size = a->bytes.size();
+    // Written so that no untrusted length can wrap the bounds check.
+    if (off > size || bytes > size - off)
+        return nullptr;
+    return a->bytes.data() + off;
+}
+
+void *
+Device::resolve(DevicePtr ptr, std::size_t bytes)
+{
+    std::size_t off = 0;
+    Allocation *a = below(ptr, &off);
+    if (a == nullptr)
+        return nullptr;
+    const std::size_t size = a->bytes.size();
+    if (off > size || bytes > size - off)
+        return nullptr;
+    ++a->gen;
+    return a->bytes.data() + off;
+}
+
+std::size_t
+Device::residentCount() const
+{
+    std::size_t n = 0;
+    for (const auto &[base, a] : allocs_)
+        n += a.resident != nullptr ? 1 : 0;
+    return n;
 }
 
 DevicePtr
 Device::baseOf(DevicePtr ptr) const
 {
-    if (!ownsVa(ptr))
-        return 0;
-    auto it = allocs_.upper_bound(ptr);
-    if (it == allocs_.begin())
-        return 0;
-    --it;
-    return ptr - it->first < it->second.size() ? it->first : 0;
+    std::size_t off = 0;
+    const Allocation *a = below(ptr, &off);
+    return a != nullptr && off < a->bytes.size() ? ptr - off : 0;
 }
 
 Nanos

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -120,12 +121,68 @@ class Device
 
     /**
      * Resolves a device pointer (possibly interior) to host-visible
-     * storage with at least @p bytes available.
+     * storage with at least @p bytes available, for writing: the
+     * allocation's generation moves on, so its resident object (see
+     * resident()) is rebuilt before the next launch reads it. HtoD
+     * copies and kernel bodies' outputs resolve here.
      * @return nullptr when the range is not covered by an allocation.
      */
     void *resolve(DevicePtr ptr, std::size_t bytes);
-    /** Const overload of resolve. */
+    /** Read-only resolve: DtoH copies and kernel inputs. Leaves the
+     *  generation alone. */
     const void *resolve(DevicePtr ptr, std::size_t bytes) const;
+
+    /**
+     * A decoded form of an allocation's bytes that a kernel keeps
+     * device-side between launches: lakeLib uploads a model once and
+     * then launches against it, so its kernel decodes the blob once
+     * per upload, not once per launch.
+     */
+    class Resident
+    {
+      public:
+        virtual ~Resident() = default;
+    };
+
+    /**
+     * The resident @p T decoded from the bytes at @p ptr. A launch
+     * reuses it while its allocation is unwritten; the first launch,
+     * and the first after a write into the allocation (a mutable
+     * resolve()), a launch from another @p ptr in it or one asking for
+     * another type, runs @p build(bytes, avail) on the bytes from
+     * @p ptr to the allocation's end and keeps its result. memFree()
+     * drops it. @p build returns a std::unique_ptr<T>, null for a
+     * malformed blob.
+     * @return nullptr when no allocation covers @p ptr or @p build
+     *         fails
+     */
+    template <class T, class Build>
+    T *
+    resident(DevicePtr ptr, Build &&build)
+    {
+        std::size_t off = 0;
+        Allocation *a = below(ptr, &off);
+        if (a == nullptr || off >= a->bytes.size())
+            return nullptr;
+        if (a->resident_gen == a->gen && a->resident_at == ptr)
+            if (T *hit = dynamic_cast<T *>(a->resident.get()))
+                return hit;
+        std::unique_ptr<T> fresh = build(
+            static_cast<const std::uint8_t *>(a->bytes.data() + off),
+            a->bytes.size() - off);
+        T *out = fresh.get();
+        a->resident = std::move(fresh);
+        a->resident_gen = a->gen;
+        a->resident_at = ptr;
+        ++resident_builds_;
+        return out;
+    }
+
+    /** resident() decodes run since creation (hits excluded). */
+    std::uint64_t residentBuilds() const { return resident_builds_; }
+
+    /** Live resident objects (tests). */
+    std::size_t residentCount() const;
 
     /**
      * Base pointer of the live allocation containing @p ptr (possibly
@@ -187,13 +244,32 @@ class Device
     void countLaunch() { ++launches_; }
 
   private:
+    /** One live allocation and its resident object. */
+    struct Allocation
+    {
+        std::vector<std::uint8_t> bytes;
+        /** Bumped by every mutable resolve() into the allocation. */
+        std::uint64_t gen = 0;
+        /** resident()'s object; stale unless resident_gen == gen. */
+        std::unique_ptr<Resident> resident;
+        std::uint64_t resident_gen = 0;
+        DevicePtr resident_at = 0;
+    };
+
+    /**
+     * The allocation with the greatest base <= @p ptr, and @p ptr's
+     * offset from that base in *@p off (not checked against its size);
+     * nullptr when there is none or @p ptr is foreign.
+     */
+    Allocation *below(DevicePtr ptr, std::size_t *off) const;
+
     DeviceSpec spec_;
     std::uint32_t id_ = 0;
     DevicePtr va_base_ = kVaBase;
     DevicePtr va_limit_ = ~DevicePtr{0};
 
     /** Live allocations keyed by base pointer. */
-    std::map<DevicePtr, std::vector<std::uint8_t>> allocs_;
+    std::map<DevicePtr, Allocation> allocs_;
     DevicePtr next_ptr_ = kVaBase;
     std::size_t mem_used_ = 0;
 
@@ -202,6 +278,7 @@ class Device
     BusyTracker compute_busy_;
     BusyTracker copy_busy_;
     std::uint64_t launches_ = 0;
+    std::uint64_t resident_builds_ = 0;
 };
 
 } // namespace lake::gpu

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "base/logging.h"
 #include "base/thread_pool.h"
@@ -87,10 +88,11 @@ vecAddBody(Device &dev, const LaunchConfig &cfg)
     std::uint64_t n = cfg.u64Arg(3);
     if (sizeOverflows(n, sizeof(float)))
         return CuResult::InvalidValue;
+    // Inputs resolve read-only; only the output moves its generation.
     auto *a = static_cast<const float *>(
-        dev.resolve(cfg.u64Arg(0), n * sizeof(float)));
+        std::as_const(dev).resolve(cfg.u64Arg(0), n * sizeof(float)));
     auto *b = static_cast<const float *>(
-        dev.resolve(cfg.u64Arg(1), n * sizeof(float)));
+        std::as_const(dev).resolve(cfg.u64Arg(1), n * sizeof(float)));
     auto *c = static_cast<float *>(
         dev.resolve(cfg.u64Arg(2), n * sizeof(float)));
     if (!a || !b || !c)
@@ -116,7 +118,7 @@ saxpyBody(Device &dev, const LaunchConfig &cfg)
     if (sizeOverflows(n, sizeof(float)))
         return CuResult::InvalidValue;
     auto *x = static_cast<const float *>(
-        dev.resolve(cfg.u64Arg(1), n * sizeof(float)));
+        std::as_const(dev).resolve(cfg.u64Arg(1), n * sizeof(float)));
     auto *y = static_cast<float *>(
         dev.resolve(cfg.u64Arg(2), n * sizeof(float)));
     if (!x || !y)
@@ -140,7 +142,7 @@ pageHashBody(Device &dev, const LaunchConfig &cfg)
     if (sizeOverflows(npages, kPageSize))
         return CuResult::InvalidValue;
     auto *in = static_cast<const std::uint8_t *>(
-        dev.resolve(cfg.u64Arg(0), npages * kPageSize));
+        std::as_const(dev).resolve(cfg.u64Arg(0), npages * kPageSize));
     auto *out = static_cast<std::uint64_t *>(
         dev.resolve(cfg.u64Arg(1), npages * sizeof(std::uint64_t)));
     if (!in || !out)

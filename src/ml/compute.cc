@@ -49,16 +49,17 @@ fmadd(float a, float b, float acc)
 }
 
 /**
- * 4-row x 16-column register-tile microkernel for the full row blocks.
- * The k-loop accumulates the full depth into 4x16 local accumulators
+ * 4-row x 16-column register-tile microkernel for a deep layer's full
+ * row blocks on targets without AVX-512 (see kShallowDepth). The
+ * k-loop accumulates the full depth into 4x16 local accumulators
  * (vector registers after vectorization), so each output element is
  * loaded/stored exactly once; each wt vector load feeds four
  * independent accumulator streams. Per (row, column) the reduction
  * still runs over i in ascending order, one fmadd at a time — the seed
  * scalar loop's summation order — so tiling never changes results.
  * Kept apart from microRows and inlined into gemmBlock's column
- * sweep: a 4-row instance of microRows (a call per tile, wider tiles)
- * ran the 256x256 GEMM (BM_GemmBlocked256) slower.
+ * sweep: there a 4-row instance of microRows (a call per 16-column
+ * tile) ran deep layers slower.
  */
 inline void
 micro4(const float *__restrict x0, const float *__restrict x1,
@@ -103,43 +104,46 @@ micro4(const float *__restrict x0, const float *__restrict x1,
  * AVX-512's 32 vector registers, else 8 of 16 (AVX2).
  */
 #if defined(__AVX512F__)
-constexpr std::size_t kTailAccFloats = 16 * 16;
+constexpr std::size_t kSweepAccFloats = 16 * 16;
 #else
-constexpr std::size_t kTailAccFloats = 8 * 8;
+constexpr std::size_t kSweepAccFloats = 8 * 8;
 #endif
 
 /** The bias tile of a bias-free GEMM: microRows always reads one. */
-alignas(64) constexpr float kZeroBias[kTailAccFloats] = {};
+alignas(64) constexpr float kZeroBias[kSweepAccFloats] = {};
 
 /**
- * micro4's accumulation for the R = 1..3 rows of a batch's row tail,
- * over W columns (a multiple of the 16-float tile): R x W local
- * accumulators, i ascending, one fmadd at a time, so every element is
- * the same rounding chain micro4 computes. @p wt, @p bias and @p y
- * point at the tile's first column; @p bias is never null (W floats).
- * Row r reads x_r and writes y_r (rows past R are null); wt row i
- * starts at wt + i * ld. One restrict pointer and one named
- * accumulator array per row (not a stride, not an R x W array), a call
- * rather than inlined, the c-loops unrolled whole and the i-loop not
- * at all: otherwise GCC 12 adds a scalar path for overlapping rows,
- * leaves some instances' accumulators in memory (all of them at -O2)
- * or their loops scalar.
+ * micro4's accumulation for R = 1..4 rows over W columns (a multiple
+ * of the 16-float tile): R x W local accumulators, i ascending, one
+ * fmadd at a time, so every element is the same rounding chain micro4
+ * computes. Runs a batch's 1-3 row tail, and the full row blocks of a
+ * layer up to kShallowDepth inputs (every layer on AVX-512). @p wt, @p bias and @p y point at
+ * the tile's first column; @p bias is never null (W floats). Row r
+ * reads x_r and writes y_r (rows past R are null); wt row i starts at
+ * wt + i * ld. One restrict pointer and one named accumulator array
+ * per row (not a stride, not an R x W array), a call rather than
+ * inlined, the c-loops unrolled whole and the i-loop not at all:
+ * otherwise GCC 12 adds a scalar path for overlapping rows, leaves
+ * some instances' accumulators in memory (all of them at -O2) or
+ * their loops scalar.
  */
 template <std::size_t R, std::size_t W>
 [[gnu::noinline]] void
 microRows(const float *__restrict x0, const float *__restrict x1,
-          const float *__restrict x2, std::size_t in,
-          const float *__restrict wt, std::size_t ld,
+          const float *__restrict x2, const float *__restrict x3,
+          std::size_t in, const float *__restrict wt, std::size_t ld,
           const float *__restrict bias, float *__restrict y0,
-          float *__restrict y1, float *__restrict y2)
+          float *__restrict y1, float *__restrict y2,
+          float *__restrict y3)
 {
-    static_assert(R >= 1 && R < kRowBlock && W % kRegTile == 0);
-    float a0[W], a1[W], a2[W];
+    static_assert(R >= 1 && R <= kRowBlock && W % kRegTile == 0);
+    float a0[W], a1[W], a2[W], a3[W];
 #pragma GCC unroll 256
     for (std::size_t c = 0; c < W; ++c) {
         a0[c] = bias[c];
         a1[c] = bias[c];
         a2[c] = bias[c];
+        a3[c] = bias[c];
     }
 #pragma GCC unroll 1
     for (std::size_t i = 0; i < in; ++i) {
@@ -147,6 +151,7 @@ microRows(const float *__restrict x0, const float *__restrict x1,
         const float v0 = x0[i];
         const float v1 = R > 1 ? x1[i] : 0.0f;
         const float v2 = R > 2 ? x2[i] : 0.0f;
+        const float v3 = R > 3 ? x3[i] : 0.0f;
 #pragma GCC unroll 256
         for (std::size_t c = 0; c < W; ++c) {
             const float wv = wrow[c];
@@ -155,6 +160,8 @@ microRows(const float *__restrict x0, const float *__restrict x1,
                 a1[c] = fmadd(v1, wv, a1[c]);
             if constexpr (R > 2)
                 a2[c] = fmadd(v2, wv, a2[c]);
+            if constexpr (R > 3)
+                a3[c] = fmadd(v3, wv, a3[c]);
         }
     }
 #pragma GCC unroll 256
@@ -164,60 +171,85 @@ microRows(const float *__restrict x0, const float *__restrict x1,
             y1[c] = a1[c];
         if constexpr (R > 2)
             y2[c] = a2[c];
+        if constexpr (R > 3)
+            y3[c] = a3[c];
     }
 }
 
 /**
- * Columns per microRows call for an R-row tail: the widest power-of-two
- * multiple of the tile whose R x W accumulators fit kTailAccFloats.
- * Each call's chains are as deep as the layer's input, and a shallow
- * layer (LinnOS's 31 inputs) is bound by that chain's FMA latency once
- * per call, so fewer, wider calls win: a 1-row 31->256 layer on
- * single tiles ran slower than the scalar loop it replaced.
+ * Columns per microRows call for R rows: the widest power-of-two
+ * multiple of the tile whose R x W accumulators fit kSweepAccFloats
+ * (4 x 64 on AVX-512, 4 x 16 on AVX2). Each call's chains are as deep
+ * as the layer's input, and a shallow layer (LinnOS's 31 inputs) is
+ * bound by that chain's FMA latency once per call, so fewer, wider
+ * calls win: a 1-row 31->256 layer on single tiles ran slower than
+ * the scalar loop it replaced.
  */
 template <std::size_t R>
 constexpr std::size_t kSweepCols = [] {
     std::size_t w = kRegTile;
-    while (2 * w * R <= kTailAccFloats)
+    while (2 * w * R <= kSweepAccFloats)
         w *= 2;
     return w;
 }();
 
 /**
- * All output columns of a batch's R = 1..3 tail rows: kSweepCols<R>
- * columns per microRows call, then the remaining whole tiles one by
- * one. A ragged column tail runs on the same kernel over @p tail_wt /
- * @p tail_bias (see gemmBlock); the padded outputs land in a scratch
- * tile and are dropped.
+ * Deepest layer (input width) whose full 4-row blocks run on
+ * microRows<4, kSweepCols<4>> rather than micro4. Measured on
+ * single-threaded gemmBlock calls of 32 rows (bench/micro_primitives
+ * BM_GemmShallow shapes, Release):
+ *  - AVX-512, the 4 x 64 tile: faster at every depth tried, 16 to
+ *    1024 (31->256 8.2 -> 3.2 us, 256->256 51 -> 25 us, 1024->1024
+ *    2.5 -> 2.0 ms; BM_GemmBlocked256 547 -> 347 us), so no depth
+ *    keeps micro4.
+ *  - AVX2, where kSweepCols<4> is micro4's own 16 columns: faster up
+ *    to 48 inputs (31->256 8.3 -> 6.8 us), even at 64, slower beyond
+ *    (256->256 62 -> 98 us, the call-per-tile shape BM_GemmBlocked256
+ *    once ran slower on).
+ */
+#if defined(__AVX512F__)
+constexpr std::size_t kShallowDepth = ~std::size_t{0};
+#else
+constexpr std::size_t kShallowDepth = 64;
+#endif
+
+/**
+ * All output columns of R = 1..4 rows: kSweepCols<R> columns per
+ * microRows call, then the remaining whole tiles one by one. A ragged
+ * column tail runs on the same kernel over @p tail_wt / @p tail_bias
+ * (see gemmBlock); the padded outputs land in a scratch tile and are
+ * dropped.
  */
 template <std::size_t R>
 inline void
-tailRows(const float *x, std::size_t x_stride, std::size_t in,
-         const float *wt, std::size_t out, const float *bias,
-         const float *tail_wt, const float *tail_bias, float *y)
+sweepRows(const float *x, std::size_t x_stride, std::size_t in,
+          const float *wt, std::size_t out, const float *bias,
+          const float *tail_wt, const float *tail_bias, float *y)
 {
     constexpr std::size_t kSweep = kSweepCols<R>;
     const std::size_t full_cols = out - out % kRegTile;
-    const float *x1 = R > 1 ? x + x_stride : nullptr;
-    const float *x2 = R > 2 ? x + 2 * x_stride : nullptr;
-    // Row r's outputs from column o on (null past R).
+    // Row r's input (null past R), and its outputs from column o on.
+    auto xr = [&](std::size_t r) {
+        return r < R ? x + r * x_stride : nullptr;
+    };
     auto yr = [&](std::size_t r, std::size_t o) {
         return r < R ? y + r * out + o : nullptr;
     };
     std::size_t o = 0;
     for (; o + kSweep <= full_cols; o += kSweep)
-        microRows<R, kSweep>(x, x1, x2, in, wt + o, out,
+        microRows<R, kSweep>(x, xr(1), xr(2), xr(3), in, wt + o, out,
                              bias ? bias + o : kZeroBias, yr(0, o),
-                             yr(1, o), yr(2, o));
+                             yr(1, o), yr(2, o), yr(3, o));
     for (; o < full_cols; o += kRegTile)
-        microRows<R, kRegTile>(x, x1, x2, in, wt + o, out,
+        microRows<R, kRegTile>(x, xr(1), xr(2), xr(3), in, wt + o, out,
                                bias ? bias + o : kZeroBias, yr(0, o),
-                               yr(1, o), yr(2, o));
+                               yr(1, o), yr(2, o), yr(3, o));
     if (full_cols != out) {
         float yt[R][kRegTile];
         auto ytr = [&](std::size_t r) { return r < R ? yt[r] : nullptr; };
-        microRows<R, kRegTile>(x, x1, x2, in, tail_wt, kRegTile,
-                               tail_bias, ytr(0), ytr(1), ytr(2));
+        microRows<R, kRegTile>(x, xr(1), xr(2), xr(3), in, tail_wt,
+                               kRegTile, tail_bias, ytr(0), ytr(1),
+                               ytr(2), ytr(3));
         for (std::size_t r = 0; r < R; ++r)
             std::copy(yt[r], yt[r] + (out - full_cols),
                       y + r * out + full_cols);
@@ -308,10 +340,17 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
             std::copy(bias + full_cols, bias + out, tail_bias);
     }
 
-    // Full row blocks keep the seed's loop shape, so GCC 12 emits the
-    // seed's k-loop for them (through a helper it picked other
-    // addressing for the same micro4).
-    for (std::size_t r = 0; r < full_rows; r += kRowBlock) {
+    // A shallow layer's full row blocks sweep the wide tile. A deep
+    // one's keep the seed's loop shape, so GCC 12 emits the seed's
+    // k-loop for them (through a helper it picked other addressing for
+    // the same micro4).
+    std::size_t r = 0;
+    if (in <= kShallowDepth)
+        for (; r < full_rows; r += kRowBlock)
+            sweepRows<kRowBlock>(x + r * x_stride, x_stride, in, wt, out,
+                                 bias, tail_wt.data(), tail_bias,
+                                 y + r * out);
+    for (; r < full_rows; r += kRowBlock) {
         const float *x0 = x + r * x_stride;
         float *y0 = y + r * out;
         for (std::size_t o = 0; o < full_cols; o += kRegTile)
@@ -331,16 +370,16 @@ gemmBlock(const float *x, std::size_t n, std::size_t in,
     float *yt = y + full_rows * out;
     switch (n - full_rows) {
     case 1:
-        tailRows<1>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
-                    tail_bias, yt);
+        sweepRows<1>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+                     tail_bias, yt);
         break;
     case 2:
-        tailRows<2>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
-                    tail_bias, yt);
+        sweepRows<2>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+                     tail_bias, yt);
         break;
     case 3:
-        tailRows<3>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
-                    tail_bias, yt);
+        sweepRows<3>(xt, x_stride, in, wt, out, bias, tail_wt.data(),
+                     tail_bias, yt);
         break;
     }
 }

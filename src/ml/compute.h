@@ -76,8 +76,10 @@ void packTranspose(const float *w, std::size_t rows, std::size_t cols,
  * @p wt is the packed transpose (see packTranspose, ld == out);
  * @p bias may be null for no bias. Tiled over output columns with
  * register-tile microkernels of independent accumulator streams: a
- * 4-row one for the full row blocks and a 1-3 row one, several tiles
- * wide, for the last n % 4 rows. A ragged column tail runs on them
+ * 1-4 row one, several tiles wide (4 x 64 floats on AVX-512), for the
+ * last n % 4 rows and the full row blocks, and, without AVX-512, a
+ * 4-row one-tile one for the full row blocks of a layer deeper than
+ * 64 inputs. A ragged column tail runs on them
  * too, over a per-call zero-padded copy of those wt columns.
  */
 void gemmBlock(const float *x, std::size_t n, std::size_t in,

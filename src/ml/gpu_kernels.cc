@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
@@ -28,20 +30,6 @@ peek32(const Device &dev, gpu::DevicePtr base, std::size_t pos,
         return false;
     std::memcpy(out, p, 4);
     return true;
-}
-
-/**
- * Copies a device-resident model blob out for host-side execution of
- * the kernel body. @return empty vector when the pointer is bad.
- */
-std::vector<std::uint8_t>
-snapshotBlob(const Device &dev, gpu::DevicePtr ptr, std::size_t bytes)
-{
-    const void *p = dev.resolve(ptr, bytes);
-    if (!p)
-        return {};
-    const auto *u8 = static_cast<const std::uint8_t *>(p);
-    return std::vector<std::uint8_t>(u8, u8 + bytes);
 }
 
 /**
@@ -76,33 +64,57 @@ mlpFlops(const std::vector<std::uint32_t> &dims)
     return flops;
 }
 
+/**
+ * The mlp_forward model as lakeD keeps it: decoded and packed once per
+ * upload, with the activation workspace every launch reuses.
+ */
+struct ResidentMlp final : Device::Resident
+{
+    explicit ResidentMlp(Mlp n) : net(std::move(n)) {}
+
+    Mlp net;
+    Mlp::Workspace ws;
+};
+
+/** Decodes the serialize() blob at the head of @p avail bytes. */
+std::unique_ptr<ResidentMlp>
+decodeMlp(const std::uint8_t *p, std::size_t avail)
+{
+    Result<Mlp::BlobLayout> layout =
+        Mlp::parseBlobHeader([&](std::size_t pos, std::uint32_t *v) {
+            if (pos > avail || avail - pos < 4)
+                return false;
+            std::memcpy(v, p + pos, 4);
+            return true;
+        });
+    if (!layout.isOk() || layout.value().bytes > avail)
+        return nullptr;
+    Result<Mlp> net = Mlp::deserialize(
+        std::vector<std::uint8_t>(p, p + layout.value().bytes));
+    if (!net.isOk())
+        return nullptr;
+    return std::make_unique<ResidentMlp>(net.takeValue());
+}
+
 CuResult
 mlpForwardBody(Device &dev, const LaunchConfig &cfg)
 {
     if (cfg.args.size() != 4)
         return CuResult::InvalidValue;
-    gpu::DevicePtr model = cfg.u64Arg(0);
     std::uint64_t batch = cfg.u64Arg(3);
 
-    Result<Mlp::BlobLayout> layout = mlpLayout(dev, model);
-    if (!layout.isOk())
-        return CuResult::LaunchFailed;
-    std::vector<std::uint8_t> blob =
-        snapshotBlob(dev, model, layout.value().bytes);
-    if (blob.empty())
-        return CuResult::LaunchFailed;
-    Result<Mlp> net = Mlp::deserialize(blob);
-    if (!net.isOk())
+    ResidentMlp *model = dev.resident<ResidentMlp>(cfg.u64Arg(0), decodeMlp);
+    if (!model)
         return CuResult::LaunchFailed;
 
-    std::uint32_t in_w = layout.value().dims.front();
-    std::uint32_t out_w = layout.value().dims.back();
+    std::uint32_t in_w = model->net.config().input;
+    std::uint32_t out_w = model->net.config().output;
     std::size_t in_bytes = 0, out_bytes = 0;
     if (!byteSize(batch, in_w, sizeof(float), &in_bytes) ||
         !byteSize(batch, out_w, sizeof(float), &out_bytes))
         return CuResult::InvalidValue;
-    const auto *in =
-        static_cast<const float *>(dev.resolve(cfg.u64Arg(1), in_bytes));
+    const auto *in = static_cast<const float *>(
+        std::as_const(dev).resolve(cfg.u64Arg(1), in_bytes));
     auto *out = static_cast<float *>(dev.resolve(cfg.u64Arg(2), out_bytes));
     if (!in || !out)
         return CuResult::LaunchFailed;
@@ -110,8 +122,8 @@ mlpForwardBody(Device &dev, const LaunchConfig &cfg)
     if (reinterpret_cast<std::uintptr_t>(in) % alignof(float) != 0)
         return CuResult::InvalidValue;
 
-    Matrix logits = net.value().forward({MatrixView(in, batch, in_w, in_w)});
-    std::memcpy(out, logits.data(), out_bytes);
+    const MatrixView x(in, batch, in_w, in_w);
+    model->net.forwardInto({&x, 1}, model->ws, out);
     return CuResult::Success;
 }
 
@@ -134,57 +146,80 @@ mlpForwardCost(const Device &dev, const LaunchConfig &cfg)
     return dev.computeTime(flops, bytes);
 }
 
+/** The lstm_forward model as lakeD keeps it: decoded once per upload. */
+struct ResidentLstm final : Device::Resident
+{
+    explicit ResidentLstm(Lstm n) : net(std::move(n)) {}
+
+    Lstm net;
+    /** The launch's input samples, copied out of device memory. */
+    std::vector<float> seqs;
+};
+
+/**
+ * Decodes the Lstm::serialize() blob at the head of @p avail bytes.
+ * Its length is not in its header but follows from the config fields;
+ * deserialize() allocates each layer before reading it, so that length
+ * is checked against the allocation first.
+ */
+std::unique_ptr<ResidentLstm>
+decodeLstm(const std::uint8_t *p, std::size_t avail)
+{
+    std::uint32_t h[6] = {}; // magic, input, hidden, layers, output, seq
+    if (avail < sizeof(h))
+        return nullptr;
+    std::memcpy(h, p, sizeof(h));
+    const std::uint64_t input = h[1], hidden = h[2], layers = h[3],
+                        output = h[4];
+    if (h[0] != 0x4c53544dU || layers > 16)
+        return nullptr;
+    std::size_t bytes = sizeof(h);
+    // Adds a rows x cols float matrix; false when the size overflows.
+    auto add = [&bytes](std::uint64_t rows, std::uint64_t cols) {
+        std::size_t m = 0;
+        return byteSize(rows, cols, sizeof(float), &m) &&
+               !__builtin_add_overflow(bytes, m, &bytes);
+    };
+    // Per layer 4*hidden gate rows over [x, h, bias]; then the head.
+    for (std::uint64_t l = 0; l < layers; ++l)
+        if (!add(4 * hidden, (l == 0 ? input : hidden) + hidden + 1))
+            return nullptr;
+    if (!add(output, hidden + 1) || bytes > avail)
+        return nullptr;
+    Result<Lstm> net =
+        Lstm::deserialize(std::vector<std::uint8_t>(p, p + bytes));
+    if (!net.isOk())
+        return nullptr;
+    return std::make_unique<ResidentLstm>(net.takeValue());
+}
+
 CuResult
 lstmForwardBody(Device &dev, const LaunchConfig &cfg)
 {
     if (cfg.args.size() != 4)
         return CuResult::InvalidValue;
-    gpu::DevicePtr model = cfg.u64Arg(0);
     std::uint64_t batch = cfg.u64Arg(3);
 
-    std::uint32_t magic = 0;
-    if (!peek32(dev, model, 0, &magic) || magic != 0x4c53544dU)
-        return CuResult::LaunchFailed;
-    // The LSTM blob length is not recoverable from the header alone
-    // without replicating layer math; snapshot generously by probing
-    // config fields.
-    std::uint32_t input = 0, hidden = 0, layers = 0, output = 0, seq = 0;
-    if (!peek32(dev, model, 4, &input) || !peek32(dev, model, 8, &hidden) ||
-        !peek32(dev, model, 12, &layers) ||
-        !peek32(dev, model, 16, &output) || !peek32(dev, model, 20, &seq)) {
-        return CuResult::LaunchFailed;
-    }
-    std::size_t bytes = 24;
-    for (std::uint32_t l = 0; l < layers; ++l) {
-        std::size_t in = l == 0 ? input : hidden;
-        bytes += (4ull * hidden * in + 4ull * hidden * hidden +
-                  4ull * hidden) *
-                 sizeof(float);
-    }
-    bytes += (static_cast<std::size_t>(output) * hidden + output) *
-             sizeof(float);
-
-    std::vector<std::uint8_t> blob = snapshotBlob(dev, model, bytes);
-    if (blob.empty())
-        return CuResult::LaunchFailed;
-    Result<Lstm> net = Lstm::deserialize(blob);
-    if (!net.isOk())
+    ResidentLstm *model =
+        dev.resident<ResidentLstm>(cfg.u64Arg(0), decodeLstm);
+    if (!model)
         return CuResult::LaunchFailed;
 
-    std::size_t per = static_cast<std::size_t>(seq) * input;
+    const LstmConfig &c = model->net.config();
+    std::size_t per = static_cast<std::size_t>(c.seq_len) * c.input;
     std::size_t in_bytes = 0, out_bytes = 0;
     if (!byteSize(batch, per, sizeof(float), &in_bytes) ||
         !byteSize(batch, 1, sizeof(std::int32_t), &out_bytes))
         return CuResult::InvalidValue;
-    const auto *in_p =
-        static_cast<const float *>(dev.resolve(cfg.u64Arg(1), in_bytes));
+    const auto *in_p = static_cast<const float *>(
+        std::as_const(dev).resolve(cfg.u64Arg(1), in_bytes));
     auto *out_p =
         static_cast<std::int32_t *>(dev.resolve(cfg.u64Arg(2), out_bytes));
     if (!in_p || !out_p)
         return CuResult::LaunchFailed;
 
-    std::vector<float> seqs(in_p, in_p + batch * per);
-    std::vector<int> labels = net.value().classifyBatch(seqs, batch);
+    model->seqs.assign(in_p, in_p + batch * per);
+    std::vector<int> labels = model->net.classifyBatch(model->seqs, batch);
     for (std::size_t i = 0; i < labels.size(); ++i)
         out_p[i] = labels[i];
     return CuResult::Success;

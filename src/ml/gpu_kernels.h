@@ -13,6 +13,9 @@
  *  - "lstm_forward": args = model ptr, input ptr, label ptr, batch.
  *    The model is an Lstm::serialize() blob; input is batch samples of
  *    seq_len x input floats; output is one int32 class per sample.
+ *    Both decode their blob once per upload and keep it beside its
+ *    allocation (gpu::Device::resident, DESIGN.md §14); their cost
+ *    models still charge the weights streamed every launch.
  *  - "knn_query":    args = refs ptr, labels ptr, queries ptr, out ptr,
  *    n_refs, n_queries, dim, k. Output is one int32 label per query.
  */

@@ -97,30 +97,17 @@ Mlp::repack()
     }
 }
 
-void
-Mlp::layerForward(std::size_t l, const float *x, std::size_t n,
-                  std::size_t x_stride, float *y) const
+float *
+Mlp::activation(const Workspace &ws, std::size_t l, std::size_t n) const
 {
-    const std::size_t in = weights_[l].cols();
-    const std::size_t out = weights_[l].rows();
-    const std::size_t padded = packed_out_[l];
-    if (padded == out) {
-        compute::affinePacked(x, n, in, x_stride, packed_[l].data(),
-                              out, packed_bias_[l].data(), y);
-        return;
-    }
-    // Narrow layer: compute into a tile-padded scratch, then drop the
-    // zero columns. Each real element's reduction is untouched.
-    Matrix pad(n, padded);
-    compute::affinePacked(x, n, in, x_stride, packed_[l].data(), padded,
-                          packed_bias_[l].data(), pad.data());
-    for (std::size_t r = 0; r < n; ++r)
-        std::copy(pad.row(r), pad.row(r) + out, y + r * out);
+    std::size_t off = 0;
+    for (std::size_t j = 0; j < l; ++j)
+        off += packed_out_[j];
+    return ws.data() + n * off;
 }
 
-Matrix
-Mlp::run(const std::vector<MatrixView> &xs,
-         std::vector<Matrix> *hidden) const
+std::size_t
+Mlp::run(std::span<const MatrixView> xs, Workspace &ws) const
 {
     std::size_t n = 0;
     for (const MatrixView &v : xs) {
@@ -129,46 +116,82 @@ Mlp::run(const std::vector<MatrixView> &xs,
                     config_.input);
         n += v.rows();
     }
+    std::size_t floats = 0;
+    for (std::size_t padded : packed_out_)
+        floats += n * padded;
+    ws.reserve(floats);
 
     // Layer 0 consumes each strided window in place, writing into the
-    // stacked activation matrix. Each row's reduction does not depend
-    // on where its row starts, so any split of the rows into views
-    // gives the same bits — and the cached weight transpose is shared
-    // across the views, so a multi-registry flush packs nothing.
-    Matrix a(n, weights_[0].rows());
+    // stacked activations. Each row's reduction does not depend on
+    // where its row starts, so any split of the rows into views gives
+    // the same bits — and the cached weight transpose is shared across
+    // the views, so a multi-registry flush packs nothing. Every layer
+    // computes its whole tile-padded width (the padding is zero
+    // weights and bias), and the next layer reads the real columns.
+    float *a = activation(ws, 0, n);
     std::size_t r0 = 0;
     for (const MatrixView &v : xs) {
         if (v.rows() == 0)
             continue;
-        layerForward(0, v.data(), v.rows(), v.stride(), a.row(r0));
+        compute::affinePacked(v.data(), v.rows(), config_.input, v.stride(),
+                              packed_[0].data(), packed_out_[0],
+                              packed_bias_[0].data(),
+                              a + r0 * packed_out_[0]);
         r0 += v.rows();
     }
 
     for (std::size_t l = 1; l < weights_.size(); ++l) {
         // a is layer l-1's output, a hidden layer: ReLU.
-        for (std::size_t i = 0; i < a.size(); ++i)
-            a.data()[i] = std::max(0.0f, a.data()[i]);
-        Matrix next(n, weights_[l].rows());
-        layerForward(l, a.data(), n, a.cols(), next.data());
-        if (hidden)
-            hidden->push_back(std::move(a));
-        a = std::move(next);
+        const std::size_t ld = packed_out_[l - 1];
+        for (std::size_t i = 0; i < n * ld; ++i)
+            a[i] = std::max(0.0f, a[i]);
+        float *next = activation(ws, l, n);
+        compute::affinePacked(a, n, weights_[l].cols(), ld,
+                              packed_[l].data(), packed_out_[l],
+                              packed_bias_[l].data(), next);
+        a = next;
     }
-    return a;
+    return n;
+}
+
+void
+Mlp::copyLogits(const Workspace &ws, std::size_t n, float *logits) const
+{
+    const std::size_t last = weights_.size() - 1;
+    const float *y = activation(ws, last, n);
+    const std::size_t ld = packed_out_[last];
+    for (std::size_t r = 0; r < n; ++r)
+        std::copy(y + r * ld, y + r * ld + config_.output,
+                  logits + r * config_.output);
+}
+
+void
+Mlp::forwardInto(std::span<const MatrixView> xs, Workspace &ws,
+                 float *logits) const
+{
+    copyLogits(ws, run(xs, ws), logits);
 }
 
 Matrix
 Mlp::forward(const std::vector<MatrixView> &xs) const
 {
-    return run(xs, nullptr);
+    Workspace ws;
+    std::size_t n = run(xs, ws);
+    Matrix logits(n, config_.output);
+    copyLogits(ws, n, logits.data());
+    return logits;
 }
 
 std::vector<int>
 Mlp::classify(const std::vector<MatrixView> &xs) const
 {
-    Matrix logits = forward(xs);
-    std::vector<int> labels(logits.rows());
-    argmaxRows(logits.view(), labels.data());
+    Workspace ws;
+    std::size_t n = run(xs, ws);
+    const std::size_t last = weights_.size() - 1;
+    std::vector<int> labels(n);
+    argmaxRows(MatrixView(activation(ws, last, n), n, config_.output,
+                          packed_out_[last]),
+               labels.data());
     return labels;
 }
 
@@ -197,10 +220,23 @@ Mlp::trainStep(const Matrix &x, const std::vector<int> &labels, float lr)
     LAKE_ASSERT(labels.size() == x.rows(), "labels/batch size mismatch");
     std::size_t n = x.rows();
 
-    // Forward through the packed inference layers, keeping each hidden
-    // layer's post-ReLU activations for the backward pass.
+    // Forward through the packed inference layers; the backward pass
+    // reads each hidden layer's post-ReLU activations dense.
+    Workspace ws;
+    MatrixView xv = x.view();
+    run({&xv, 1}, ws);
     std::vector<Matrix> hidden;
-    Matrix logits = run({x.view()}, &hidden);
+    for (std::size_t l = 0; l + 1 < weights_.size(); ++l) {
+        const std::size_t width = weights_[l].rows();
+        const float *act = activation(ws, l, n);
+        Matrix h(n, width);
+        for (std::size_t r = 0; r < n; ++r)
+            std::copy(act + r * packed_out_[l],
+                      act + r * packed_out_[l] + width, h.row(r));
+        hidden.push_back(std::move(h));
+    }
+    Matrix logits(n, config_.output);
+    copyLogits(ws, n, logits.data());
 
     // Softmax cross-entropy loss and its gradient w.r.t. the logits.
     Matrix probs = softmax(logits);

@@ -24,8 +24,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
+#include "base/aligned.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "ml/matrix.h"
@@ -68,6 +70,52 @@ class Mlp
     const MlpConfig &config() const { return config_; }
 
     /**
+     * Activation scratch of a forward pass: every layer's output,
+     * rows x padTile(layer width), in one cache-line-aligned block.
+     * forward() and classify() take one per call; a caller that keeps
+     * one (the mlp_forward kernel's resident model) runs forwardInto()
+     * without touching the heap once the block has grown to its batch.
+     * Not shareable between concurrent passes.
+     */
+    class Workspace
+    {
+      public:
+        Workspace() = default;
+        ~Workspace() { release(); }
+        Workspace(const Workspace &) = delete;
+        Workspace &operator=(const Workspace &) = delete;
+
+        /** At least @p floats floats; contents unspecified. Grows,
+         *  never shrinks. */
+        float *
+        reserve(std::size_t floats)
+        {
+            if (floats > cap_) {
+                release();
+                buf_ = base::AlignedAlloc<float>().allocate(floats);
+                cap_ = floats;
+            }
+            return buf_;
+        }
+
+        /** The block reserve() last returned. */
+        float *data() const { return buf_; }
+
+      private:
+        void
+        release()
+        {
+            if (buf_)
+                base::AlignedAlloc<float>().deallocate(buf_, cap_);
+            buf_ = nullptr;
+            cap_ = 0;
+        }
+
+        float *buf_ = nullptr;
+        std::size_t cap_ = 0;
+    };
+
+    /**
      * Forward pass over strided windows: the rows of all views (in
      * order) form the batch, (n x input) -> logits (n x output). The
      * first layer consumes each view in place — no gather/pack into a
@@ -78,6 +126,14 @@ class Mlp
 
     /** forward() of one dense batch. */
     Matrix forward(const Matrix &x) const { return forward({x.view()}); }
+
+    /**
+     * forward() into @p logits (rows x output, row-major), computing
+     * in @p ws: the same bits, and no allocation once @p ws has grown
+     * to the batch.
+     */
+    void forwardInto(std::span<const MatrixView> xs, Workspace &ws,
+                     float *logits) const;
 
     /** Argmax class per row (see forward). */
     std::vector<int> classify(const std::vector<MatrixView> &xs) const;
@@ -168,18 +224,24 @@ class Mlp
      */
     void repack();
 
-    /** One packed layer: y(n x out) = x * W_l^T + b_l, x rows at
-     *  @p x_stride. y rows are contiguous (stride = layer output). */
-    void layerForward(std::size_t l, const float *x, std::size_t n,
-                      std::size_t x_stride, float *y) const;
-
     /**
-     * The forward pass behind forward() and trainStep(): returns the
-     * logits and, when @p hidden is non-null, appends each hidden
-     * layer's post-ReLU activations (what backprop needs).
+     * The forward pass behind forward(), forwardInto(), classify() and
+     * trainStep(): layer l's output goes to activation(ws, l, n), rows
+     * padTile(width) floats apart, post-ReLU for hidden layers (what
+     * backprop reads); the last layer's is the logits. The next layer
+     * reads only the real columns of each row, so a narrow layer's
+     * padding is never copied out. @return the batch rows n
      */
-    Matrix run(const std::vector<MatrixView> &xs,
-               std::vector<Matrix> *hidden) const;
+    std::size_t run(std::span<const MatrixView> xs, Workspace &ws) const;
+
+    /** Layer @p l's output block in @p ws for an @p n-row pass. */
+    float *activation(const Workspace &ws, std::size_t l,
+                      std::size_t n) const;
+
+    /** Copies the real logit columns of an @p n-row pass out of
+     *  @p ws into @p logits (n x output, row-major). */
+    void copyLogits(const Workspace &ws, std::size_t n,
+                    float *logits) const;
 
     MlpConfig config_;
     std::vector<Matrix> weights_;

@@ -126,15 +126,17 @@ ScoreServer::submitImpl(const std::string &name, const std::string &sys,
                               sys + "/" + name + " score queue full (" +
                                   std::to_string(rq.depth) + " pending)");
             }
-            while (rq.depth + n > cfg_.queue_capacity && !rq.q.empty()) {
-                Request victim = std::move(rq.q.front());
-                rq.q.pop_front();
+            std::size_t victims = 0;
+            while (rq.depth + n > cfg_.queue_capacity &&
+                   victims < rq.q.size()) {
+                Request &victim = rq.q[victims++];
                 std::size_t vn = victim.size();
                 rq.depth -= vn;
                 g.depth -= vn;
                 pending_ -= vn;
                 to_shed.push_back(std::move(victim));
             }
+            rq.q.erase(rq.q.begin(), rq.q.begin() + victims);
             // The victims may have established g.due; recompute the
             // earliest deadline from the survivors so poll() does not
             // flush the remaining queue against a dead deadline.
@@ -189,23 +191,21 @@ ScoreServer::submitImpl(const std::string &name, const std::string &sys,
     return Status::ok();
 }
 
-std::vector<ScoreServer::Request>
+void
 ScoreServer::drainGroupLocked(Group &g)
 {
     // Name-ordered concatenation: deterministic regardless of which
     // thread's submission triggered the flush.
-    std::vector<Request> out;
     for (auto &[name, rq] : g.queues) {
         for (Request &r : rq.q) {
             pending_ -= r.size();
-            out.push_back(std::move(r));
+            flush_reqs_.push_back(std::move(r));
         }
         rq.q.clear();
         rq.depth = 0;
     }
     g.depth = 0;
     g.due = 0;
-    return out;
 }
 
 Nanos
@@ -228,7 +228,6 @@ ScoreServer::flushWhere(Nanos now, bool due_only)
     FlushScope in_flush(this);
     std::size_t batches = 0;
     for (;;) {
-        std::vector<Request> reqs;
         {
             std::lock_guard<std::mutex> lock(mu_);
             for (auto &[sys, g] : groups_) {
@@ -236,16 +235,14 @@ ScoreServer::flushWhere(Nanos now, bool due_only)
                     continue;
                 if (due_only && g.due > now && g.depth < cfg_.max_batch)
                     continue;
-                reqs = drainGroupLocked(g);
+                drainGroupLocked(g);
                 break;
             }
-            if (reqs.empty()) {
-                updateDepthGauge(pending_);
-                return batches;
-            }
             updateDepthGauge(pending_);
+            if (flush_reqs_.empty())
+                return batches;
         }
-        dispatch(std::move(reqs), now);
+        dispatch(now);
         ++batches;
     }
 }
@@ -263,8 +260,9 @@ ScoreServer::flushAll(Nanos now)
 }
 
 void
-ScoreServer::dispatch(std::vector<Request> reqs, Nanos now)
+ScoreServer::dispatch(Nanos now)
 {
+    std::vector<Request> &reqs = flush_reqs_;
     std::size_t total = 0;
     for (const Request &r : reqs)
         total += r.size();
@@ -290,13 +288,13 @@ ScoreServer::dispatch(std::vector<Request> reqs, Nanos now)
     // slots (same-store consecutive runs merge into one strided
     // MatrixView), and vector requests move their rows into one batch
     // that the view borrows range by range — so an all-vector flush is
-    // one whole borrowed vector.
-    std::vector<FeatureVector> batch;
+    // one whole borrowed vector. The batch is reserved up front: the
+    // view keeps pointing into it.
+    std::vector<FeatureVector> &batch = flush_batch_;
     batch.reserve(total);
-    FvBatchView combined;
+    FvBatchView &combined = flush_view_;
     // Request sizes are recorded first — append() steals view rows.
-    std::vector<std::size_t> sizes;
-    sizes.reserve(reqs.size());
+    std::vector<std::size_t> &sizes = flush_sizes_;
     for (Request &r : reqs) {
         sizes.push_back(r.size());
         if (r.fvs.empty()) {
@@ -305,8 +303,7 @@ ScoreServer::dispatch(std::vector<Request> reqs, Nanos now)
         }
         std::size_t first = batch.size();
         std::move(r.fvs.begin(), r.fvs.end(), std::back_inserter(batch));
-        combined.append(
-            FvBatchView::borrow(rep->soa(), batch, first, r.fvs.size()));
+        combined.appendBorrowed(rep->soa(), batch, first, r.fvs.size());
     }
     std::vector<float> scores = rep->scoreFeatures(combined, start);
     Nanos scored = std::max(start, clock_.now());
@@ -326,7 +323,7 @@ ScoreServer::dispatch(std::vector<Request> reqs, Nanos now)
                 scored - start, obs::kNoId, "batch", total,
                 "requests", reqs.size());
 
-    ScoreResult res;
+    ScoreResult &res = flush_result_;
     res.status = Status::ok();
     res.scored = scored;
     res.engine = rep->lastEngine();
@@ -343,6 +340,13 @@ ScoreServer::dispatch(std::vector<Request> reqs, Nanos now)
         }
         off += rn;
     }
+
+    // Unpin the batch's slots and empty the buffers, keeping their
+    // storage for the next flush.
+    combined.recycle();
+    batch.clear();
+    sizes.clear();
+    reqs.clear();
 }
 
 void
@@ -354,7 +358,7 @@ ScoreServer::failPending(const std::string &name, const std::string &sys)
     // still holds this registry's requests when the callbacks fire.
     std::lock_guard<std::mutex> flock(flush_mu_);
     FlushScope in_flush(this);
-    std::deque<Request> orphaned;
+    std::vector<Request> orphaned;
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto git = groups_.find(sys);

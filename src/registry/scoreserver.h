@@ -59,7 +59,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -250,10 +249,12 @@ class ScoreServer
     };
 
     /** One registry's FIFO queue, with its depth maintained inline so
-     *  admission control is O(1) rather than a walk of the queue. */
+     *  admission control is O(1) rather than a walk of the queue. A
+     *  vector, so a drained queue keeps its storage for the next
+     *  flush's requests (shedding erases from the front). */
     struct RegQueue
     {
-        std::deque<Request> q;
+        std::vector<Request> q;
         /** Pending vectors in q. */
         std::size_t depth = 0;
     };
@@ -273,15 +274,17 @@ class ScoreServer
     Status submitImpl(const std::string &name, const std::string &sys,
                       Request req, Nanos deadline, ScoreCallback cb);
 
-    /** Pops every pending request of @p g, oldest-deadline bookkeeping reset. */
-    std::vector<Request> drainGroupLocked(Group &g);
+    /** Moves every pending request of @p g onto flush_reqs_,
+     *  oldest-deadline bookkeeping reset. */
+    void drainGroupLocked(Group &g);
 
     /** Earliest deadline among @p g's surviving requests; 0 if none. */
     static Nanos minDueLocked(const Group &g);
 
-    /** Scores one coalesced batch with one Registry::scoreFeatures
-     *  call and scatters the scores; caller holds flush_mu_ only. */
-    void dispatch(std::vector<Request> reqs, Nanos now);
+    /** Scores flush_reqs_ with one Registry::scoreFeatures call,
+     *  scatters the scores, and empties the flush buffers; caller
+     *  holds flush_mu_ only. */
+    void dispatch(Nanos now);
 
     /** Flushes subsystems selected by @p due_only; see poll/flushAll. */
     std::size_t flushWhere(Nanos now, bool due_only);
@@ -298,6 +301,22 @@ class ScoreServer
 
     /** Serializes dispatch: policies/classifiers never run twice at once. */
     std::mutex flush_mu_;
+
+    /// @name Flush buffers (flush_mu_)
+    /// Kept across flushes, so a steady-state flush allocates nothing
+    /// of its own once they have grown to the batch.
+    /// @{
+    /** The drained requests of the batch being dispatched. */
+    std::vector<Request> flush_reqs_;
+    /** Their vector requests' rows, moved into one borrowed batch. */
+    std::vector<FeatureVector> flush_batch_;
+    /** Each request's row count (append() steals view rows). */
+    std::vector<std::size_t> flush_sizes_;
+    /** The batch the classifier scores, in request order. */
+    FvBatchView flush_view_;
+    /** The callbacks' result, its scores refilled per request. */
+    ScoreResult flush_result_;
+    /// @}
 
     std::atomic<std::uint64_t> submitted_{0};
     std::atomic<std::uint64_t> flushes_{0};

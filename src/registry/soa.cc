@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <new>
-#include <numeric>
 #include <utility>
 
 #include "base/env.h"
@@ -416,17 +415,38 @@ FvBatchView
 FvBatchView::borrow(SoaStore &store, const std::vector<FeatureVector> &fvs,
                     std::size_t first, std::size_t n)
 {
+    FvBatchView v;
+    v.appendBorrowed(store, fvs, first, n);
+    return v;
+}
+
+void
+FvBatchView::appendBorrowed(SoaStore &store,
+                            const std::vector<FeatureVector> &fvs,
+                            std::size_t first, std::size_t n)
+{
     LAKE_ASSERT(first + n <= fvs.size(),
                 "borrowed rows [%zu, %zu) past a %zu-vector batch", first,
                 first + n, fvs.size());
-    FvBatchView v;
-    if (n > 0) {
-        std::vector<std::uint32_t> rows(n);
-        std::iota(rows.begin(), rows.end(),
-                  static_cast<std::uint32_t>(first));
-        v.pushBlock({.store = &store, .rows = std::move(rows), .fvs = &fvs});
+    if (n == 0)
+        return;
+    Block &b = openBlock(&store, &fvs);
+    for (std::size_t i = first; i < first + n; ++i)
+        b.rows.push_back(static_cast<std::uint32_t>(i));
+    rows_ += n;
+}
+
+void
+FvBatchView::recycle()
+{
+    release();
+    for (Block &b : blocks_) {
+        b.rows.clear();
+        b.floats.clear();
+        spare_.push_back(std::move(b));
     }
-    return v;
+    blocks_.clear();
+    rows_ = 0;
 }
 
 const std::vector<FeatureVector> *
@@ -445,18 +465,37 @@ void
 FvBatchView::pushBlock(Block b)
 {
     rows_ += b.rows.size();
+    Block &dst = openBlock(b.store, b.fvs);
+    // A new block with no recycled storage to fill adopts b's rows.
+    if (dst.rows.empty() && dst.rows.capacity() < b.rows.size())
+        dst.rows = std::move(b.rows);
+    else
+        dst.rows.insert(dst.rows.end(), b.rows.begin(), b.rows.end());
+}
+
+FvBatchView::Block &
+FvBatchView::openBlock(SoaStore *store,
+                       const std::vector<FeatureVector> *fvs)
+{
     // Merge same-source blocks so consecutive slots sealed across
     // requests still coalesce into one MatrixView run, and adjacent
     // borrowed ranges stay one block (an all-vector flush is one whole
     // borrowed vector).
-    if (!blocks_.empty() && blocks_.back().store == b.store &&
-        blocks_.back().fvs == b.fvs) {
-        Block &last = blocks_.back();
-        last.rows.insert(last.rows.end(), b.rows.begin(), b.rows.end());
-        last.floats.clear();
-        return;
+    if (!blocks_.empty() && blocks_.back().store == store &&
+        blocks_.back().fvs == fvs) {
+        blocks_.back().floats.clear();
+        return blocks_.back();
     }
-    blocks_.push_back(std::move(b));
+    if (spare_.empty()) {
+        blocks_.emplace_back();
+    } else {
+        blocks_.push_back(std::move(spare_.back()));
+        spare_.pop_back();
+    }
+    Block &b = blocks_.back();
+    b.store = store;
+    b.fvs = fvs;
+    return b;
 }
 
 const FvBatchView::Block &

@@ -174,6 +174,19 @@ class FvBatchView
                               const std::vector<FeatureVector> &fvs,
                               std::size_t first, std::size_t n);
 
+    /** Appends the rows borrow() would view, without building that
+     *  view first. */
+    void appendBorrowed(SoaStore &store,
+                        const std::vector<FeatureVector> &fvs,
+                        std::size_t first, std::size_t n);
+
+    /**
+     * Unpins every pinned row and empties the view, keeping its blocks'
+     * storage for later appends: ScoreServer's combined view is reused
+     * across flushes without allocating once its blocks have grown.
+     */
+    void recycle();
+
     /** The caller's vector when the view is exactly one whole borrowed
      *  vector in order, else nullptr. */
     const std::vector<FeatureVector> *wholeBorrowed() const;
@@ -187,11 +200,17 @@ class FvBatchView
     /** Appends @p b, merged into the last block when both read the
      *  same store and the same rows source. */
     void pushBlock(Block b);
+    /** The block the next rows from (@p store, @p fvs) append to: the
+     *  last block when it reads the same source, else a new one (a
+     *  recycled one when there is any). */
+    Block &openBlock(SoaStore *store, const std::vector<FeatureVector> *fvs);
     /** Unpins every pinned block. */
     void release();
 
     std::vector<Block> blocks_;
     std::size_t rows_ = 0;
+    /** Emptied blocks recycle() kept, their vectors' storage intact. */
+    std::vector<Block> spare_;
 };
 
 /**

@@ -132,6 +132,7 @@ TrafficGenerator::pump(Nanos now)
 {
     registry::ScoreServer *server = mgr_.scorer();
     LAKE_ASSERT(server != nullptr, "scoring service torn down mid-run");
+    std::lock_guard<std::mutex> pumping(pump_mu_);
 
     // Busy gate: classifier compute charges the shared clock, so the
     // clock sitting further than max_runahead past this pump's
@@ -150,7 +151,7 @@ TrafficGenerator::pump(Nanos now)
     // work earns a quantum of credits; each dispatches at most its
     // accumulated deficit, so a backlogged tenant catches up at the
     // same long-run rate as everyone else.
-    std::vector<Dispatch> picked;
+    std::vector<Dispatch> &picked = picked_;
     {
         std::lock_guard<std::mutex> lock(mu_);
         const std::size_t n = tenants_.size();
@@ -179,8 +180,8 @@ TrafficGenerator::pump(Nanos now)
     // may flush inline, running completion callbacks — which take
     // mu_ — on this thread, so mu_ must not be held here.
     std::size_t submitted = 0;
-    std::vector<std::size_t> submitted_tenants;
-    std::vector<Dispatch> requeue;
+    std::vector<std::size_t> &submitted_tenants = submitted_tenants_;
+    std::vector<Dispatch> &requeue = requeue_;
     bool stalled = false;
     for (std::size_t i = 0; i < picked.size(); ++i) {
         if (stalled) {
@@ -240,6 +241,10 @@ TrafficGenerator::pump(Nanos now)
             ++tenants_[t].dispatched;
         updateDepthGauge();
     }
+
+    picked.clear();
+    submitted_tenants.clear();
+    requeue.clear();
 
     // Drive deadline expiry: virtual time never advances by itself.
     server->poll(std::max(now, clock_.now()));

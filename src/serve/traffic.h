@@ -158,7 +158,8 @@ class TrafficGenerator
     /**
      * One DRR round: gives every tenant with queued work a quantum of
      * credits, dispatches up to each tenant's deficit into the
-     * ScoreServer, then poll()s expired deadlines. Thread-safe.
+     * ScoreServer, then poll()s expired deadlines. Thread-safe;
+     * concurrent calls run one at a time.
      *
      * @return requests handed to the ScoreServer this round
      */
@@ -207,6 +208,15 @@ class TrafficGenerator
     std::string sys_;
     std::vector<std::string> shards_;
     RequestFactory factory_;
+
+    /**
+     * Serializes pump() calls, and guards the dispatch buffers they
+     * keep across rounds: their storage is reused once grown.
+     */
+    std::mutex pump_mu_;
+    std::vector<Dispatch> picked_;
+    std::vector<std::size_t> submitted_tenants_;
+    std::vector<Dispatch> requeue_;
 
     mutable std::mutex mu_; //!< guards tenants_, rr_next_, trackers
     std::vector<Tenant> tenants_;

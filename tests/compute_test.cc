@@ -54,6 +54,29 @@ chain(const float *xr, std::size_t in, const float *wt, std::size_t out,
     return acc;
 }
 
+/**
+ * gemmBlock over @p n random rows (strided, as a MatrixView over a
+ * wider buffer), every output element checked bit for bit against
+ * chain().
+ */
+void
+expectChains(std::size_t n, std::size_t in, std::size_t out,
+             const std::vector<float> &wt, const float *bias, Rng &rng)
+{
+    const std::size_t stride = in + 3;
+    const std::vector<float> x = randomFloats(n * stride, rng);
+    std::vector<float> y(n * out, -1.0f);
+    gemmBlock(x.data(), n, in, stride, wt.data(), out, bias, y.data());
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t o = 0; o < out; ++o)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(y[r * out + o]),
+                      std::bit_cast<std::uint32_t>(chain(
+                          x.data() + r * stride, in, wt.data(), out, o,
+                          bias)))
+                << "n=" << n << " in=" << in << " out=" << out
+                << " r=" << r << " o=" << o << " bias=" << (bias != nullptr);
+}
+
 TEST(GemmBlockTest, EveryElementIsTheAscendingMultiplyAddChain)
 {
     Rng rng(5);
@@ -61,27 +84,29 @@ TEST(GemmBlockTest, EveryElementIsTheAscendingMultiplyAddChain)
         for (std::size_t out : {2u, 16u, 17u, 256u}) {
             const std::vector<float> wt = randomFloats(in * out, rng);
             const std::vector<float> bias = randomFloats(out, rng);
-            for (std::size_t n = 1; n <= 13; ++n) {
-                // Strided rows, as a MatrixView over a wider buffer.
-                const std::size_t stride = in + 3;
-                const std::vector<float> x = randomFloats(n * stride, rng);
+            for (std::size_t n = 1; n <= 13; ++n)
                 for (const float *b :
-                     {bias.data(), static_cast<const float *>(nullptr)}) {
-                    std::vector<float> y(n * out, -1.0f);
-                    gemmBlock(x.data(), n, in, stride, wt.data(), out, b,
-                              y.data());
-                    for (std::size_t r = 0; r < n; ++r)
-                        for (std::size_t o = 0; o < out; ++o)
-                            ASSERT_EQ(std::bit_cast<std::uint32_t>(
-                                          y[r * out + o]),
-                                      std::bit_cast<std::uint32_t>(chain(
-                                          x.data() + r * stride, in,
-                                          wt.data(), out, o, b)))
-                                << "n=" << n << " in=" << in
-                                << " out=" << out << " r=" << r
-                                << " o=" << o << " bias=" << (b != nullptr);
-                }
-            }
+                     {bias.data(), static_cast<const float *>(nullptr)})
+                    expectChains(n, in, out, wt, b, rng);
+        }
+    }
+}
+
+// Full 4-row blocks run the wide register tile (several 16-column
+// tiles per call) up to a depth cutoff, and micro4 beyond it where the
+// target keeps it: batches of 4..33 rows across that cutoff (64/65),
+// at widths that are one sweep, a sweep plus tiles, and a sweep plus a
+// ragged tail, still give the scalar chain in every element.
+TEST(GemmBlockTest, FullRowBlocksOnEveryTileMatchTheChain)
+{
+    Rng rng(11);
+    for (std::size_t in : {2u, 31u, 64u, 65u, 256u}) {
+        for (std::size_t out : {16u, 64u, 80u, 256u, 272u}) {
+            const std::vector<float> wt = randomFloats(in * out, rng);
+            const std::vector<float> bias = randomFloats(out, rng);
+            for (std::size_t n = 4; n <= 33; ++n)
+                expectChains(n, in, out, wt, n % 2 ? bias.data() : nullptr,
+                             rng);
         }
     }
 }

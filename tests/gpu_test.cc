@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
+#include "base/rng.h"
 #include "gpu/context.h"
 #include "gpu/device.h"
 #include "gpu/kernels.h"
 #include "gpu/nvml.h"
+#include "ml/backends.h"
+#include "ml/gpu_kernels.h"
+#include "ml/mlp.h"
 
 namespace lake::gpu {
 namespace {
@@ -244,6 +250,225 @@ TEST_F(GpuTest, LaunchCountsAndOverhead)
     EXPECT_EQ(dev_.launches(), before + 1);
     EXPECT_GE(ctx_.streamReadyAt(0),
               ready_before + dev_.spec().launch_overhead);
+}
+
+// ---- device-resident models (DESIGN.md §14) -------------------------
+
+/**
+ * One context with a LinnOS-shaped model uploaded to its own
+ * allocation and a batch of input rows, launching mlp_forward.
+ */
+class ResidentModelTest : public ::testing::Test
+{
+  protected:
+    static constexpr std::uint64_t kRows = 8;
+
+    ResidentModelTest()
+        : dev_(DeviceSpec::a100()), ctx_(dev_, clock_), rng_(3),
+          net_(ml::MlpConfig::linnos(), rng_), x_(kRows, 31)
+    {
+        ml::registerMlKernels();
+        for (std::size_t i = 0; i < x_.size(); ++i)
+            x_.data()[i] = static_cast<float>(rng_.uniform(-1.0, 1.0));
+        blob_ = net_.serialize();
+        EXPECT_EQ(ctx_.memAlloc(&model_, blob_.size()), CuResult::Success);
+        EXPECT_EQ(ctx_.memAlloc(&in_, x_.size() * 4), CuResult::Success);
+        EXPECT_EQ(ctx_.memAlloc(&out_, kRows * 2 * 4), CuResult::Success);
+        EXPECT_EQ(ctx_.memcpyHtoD(model_, blob_.data(), blob_.size()),
+                  CuResult::Success);
+        EXPECT_EQ(ctx_.memcpyHtoD(in_, x_.data(), x_.size() * 4),
+                  CuResult::Success);
+    }
+
+    CuResult
+    launch()
+    {
+        LaunchConfig cfg;
+        cfg.kernel = "mlp_forward";
+        cfg.arg(model_).arg(in_).arg(out_).arg(kRows, nullptr);
+        return ctx_.launchKernel(cfg, 0);
+    }
+
+    /** The launch's logits, read back. */
+    std::vector<float>
+    logits()
+    {
+        std::vector<float> y(kRows * 2);
+        EXPECT_EQ(ctx_.memcpyDtoH(y.data(), out_, y.size() * 4),
+                  CuResult::Success);
+        return y;
+    }
+
+    /** The argmax labels of logits(). */
+    std::vector<int>
+    labels()
+    {
+        std::vector<float> y = logits();
+        std::vector<int> out(kRows);
+        ml::argmaxRows(ml::MatrixView(y.data(), kRows, 2, 2), out.data());
+        return out;
+    }
+
+    Clock clock_;
+    Device dev_;
+    GpuContext ctx_;
+    Rng rng_;
+    ml::Mlp net_;
+    ml::Matrix x_;
+    std::vector<std::uint8_t> blob_;
+    DevicePtr model_ = 0, in_ = 0, out_ = 0;
+};
+
+TEST_F(ResidentModelTest, OneDecodePerUpload)
+{
+    for (int i = 0; i < 5; ++i)
+        ASSERT_EQ(launch(), CuResult::Success);
+    EXPECT_EQ(dev_.residentBuilds(), 1u);
+    EXPECT_EQ(dev_.residentCount(), 1u);
+
+    // Reading the model back, and the input upload of the next batch,
+    // leave the model's allocation unwritten.
+    std::vector<std::uint8_t> back(blob_.size());
+    ASSERT_EQ(ctx_.memcpyDtoH(back.data(), model_, back.size()),
+              CuResult::Success);
+    ASSERT_EQ(ctx_.memcpyHtoD(in_, x_.data(), x_.size() * 4),
+              CuResult::Success);
+    ASSERT_EQ(launch(), CuResult::Success);
+    EXPECT_EQ(dev_.residentBuilds(), 1u);
+
+    // A re-upload is a new model: decoded once more, then reused.
+    ASSERT_EQ(ctx_.memcpyHtoD(model_, blob_.data(), blob_.size()),
+              CuResult::Success);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(launch(), CuResult::Success);
+    EXPECT_EQ(dev_.residentBuilds(), 2u);
+}
+
+TEST_F(ResidentModelTest, UploadOverTheModelRunsTheNewWeights)
+{
+    ml::KernelCpu cpu(clock_, CpuSpec::xeonGold6226R());
+    ASSERT_EQ(launch(), CuResult::Success);
+    EXPECT_EQ(labels(), ml::CpuMlp(net_, cpu).classify(x_));
+
+    // New weights of the same shape, over the same allocation: every
+    // hidden unit's sign flipped, so the labels move with them.
+    ml::Mlp flipped = net_;
+    flipped.editParams([](std::vector<ml::Matrix> &w,
+                          std::vector<std::vector<float>> &b) {
+        for (std::size_t i = 0; i < w[1].size(); ++i)
+            w[1].data()[i] = -w[1].data()[i];
+        for (float &v : b[1])
+            v = -v;
+    });
+    std::vector<std::uint8_t> blob = flipped.serialize();
+    ASSERT_EQ(ctx_.memcpyHtoD(model_, blob.data(), blob.size()),
+              CuResult::Success);
+    ASSERT_EQ(launch(), CuResult::Success);
+    std::vector<int> want = ml::CpuMlp(flipped, cpu).classify(x_);
+    EXPECT_EQ(labels(), want);
+    EXPECT_NE(want, ml::CpuMlp(net_, cpu).classify(x_));
+
+    // A write of one float inside the blob retires the model too: the
+    // output layer's first bias (the blob's last two floats).
+    const float bias0 = 1e6f;
+    ASSERT_EQ(ctx_.memcpyHtoD(model_ + blob.size() - 8, &bias0, 4),
+              CuResult::Success);
+    ASSERT_EQ(launch(), CuResult::Success);
+    std::vector<float> y = logits();
+    ml::Matrix want_y = flipped.forward(x_);
+    for (std::size_t r = 0; r < kRows; ++r)
+        EXPECT_EQ(y[r * 2 + 1], want_y.at(r, 1));
+    EXPECT_EQ(labels(), std::vector<int>(kRows, 0));
+}
+
+TEST_F(ResidentModelTest, KernelOutputIntoTheModelRetiresIt)
+{
+    ASSERT_EQ(launch(), CuResult::Success);
+    // saxpy with y over the model's first weights and alpha 0 rewrites
+    // them unchanged; the write alone retires the decoded model.
+    const std::uint64_t n = 4;
+    LaunchConfig cfg;
+    cfg.kernel = "saxpy";
+    cfg.argF(0.0f).arg(in_).arg(model_ + blob_.size() - n * 4).arg(n,
+                                                                  nullptr);
+    ASSERT_EQ(ctx_.launchKernel(cfg, 0), CuResult::Success);
+    ASSERT_EQ(launch(), CuResult::Success);
+    EXPECT_EQ(dev_.residentBuilds(), 2u);
+}
+
+TEST_F(ResidentModelTest, MemFreeDropsTheModel)
+{
+    ASSERT_EQ(launch(), CuResult::Success);
+    EXPECT_EQ(dev_.residentCount(), 1u);
+    ASSERT_EQ(ctx_.memFree(model_), CuResult::Success);
+    EXPECT_EQ(dev_.residentCount(), 0u);
+    EXPECT_EQ(launch(), CuResult::LaunchFailed);
+}
+
+TEST_F(ResidentModelTest, MalformedHeaderFailsUntilAValidUpload)
+{
+    std::vector<std::uint8_t> junk(blob_.size(), 0xab);
+    ASSERT_EQ(ctx_.memcpyHtoD(model_, junk.data(), junk.size()),
+              CuResult::Success);
+    EXPECT_EQ(launch(), CuResult::LaunchFailed);
+    EXPECT_EQ(launch(), CuResult::LaunchFailed);
+    ASSERT_EQ(ctx_.memcpyHtoD(model_, blob_.data(), blob_.size()),
+              CuResult::Success);
+    ASSERT_EQ(launch(), CuResult::Success);
+    std::vector<float> y = logits();
+    ml::Matrix want = net_.forward(x_);
+    for (std::size_t k = 0; k < y.size(); ++k)
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(y[k]),
+                  std::bit_cast<std::uint32_t>(want.data()[k]));
+}
+
+// Two fleet devices, each driven by its own thread, decode and run
+// their resident models at once: no state is shared between devices
+// (the sanitizer suite runs this under TSan).
+TEST(ResidentModelThreadTest, TwoDevicesLaunchConcurrently)
+{
+    ml::registerMlKernels();
+    registerBuiltinKernels();
+    Rng rng(5);
+    const ml::Mlp net(ml::MlpConfig::linnos(), rng);
+    const std::vector<std::uint8_t> blob = net.serialize();
+    ml::Matrix x(4, 31);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x.data()[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    const ml::Matrix want = net.forward(x);
+
+    auto drive = [&](std::uint32_t id, std::vector<float> *y) {
+        Device dev(DeviceSpec::a100(), id,
+                   Device::kVaBase + id * Device::kVaWindow,
+                   Device::kVaBase + (id + 1) * Device::kVaWindow);
+        Clock clock;
+        GpuContext ctx(dev, clock);
+        DevicePtr model = 0, in = 0, out = 0;
+        ctx.memAlloc(&model, blob.size());
+        ctx.memAlloc(&in, x.size() * 4);
+        ctx.memAlloc(&out, y->size() * 4);
+        ctx.memcpyHtoD(in, x.data(), x.size() * 4);
+        LaunchConfig cfg;
+        cfg.kernel = "mlp_forward";
+        cfg.arg(model).arg(in).arg(out).arg(x.rows(), nullptr);
+        for (int i = 0; i < 50; ++i) {
+            // Every tenth launch follows a re-upload.
+            if (i % 10 == 0)
+                ctx.memcpyHtoD(model, blob.data(), blob.size());
+            if (ctx.launchKernel(cfg, 0) != CuResult::Success)
+                return;
+        }
+        ctx.memcpyDtoH(y->data(), out, y->size() * 4);
+    };
+    std::vector<float> y0(x.rows() * 2, -1.0f), y1(x.rows() * 2, -1.0f);
+    std::thread t0(drive, 0, &y0);
+    std::thread t1(drive, 1, &y1);
+    t0.join();
+    t1.join();
+    for (std::size_t k = 0; k < y0.size(); ++k) {
+        EXPECT_EQ(y0[k], want.data()[k]);
+        EXPECT_EQ(y1[k], want.data()[k]);
+    }
 }
 
 TEST(GpuSpecTest, ModestDeviceIsSlower)
