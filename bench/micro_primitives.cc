@@ -284,8 +284,9 @@ BM_GemmBlocked256(benchmark::State &state)
 BENCHMARK(BM_GemmBlocked256);
 
 // One single-threaded gemmBlock at an inference shape: 32 rows of
-// LinnOS's 31->256 first layer (a shallow layer, on the wide tile) and
-// 32 rows of a 256->16 layer (a deep one, on micro4). Args: in, out.
+// LinnOS's 31->256 first layer (shallow and wide: four 16-column tiles
+// per call on AVX-512) and 32 rows of a 256->16 layer (deep and one
+// tile wide, LinnOS's padded output layer). Args: in, out.
 void
 BM_GemmShallow(benchmark::State &state)
 {

@@ -117,7 +117,7 @@ Device::memFree(DevicePtr ptr)
 }
 
 Device::Allocation *
-Device::below(DevicePtr ptr, std::size_t *off) const
+Device::covering(DevicePtr ptr, std::size_t bytes, std::size_t *off) const
 {
     if (!ownsVa(ptr))
         return nullptr;
@@ -127,6 +127,10 @@ Device::below(DevicePtr ptr, std::size_t *off) const
         return nullptr;
     --it;
     *off = ptr - it->first;
+    const std::size_t size = it->second.bytes.size();
+    // Written so that no untrusted length can wrap the bounds check.
+    if (*off > size || bytes > size - *off)
+        return nullptr;
     return const_cast<Allocation *>(&it->second);
 }
 
@@ -134,25 +138,16 @@ const void *
 Device::resolve(DevicePtr ptr, std::size_t bytes) const
 {
     std::size_t off = 0;
-    const Allocation *a = below(ptr, &off);
-    if (a == nullptr)
-        return nullptr;
-    const std::size_t size = a->bytes.size();
-    // Written so that no untrusted length can wrap the bounds check.
-    if (off > size || bytes > size - off)
-        return nullptr;
-    return a->bytes.data() + off;
+    const Allocation *a = covering(ptr, bytes, &off);
+    return a != nullptr ? a->bytes.data() + off : nullptr;
 }
 
 void *
 Device::resolve(DevicePtr ptr, std::size_t bytes)
 {
     std::size_t off = 0;
-    Allocation *a = below(ptr, &off);
+    Allocation *a = covering(ptr, bytes, &off);
     if (a == nullptr)
-        return nullptr;
-    const std::size_t size = a->bytes.size();
-    if (off > size || bytes > size - off)
         return nullptr;
     ++a->gen;
     return a->bytes.data() + off;
@@ -171,8 +166,7 @@ DevicePtr
 Device::baseOf(DevicePtr ptr) const
 {
     std::size_t off = 0;
-    const Allocation *a = below(ptr, &off);
-    return a != nullptr && off < a->bytes.size() ? ptr - off : 0;
+    return covering(ptr, 1, &off) != nullptr ? ptr - off : 0;
 }
 
 Nanos

@@ -161,8 +161,8 @@ class Device
     resident(DevicePtr ptr, Build &&build)
     {
         std::size_t off = 0;
-        Allocation *a = below(ptr, &off);
-        if (a == nullptr || off >= a->bytes.size())
+        Allocation *a = covering(ptr, 1, &off);
+        if (a == nullptr)
             return nullptr;
         if (a->resident_gen == a->gen && a->resident_at == ptr)
             if (T *hit = dynamic_cast<T *>(a->resident.get()))
@@ -257,11 +257,12 @@ class Device
     };
 
     /**
-     * The allocation with the greatest base <= @p ptr, and @p ptr's
-     * offset from that base in *@p off (not checked against its size);
-     * nullptr when there is none or @p ptr is foreign.
+     * The allocation holding @p bytes from @p ptr, and @p ptr's offset
+     * from its base in *@p off; nullptr when no single allocation
+     * covers that range or @p ptr is foreign.
      */
-    Allocation *below(DevicePtr ptr, std::size_t *off) const;
+    Allocation *covering(DevicePtr ptr, std::size_t bytes,
+                         std::size_t *off) const;
 
     DeviceSpec spec_;
     std::uint32_t id_ = 0;

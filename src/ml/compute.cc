@@ -117,15 +117,15 @@ alignas(64) constexpr float kZeroBias[kSweepAccFloats] = {};
  * of the 16-float tile): R x W local accumulators, i ascending, one
  * fmadd at a time, so every element is the same rounding chain micro4
  * computes. Runs a batch's 1-3 row tail, and the full row blocks of a
- * layer up to kShallowDepth inputs (every layer on AVX-512). @p wt, @p bias and @p y point at
- * the tile's first column; @p bias is never null (W floats). Row r
- * reads x_r and writes y_r (rows past R are null); wt row i starts at
- * wt + i * ld. One restrict pointer and one named accumulator array
- * per row (not a stride, not an R x W array), a call rather than
- * inlined, the c-loops unrolled whole and the i-loop not at all:
- * otherwise GCC 12 adds a scalar path for overlapping rows, leaves
- * some instances' accumulators in memory (all of them at -O2) or
- * their loops scalar.
+ * layer up to kShallowDepth inputs (every layer on AVX-512). @p wt,
+ * @p bias and @p y point at the tile's first column; @p bias is never
+ * null (W floats). Row r reads x_r and writes y_r (rows past R are
+ * null); wt row i starts at wt + i * ld. One restrict pointer and one
+ * named accumulator array per row (not a stride, not an R x W array),
+ * a call rather than inlined, the c-loops unrolled whole and the
+ * i-loop not at all: otherwise GCC 12 adds a scalar path for
+ * overlapping rows, leaves some instances' accumulators in memory
+ * (all of them at -O2) or their loops scalar.
  */
 template <std::size_t R, std::size_t W>
 [[gnu::noinline]] void

@@ -288,8 +288,7 @@ ScoreServer::dispatch(Nanos now)
     // slots (same-store consecutive runs merge into one strided
     // MatrixView), and vector requests move their rows into one batch
     // that the view borrows range by range — so an all-vector flush is
-    // one whole borrowed vector. The batch is reserved up front: the
-    // view keeps pointing into it.
+    // one whole borrowed vector.
     std::vector<FeatureVector> &batch = flush_batch_;
     batch.reserve(total);
     FvBatchView &combined = flush_view_;

@@ -384,7 +384,7 @@ TEST_F(ResidentModelTest, UploadOverTheModelRunsTheNewWeights)
 TEST_F(ResidentModelTest, KernelOutputIntoTheModelRetiresIt)
 {
     ASSERT_EQ(launch(), CuResult::Success);
-    // saxpy with y over the model's first weights and alpha 0 rewrites
+    // saxpy with y over the blob's last floats and alpha 0 rewrites
     // them unchanged; the write alone retires the decoded model.
     const std::uint64_t n = 4;
     LaunchConfig cfg;
