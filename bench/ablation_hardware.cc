@@ -12,39 +12,17 @@
 //      §6 channel (why LAKE picked Netlink).
 
 #include <cstdio>
+#include <numeric>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/lake.h"
 #include "ml/backends.h"
+#include "policy/policy.h"
 #include "storage/e2e.h"
 #include "storage/linnos.h"
 
 using namespace lake;
-
-namespace {
-
-std::size_t
-crossoverOn(core::Lake &lake, Rng &rng)
-{
-    ml::Mlp model(ml::MlpConfig::linnos(), rng);
-    ml::CpuMlp cpu(model, lake.kernelCpu());
-    ml::LakeMlp gpu(model, lake.lib(), false, 1024);
-    for (std::size_t b = 1; b <= 256; ++b) {
-        ml::Matrix x(b, 31);
-        Nanos t0 = lake.clock().now();
-        cpu.classify(x);
-        Nanos cpu_t = lake.clock().now() - t0;
-        t0 = lake.clock().now();
-        gpu.classify(x);
-        Nanos gpu_t = lake.clock().now() - t0;
-        if (gpu_t < cpu_t)
-            return b;
-    }
-    return 0;
-}
-
-} // namespace
 
 int
 main()
@@ -58,16 +36,36 @@ main()
     // ---- (a) GPU generation ------------------------------------------
     std::printf("(a) LinnOS-NN crossover batch by accelerator:\n");
     {
+        // The LinnOS NN's crossover on one Lake's device, over every
+        // batch from 1 to 256 with zero-filled inputs.
+        std::vector<std::size_t> grid(256);
+        std::iota(grid.begin(), grid.end(), 1);
+        auto linnosCrossover = [&](core::Lake &lake) {
+            ml::Mlp model(ml::MlpConfig::linnos(), rng);
+            ml::CpuMlp cpu(model, lake.kernelCpu());
+            ml::LakeMlp gpu(model, lake.lib(), false, 1024);
+            auto time = [&](auto &engine, const ml::Matrix &x) {
+                Nanos t0 = lake.clock().now();
+                engine.classify(x);
+                return static_cast<double>(lake.clock().now() - t0);
+            };
+            // A braced initializer runs its elements in order.
+            return policy::crossover(grid, [&](std::size_t b) {
+                ml::Matrix x(b, 31);
+                return policy::EngineCosts{time(cpu, x), time(gpu, x)};
+            });
+        };
+
         core::Lake a100;
         std::printf("    %-36s %zu\n", a100.device().spec().name.c_str(),
-                    crossoverOn(a100, rng));
+                    linnosCrossover(a100));
 
         core::LakeConfig cfg;
         cfg.fleet.spec = gpu::DeviceSpec::modest();
         core::Lake modest(cfg);
         std::printf("    %-36s %zu\n",
                     modest.device().spec().name.c_str(),
-                    crossoverOn(modest, rng));
+                    linnosCrossover(modest));
     }
 
     // ---- (b) storage generation ----------------------------------------

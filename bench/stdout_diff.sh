@@ -12,13 +12,16 @@
 # and only the two most recently used builds are kept (so two runs must
 # not share a TMPDIR at the same time). It then runs every bench/fig*
 # and bench/table* plus ablation_hardware, `fleet_scaling --smoke`,
-# `serve_slo --smoke` and the streamed arms (`LAKE_STREAMS=4`
-# fig07_linnos_e2e and fig14_ecryptfs) of both builds in an empty
-# directory and diffs stdout and exit code. The two builds
-# of an entry run at the same time, each in its own directory; the
-# SAME/DIFF/NEW lines come out in entry order. An entry's leading
-# NAME=value words are set in the binary's environment. Exits 1 on any
-# difference, 2 on a usage or build error.
+# `serve_slo --smoke`, the streamed arms (`LAKE_STREAMS=4`
+# fig07_linnos_e2e and fig14_ecryptfs), examples/pagewarmth_demo (no
+# fig/table entry runs trainLstm) and examples/io_latency_predictor of
+# both builds in an empty directory and diffs stdout and exit code. The
+# two builds of an entry run at the same time, each in its own
+# directory; the SAME/DIFF/NEW lines come out in entry order. An
+# entry's leading NAME=value words are set in the binary's environment;
+# a binary named with a directory is found under the build tree, any
+# other under bench/. Exits 1 on any difference, 2 on a usage or build
+# error.
 set -euo pipefail
 
 [[ $# == 1 || $# == 2 ]] || { echo "usage: $0 <base-rev> [build-dir]" >&2; exit 2; }
@@ -71,7 +74,8 @@ run() {
 }
 
 entries=(ablation_hardware "fleet_scaling --smoke" "serve_slo --smoke"
-         "LAKE_STREAMS=4 fig07_linnos_e2e" "LAKE_STREAMS=4 fig14_ecryptfs")
+         "LAKE_STREAMS=4 fig07_linnos_e2e" "LAKE_STREAMS=4 fig14_ecryptfs"
+         examples/pagewarmth_demo examples/io_latency_predictor)
 for exe in "$BUILD"/bench/fig* "$BUILD"/bench/table*; do
     [[ -f "$exe" && -x "$exe" ]] && entries+=("$(basename "$exe")")
 done
@@ -84,14 +88,15 @@ for entry in "${entries[@]}"; do
         words=("${words[@]:1}")
     done
     name="${words[0]}"
+    [[ "$name" == */* ]] || name="bench/$name"
     args=("${words[@]:1}")
     out="$WORK/${entry//[^A-Za-z0-9_.-]/_}"
-    if [[ ! -x "$BASE/build/bench/$name" ]]; then
+    if [[ ! -x "$BASE/build/$name" ]]; then
         echo "NEW   $entry"
         continue
     fi
-    run "$out.base" env "${envs[@]}" "$BASE/build/bench/$name" "${args[@]}" &
-    run "$out.cur" env "${envs[@]}" "$BUILD/bench/$name" "${args[@]}"
+    run "$out.base" env "${envs[@]}" "$BASE/build/$name" "${args[@]}" &
+    run "$out.cur" env "${envs[@]}" "$BUILD/$name" "${args[@]}"
     wait
     if diff -u "$out.base" "$out.cur"; then
         echo "SAME  $entry"

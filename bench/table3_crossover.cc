@@ -4,7 +4,6 @@
 // the live backends.
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,23 +13,11 @@
 #include "fs/ecryptfs.h"
 #include "mem/pagewarmth.h"
 #include "ml/backends.h"
+#include "policy/policy.h"
 
 using namespace lake;
 
 namespace {
-
-/** Returns the first swept batch where gpu_time < cpu_time (0 if none). */
-std::size_t
-findCrossover(const std::vector<std::size_t> &sweep,
-              const std::function<double(std::size_t)> &cpu_time,
-              const std::function<double(std::size_t)> &gpu_time)
-{
-    for (std::size_t b : sweep) {
-        if (gpu_time(b) < cpu_time(b))
-            return b;
-    }
-    return 0;
-}
 
 ml::Matrix
 randomBatch(std::size_t n, std::size_t width, Rng &rng)
@@ -39,6 +26,34 @@ randomBatch(std::size_t n, std::size_t width, Rng &rng)
     for (std::size_t i = 0; i < x.size(); ++i)
         x.data()[i] = static_cast<float>(rng.uniform(0.0, 0.9));
     return x;
+}
+
+/** Virtual time that @p run takes on @p lake's clock. */
+template <class Fn>
+Nanos
+elapsed(core::Lake &lake, Fn &&run)
+{
+    Nanos t0 = lake.clock().now();
+    run();
+    return lake.clock().now() - t0;
+}
+
+/** An MLP's crossover: in-kernel CPU vs LAKE GPU on random batches. */
+std::size_t
+mlpCrossover(core::Lake &lake, const ml::MlpConfig &config,
+             const std::vector<std::size_t> &grid, Rng &rng)
+{
+    ml::Mlp model(config, rng);
+    ml::CpuMlp cpu(model, lake.kernelCpu());
+    ml::LakeMlp gpu(model, lake.lib(), false, 1024);
+    auto time = [&](auto &engine, std::size_t b) {
+        ml::Matrix x = randomBatch(b, config.input, rng);
+        return toUs(elapsed(lake, [&] { engine.classify(x); }));
+    };
+    // A braced initializer runs its elements in order: CPU, then GPU.
+    return policy::crossover(grid, [&](std::size_t b) {
+        return policy::EngineCosts{time(cpu, b), time(gpu, b)};
+    });
 }
 
 } // namespace
@@ -57,26 +72,9 @@ main()
     std::printf("%-24s %-16s %10s %12s\n", "Application", "Model",
                 "Crossover", "(paper)");
 
-    // --- I/O latency prediction: LinnOS NN -----------------------------
-    {
-        ml::Mlp model(ml::MlpConfig::linnos(), rng);
-        ml::CpuMlp cpu(model, lake.kernelCpu());
-        ml::LakeMlp gpu(model, lake.lib(), false, 1024);
-        auto cpu_t = [&](std::size_t b) {
-            ml::Matrix x = randomBatch(b, 31, rng);
-            Nanos t0 = lake.clock().now();
-            cpu.classify(x);
-            return toUs(lake.clock().now() - t0);
-        };
-        auto gpu_t = [&](std::size_t b) {
-            ml::Matrix x = randomBatch(b, 31, rng);
-            Nanos t0 = lake.clock().now();
-            gpu.classify(x);
-            return toUs(lake.clock().now() - t0);
-        };
-        std::printf("%-24s %-16s %10zu %12s\n", "I/O latency prediction",
-                    "NN 256x2", findCrossover(pow2, cpu_t, gpu_t), "8");
-    }
+    std::printf("%-24s %-16s %10zu %12s\n", "I/O latency prediction",
+                "NN 256x2",
+                mlpCrossover(lake, ml::MlpConfig::linnos(), pow2, rng), "8");
 
     // --- Page warmth: Kleio LSTM (high-level API) ----------------------
     {
@@ -94,73 +92,32 @@ main()
         // The CPU alternative is TensorFlow on the CPU — there is no
         // hand-written in-kernel LSTM — so it pays the same runtime
         // invocation overhead plus CPU-rate compute.
-        auto cpu_t = [&](std::size_t b) {
+        auto costs = [&](std::size_t b) {
             auto s = mkseqs(b);
-            Nanos t0 = lake.clock().now();
-            cpu.classify(s, b);
-            return toUs(lake.clock().now() - t0) +
-                   toUs(ml::KleioService::kTfCallOverhead);
-        };
-        auto gpu_t = [&](std::size_t b) {
-            auto s = mkseqs(b);
-            Nanos t0 = lake.clock().now();
-            kleio.classify(lake.lib(), s, b);
-            return toUs(lake.clock().now() - t0);
+            Nanos cpu_t = elapsed(lake, [&] { cpu.classify(s, b); });
+            s = mkseqs(b);
+            Nanos gpu_t =
+                elapsed(lake, [&] { kleio.classify(lake.lib(), s, b); });
+            return policy::EngineCosts{
+                toUs(cpu_t) + toUs(ml::KleioService::kTfCallOverhead),
+                toUs(gpu_t)};
         };
         std::printf("%-24s %-16s %10zu %12s\n", "Page warmth",
-                    "LSTM 2x256", findCrossover(pow2, cpu_t, gpu_t), "1");
+                    "LSTM 2x256", policy::crossover(pow2, costs), "1");
     }
 
-    // --- Load balancing: MLLB ------------------------------------------
-    {
-        ml::Mlp model(ml::MlpConfig::mllb(), rng);
-        ml::CpuMlp cpu(model, lake.kernelCpu());
-        ml::LakeMlp gpu(model, lake.lib(), false, 1024);
-        auto cpu_t = [&](std::size_t b) {
-            ml::Matrix x = randomBatch(b, model.config().input, rng);
-            Nanos t0 = lake.clock().now();
-            cpu.classify(x);
-            return toUs(lake.clock().now() - t0);
-        };
-        auto gpu_t = [&](std::size_t b) {
-            ml::Matrix x = randomBatch(b, model.config().input, rng);
-            Nanos t0 = lake.clock().now();
-            gpu.classify(x);
-            return toUs(lake.clock().now() - t0);
-        };
-        std::printf("%-24s %-16s %10zu %12s\n", "Load balancing",
-                    "NN (MLLB)", findCrossover(pow2, cpu_t, gpu_t),
-                    "256");
-    }
-
-    // --- Filesystem prefetching: KML -----------------------------------
-    {
-        ml::Mlp model(ml::MlpConfig::kml(), rng);
-        ml::CpuMlp cpu(model, lake.kernelCpu());
-        ml::LakeMlp gpu(model, lake.lib(), false, 1024);
-        auto cpu_t = [&](std::size_t b) {
-            ml::Matrix x = randomBatch(b, model.config().input, rng);
-            Nanos t0 = lake.clock().now();
-            cpu.classify(x);
-            return toUs(lake.clock().now() - t0);
-        };
-        auto gpu_t = [&](std::size_t b) {
-            ml::Matrix x = randomBatch(b, model.config().input, rng);
-            Nanos t0 = lake.clock().now();
-            gpu.classify(x);
-            return toUs(lake.clock().now() - t0);
-        };
-        std::printf("%-24s %-16s %10zu %12s\n", "Filesystem prefetching",
-                    "NN (KML)", findCrossover(pow2, cpu_t, gpu_t), "64");
-    }
+    std::printf("%-24s %-16s %10zu %12s\n", "Load balancing", "NN (MLLB)",
+                mlpCrossover(lake, ml::MlpConfig::mllb(), pow2, rng), "256");
+    std::printf("%-24s %-16s %10zu %12s\n", "Filesystem prefetching",
+                "NN (KML)",
+                mlpCrossover(lake, ml::MlpConfig::kml(), pow2, rng), "64");
 
     // --- Malware detection: kNN ----------------------------------------
     // Fig. 12's x axis is the *feature count*, so the crossover here is
     // the dimensionality at which shipping one per-process anomaly
     // check (against its 256-sample reference window) to the GPU wins.
     {
-        std::size_t crossover_dim = 0;
-        for (std::size_t dim : pow2) {
+        auto costs = [&](std::size_t dim) {
             ml::Knn model(dim, 16);
             std::vector<float> pt(dim);
             for (int i = 0; i < 256; ++i) {
@@ -174,19 +131,14 @@ main()
             for (auto &v : q)
                 v = static_cast<float>(rng.uniform(0.0, 1.0));
 
-            Nanos t0 = lake.clock().now();
-            cpu.classify(q.data(), 1);
-            Nanos cpu_t = lake.clock().now() - t0;
-            t0 = lake.clock().now();
-            gpu.classify(q.data(), 1);
-            Nanos gpu_t = lake.clock().now() - t0;
-            if (gpu_t < cpu_t) {
-                crossover_dim = dim;
-                break;
-            }
-        }
+            Nanos cpu_t = elapsed(lake, [&] { cpu.classify(q.data(), 1); });
+            Nanos gpu_t = elapsed(lake, [&] { gpu.classify(q.data(), 1); });
+            return policy::EngineCosts{static_cast<double>(cpu_t),
+                                       static_cast<double>(gpu_t)};
+        };
         std::printf("%-24s %-16s %10zu %12s\n", "Malware detection",
-                    "k-NN (features)", crossover_dim, "128");
+                    "k-NN (features)", policy::crossover(pow2, costs),
+                    "128");
     }
 
     // --- Filesystem encryption: block size crossover vs AES-NI ---------
@@ -202,21 +154,22 @@ main()
         std::vector<std::uint8_t> buf(4 << 20), out(4 << 20);
         std::uint8_t tag[16];
 
-        std::size_t crossover_bytes = 0;
-        for (std::size_t bytes = 4096; bytes <= (4u << 20); bytes *= 2) {
-            Nanos t0 = lake.clock().now();
-            ni.encryptExtent(iv, buf.data(), bytes, out.data(), tag);
-            Nanos ni_t = lake.clock().now() - t0;
-            t0 = lake.clock().now();
-            gpu_eng.encryptExtent(iv, buf.data(), bytes, out.data(), tag);
-            Nanos gpu_t = lake.clock().now() - t0;
-            if (gpu_t < ni_t) {
-                crossover_bytes = bytes;
-                break;
-            }
-        }
+        std::vector<std::size_t> extents;
+        for (std::size_t bytes = 4096; bytes <= (4u << 20); bytes *= 2)
+            extents.push_back(bytes);
+        auto costs = [&](std::size_t bytes) {
+            Nanos ni_t = elapsed(lake, [&] {
+                ni.encryptExtent(iv, buf.data(), bytes, out.data(), tag);
+            });
+            Nanos gpu_t = elapsed(lake, [&] {
+                gpu_eng.encryptExtent(iv, buf.data(), bytes, out.data(), tag);
+            });
+            return policy::EngineCosts{static_cast<double>(ni_t),
+                                       static_cast<double>(gpu_t)};
+        };
         std::printf("%-24s %-16s %9zuK %12s\n", "Filesystem encryption",
-                    "AES-GCM vs NI", crossover_bytes / 1024, "16/128KB");
+                    "AES-GCM vs NI", policy::crossover(extents, costs) / 1024,
+                    "16/128KB");
     }
 
     bench::expectation(

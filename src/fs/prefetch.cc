@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "base/logging.h"
+#include "ml/sgd.h"
 
 namespace lake::fs {
 
@@ -187,26 +190,13 @@ trainPrefetchModel(const std::vector<PrefetchSample> &data,
     LAKE_ASSERT(!data.empty(), "empty prefetch dataset");
     ml::Mlp net(ml::MlpConfig::kml(), rng);
 
-    constexpr std::size_t kBatch = 32;
     std::vector<std::size_t> order(data.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-
-    for (std::size_t e = 0; e < epochs; ++e) {
-        std::shuffle(order.begin(), order.end(), rng.engine());
-        for (std::size_t start = 0; start < order.size();
-             start += kBatch) {
-            std::size_t n = std::min(kBatch, order.size() - start);
-            ml::Matrix x(n, kPrefetchFeatures);
-            std::vector<int> y(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const PrefetchSample &s = data[order[start + i]];
-                std::copy(s.x.begin(), s.x.end(), x.row(i));
-                y[i] = s.pattern;
-            }
-            net.trainStep(x, y, lr);
-        }
-    }
+    std::iota(order.begin(), order.end(), 0);
+    ml::trainMlp(net, std::move(order), 32, epochs, lr, 1.0f, rng,
+                 [&](std::size_t i, float *row) {
+                     std::copy(data[i].x.begin(), data[i].x.end(), row);
+                     return data[i].pattern;
+                 });
     return net;
 }
 

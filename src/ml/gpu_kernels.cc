@@ -152,8 +152,6 @@ struct ResidentLstm final : Device::Resident
     explicit ResidentLstm(Lstm n) : net(std::move(n)) {}
 
     Lstm net;
-    /** The launch's input samples, copied out of device memory. */
-    std::vector<float> seqs;
 };
 
 /**
@@ -218,8 +216,8 @@ lstmForwardBody(Device &dev, const LaunchConfig &cfg)
     if (!in_p || !out_p)
         return CuResult::LaunchFailed;
 
-    model->seqs.assign(in_p, in_p + batch * per);
-    std::vector<int> labels = model->net.classifyBatch(model->seqs, batch);
+    std::vector<int> labels =
+        model->net.classifyBatch({in_p, batch * per}, batch);
     for (std::size_t i = 0; i < labels.size(); ++i)
         out_p[i] = labels[i];
     return CuResult::Success;

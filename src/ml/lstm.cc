@@ -60,7 +60,7 @@ Lstm::Lstm(LstmConfig config, Rng &rng) : Lstm(config)
 }
 
 std::vector<float>
-Lstm::forward(const std::vector<float> &seq) const
+Lstm::forward(std::span<const float> seq, LstmTape *tape) const
 {
     std::size_t expect =
         static_cast<std::size_t>(config_.seq_len) * config_.input;
@@ -68,12 +68,16 @@ Lstm::forward(const std::vector<float> &seq) const
                 seq.size(), expect);
 
     std::uint32_t H = config_.hidden;
-    // Per-layer hidden and cell state.
-    std::vector<std::vector<float>> h(config_.layers,
-                                      std::vector<float>(H, 0.0f));
-    std::vector<std::vector<float>> c(config_.layers,
-                                      std::vector<float>(H, 0.0f));
-    std::vector<float> gates(4 * H);
+    std::size_t state = static_cast<std::size_t>(config_.layers) * H;
+    // Per-layer hidden and cell state, layer l at [l * H, (l + 1) * H).
+    std::vector<float> h(state, 0.0f), c(state, 0.0f), gates(4 * H);
+    if (tape) {
+        tape->seq_len = config_.seq_len;
+        tape->hidden = H;
+        for (auto *field : {&tape->ig, &tape->fg, &tape->gg, &tape->og,
+                            &tape->c, &tape->tanh_c, &tape->h})
+            field->resize(state * config_.seq_len);
+    }
 
     for (std::uint32_t t = 0; t < config_.seq_len; ++t) {
         const float *x = seq.data() +
@@ -84,6 +88,8 @@ Lstm::forward(const std::vector<float> &seq) const
             const Matrix &wx = wx_[l];
             const Matrix &wh = wh_[l];
             const std::vector<float> &bias = b_[l];
+            float *hl = h.data() + static_cast<std::size_t>(l) * H;
+            float *cl = c.data() + static_cast<std::size_t>(l) * H;
 
             for (std::uint32_t g = 0; g < 4 * H; ++g) {
                 const float *wxr = wx.row(g);
@@ -92,27 +98,38 @@ Lstm::forward(const std::vector<float> &seq) const
                 for (std::uint32_t i = 0; i < xin; ++i)
                     acc += wxr[i] * x[i];
                 for (std::uint32_t i = 0; i < H; ++i)
-                    acc += whr[i] * h[l][i];
+                    acc += whr[i] * hl[i];
                 gates[g] = acc;
             }
 
+            std::size_t at = tape ? tape->at(l, t) : 0;
             for (std::uint32_t i = 0; i < H; ++i) {
                 float ig = sigmoidf(gates[i]);
                 float fg = sigmoidf(gates[H + i]);
                 float gg = std::tanh(gates[2 * H + i]);
                 float og = sigmoidf(gates[3 * H + i]);
-                c[l][i] = fg * c[l][i] + ig * gg;
-                h[l][i] = og * std::tanh(c[l][i]);
+                cl[i] = fg * cl[i] + ig * gg;
+                float tc = std::tanh(cl[i]);
+                hl[i] = og * tc;
+                if (tape) {
+                    tape->ig[at + i] = ig;
+                    tape->fg[at + i] = fg;
+                    tape->gg[at + i] = gg;
+                    tape->og[at + i] = og;
+                    tape->c[at + i] = cl[i];
+                    tape->tanh_c[at + i] = tc;
+                    tape->h[at + i] = hl[i];
+                }
             }
 
-            x = h[l].data(); // next layer consumes this layer's output
+            x = hl; // next layer consumes this layer's output
             xin = H;
         }
     }
 
     // Dense head over the top layer's final hidden state.
     std::vector<float> logits(config_.output, 0.0f);
-    const std::vector<float> &top = h[config_.layers - 1];
+    const float *top = h.data() + state - H;
     for (std::uint32_t o = 0; o < config_.output; ++o) {
         const float *w = head_w_.row(o);
         float acc = head_b_[o];
@@ -124,7 +141,7 @@ Lstm::forward(const std::vector<float> &seq) const
 }
 
 int
-Lstm::classify(const std::vector<float> &seq) const
+Lstm::classify(std::span<const float> seq) const
 {
     std::vector<float> logits = forward(seq);
     int best = 0;
@@ -134,7 +151,7 @@ Lstm::classify(const std::vector<float> &seq) const
 }
 
 std::vector<int>
-Lstm::classifyBatch(const std::vector<float> &seqs, std::size_t batch) const
+Lstm::classifyBatch(std::span<const float> seqs, std::size_t batch) const
 {
     std::size_t per =
         static_cast<std::size_t>(config_.seq_len) * config_.input;
@@ -146,11 +163,8 @@ Lstm::classifyBatch(const std::vector<float> &seqs, std::size_t batch) const
     std::vector<int> out(batch);
     base::ThreadPool::global().parallelFor(
         0, batch, 1, [&](std::size_t b, std::size_t e) {
-            for (std::size_t s = b; s < e; ++s) {
-                std::vector<float> one(seqs.begin() + s * per,
-                                       seqs.begin() + (s + 1) * per);
-                out[s] = classify(one);
-            }
+            for (std::size_t s = b; s < e; ++s)
+                out[s] = classify(seqs.subspan(s * per, per));
         });
     return out;
 }

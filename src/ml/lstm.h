@@ -14,6 +14,7 @@
  */
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "base/rng.h"
@@ -39,6 +40,26 @@ struct LstmConfig
 };
 
 /**
+ * What one forward pass leaves for backpropagation through time: the
+ * gate activations and states of every (layer, timestep), each hidden
+ * wide. Lstm::forward fills it; the trainer (ml/lstm_train.h) reads it.
+ */
+struct LstmTape
+{
+    std::uint32_t seq_len = 0; //!< timesteps per layer
+    std::uint32_t hidden = 0;  //!< floats per entry
+    /** Indexed [layer][timestep][unit]. */
+    std::vector<float> ig, fg, gg, og, c, tanh_c, h;
+
+    /** Offset of (layer @p l, timestep @p t)'s entry in each field. */
+    std::size_t
+    at(std::uint32_t l, std::uint32_t t) const
+    {
+        return (static_cast<std::size_t>(l) * seq_len + t) * hidden;
+    }
+};
+
+/**
  * The network. Gate layout follows cuDNN order [i, f, g, o].
  */
 class Lstm
@@ -51,17 +72,19 @@ class Lstm
     const LstmConfig &config() const { return config_; }
 
     /**
-     * Forward pass over one sample.
-     * @param seq seq_len x input values, timestep-major
+     * Forward pass over one sample, read in place.
+     * @param seq  seq_len x input values, timestep-major
+     * @param tape when set, receives what the backward pass needs
      * @return class logits (output wide)
      */
-    std::vector<float> forward(const std::vector<float> &seq) const;
+    std::vector<float> forward(std::span<const float> seq,
+                               LstmTape *tape = nullptr) const;
 
     /** Argmax class of one sample. */
-    int classify(const std::vector<float> &seq) const;
+    int classify(std::span<const float> seq) const;
 
     /** Argmax class per sample of a batch (samples concatenated). */
-    std::vector<int> classifyBatch(const std::vector<float> &seqs,
+    std::vector<int> classifyBatch(std::span<const float> seqs,
                                    std::size_t batch) const;
 
     /** FLOPs of one sample's forward pass. */

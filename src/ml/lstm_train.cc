@@ -2,18 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "base/logging.h"
+#include "ml/sgd.h"
 
 namespace lake::ml {
 
 namespace {
-
-float
-sigmoidf(float x)
-{
-    return 1.0f / (1.0f + std::exp(-x));
-}
 
 /** Per-layer parameter gradients. */
 struct LayerGrads
@@ -23,106 +20,22 @@ struct LayerGrads
     std::vector<float> db;
 };
 
-/** Everything the backward pass needs from one sample's forward pass. */
-struct Tape
-{
-    // Indexed [layer][t]: gate activations and states, each H wide.
-    std::vector<std::vector<std::vector<float>>> ig, fg, gg, og, c, h,
-        tanh_c;
-};
-
-/** Runs forward over one sample, recording the tape. */
-std::vector<float>
-forwardTaped(const Lstm &net, const std::vector<float> &seq, Tape *tape)
-{
-    const LstmConfig &cfg = net.config();
-    std::uint32_t H = cfg.hidden;
-    std::uint32_t L = cfg.layers;
-    std::uint32_t T = cfg.seq_len;
-
-    auto init = [&](auto &v) {
-        v.assign(L, std::vector<std::vector<float>>(
-                        T, std::vector<float>(H, 0.0f)));
-    };
-    init(tape->ig);
-    init(tape->fg);
-    init(tape->gg);
-    init(tape->og);
-    init(tape->c);
-    init(tape->h);
-    init(tape->tanh_c);
-
-    std::vector<std::vector<float>> h(L, std::vector<float>(H, 0.0f));
-    std::vector<std::vector<float>> c(L, std::vector<float>(H, 0.0f));
-
-    for (std::uint32_t t = 0; t < T; ++t) {
-        const float *x = seq.data() +
-                         static_cast<std::size_t>(t) * cfg.input;
-        std::uint32_t xin = cfg.input;
-        for (std::uint32_t l = 0; l < L; ++l) {
-            const Matrix &wx = net.wx()[l];
-            const Matrix &wh = net.wh()[l];
-            const std::vector<float> &bias = net.bias()[l];
-
-            for (std::uint32_t u = 0; u < H; ++u) {
-                auto gate = [&](std::uint32_t g) {
-                    const float *wxr = wx.row(g * H + u);
-                    const float *whr = wh.row(g * H + u);
-                    float acc = bias[g * H + u];
-                    for (std::uint32_t i = 0; i < xin; ++i)
-                        acc += wxr[i] * x[i];
-                    for (std::uint32_t i = 0; i < H; ++i)
-                        acc += whr[i] * h[l][i];
-                    return acc;
-                };
-                float zi = gate(0), zf = gate(1), zg = gate(2),
-                      zo = gate(3);
-                tape->ig[l][t][u] = sigmoidf(zi);
-                tape->fg[l][t][u] = sigmoidf(zf);
-                tape->gg[l][t][u] = std::tanh(zg);
-                tape->og[l][t][u] = sigmoidf(zo);
-            }
-            for (std::uint32_t u = 0; u < H; ++u) {
-                c[l][u] = tape->fg[l][t][u] * c[l][u] +
-                          tape->ig[l][t][u] * tape->gg[l][t][u];
-                tape->c[l][t][u] = c[l][u];
-                tape->tanh_c[l][t][u] = std::tanh(c[l][u]);
-                h[l][u] = tape->og[l][t][u] * tape->tanh_c[l][t][u];
-                tape->h[l][t][u] = h[l][u];
-            }
-            x = h[l].data();
-            xin = H;
-        }
-    }
-
-    std::vector<float> logits(cfg.output, 0.0f);
-    const std::vector<float> &top = h[L - 1];
-    for (std::uint32_t o = 0; o < cfg.output; ++o) {
-        const float *w = net.headW().row(o);
-        float acc = net.headB()[o];
-        for (std::uint32_t i = 0; i < H; ++i)
-            acc += w[i] * top[i];
-        logits[o] = acc;
-    }
-    return logits;
-}
-
 /**
- * Backward pass for one sample; accumulates into the gradient buffers.
+ * Forward and backward pass for one sample, with @p tape as the
+ * forward pass's record; accumulates into the gradient buffers.
  * @return the sample's cross-entropy loss
  */
 double
 backwardOne(const Lstm &net, const LstmSample &sample,
             std::vector<LayerGrads> *grads, Matrix *dhead_w,
-            std::vector<float> *dhead_b)
+            std::vector<float> *dhead_b, LstmTape &tape)
 {
     const LstmConfig &cfg = net.config();
     std::uint32_t H = cfg.hidden;
     std::uint32_t L = cfg.layers;
     std::uint32_t T = cfg.seq_len;
 
-    Tape tape;
-    std::vector<float> logits = forwardTaped(net, sample.seq, &tape);
+    std::vector<float> logits = net.forward(sample.seq, &tape);
 
     // Softmax cross-entropy gradient on the head.
     float mx = *std::max_element(logits.begin(), logits.end());
@@ -152,7 +65,7 @@ backwardOne(const Lstm &net, const LstmSample &sample,
                                             std::vector<float>(H, 0.0f));
 
     // Head gradients (into the top layer's last hidden state).
-    const std::vector<float> &top = tape.h[L - 1][T - 1];
+    const float *top = &tape.h[tape.at(L - 1, T - 1)];
     for (std::uint32_t o = 0; o < cfg.output; ++o) {
         (*dhead_b)[o] += dlogits[o];
         for (std::uint32_t i = 0; i < H; ++i) {
@@ -173,21 +86,22 @@ backwardOne(const Lstm &net, const LstmSample &sample,
             const float *x_in =
                 l == 0 ? sample.seq.data() +
                              static_cast<std::size_t>(ti) * cfg.input
-                       : tape.h[l - 1][ti].data();
+                       : &tape.h[tape.at(l - 1, ti)];
 
             // Total dh at (l, ti): recurrent carrier + upper layer's dx.
             for (std::uint32_t u = 0; u < H; ++u)
                 dh_next[l][u] += dx_upper[u];
             std::fill(dx_upper.begin(), dx_upper.end(), 0.0f);
 
+            std::size_t at = tape.at(l, ti);
+            std::size_t prev = ti > 0 ? tape.at(l, ti - 1) : 0;
             for (std::uint32_t u = 0; u < H; ++u) {
-                float i_g = tape.ig[l][ti][u];
-                float f_g = tape.fg[l][ti][u];
-                float g_g = tape.gg[l][ti][u];
-                float o_g = tape.og[l][ti][u];
-                float tc = tape.tanh_c[l][ti][u];
-                float c_prev =
-                    ti > 0 ? tape.c[l][ti - 1][u] : 0.0f;
+                float i_g = tape.ig[at + u];
+                float f_g = tape.fg[at + u];
+                float g_g = tape.gg[at + u];
+                float o_g = tape.og[at + u];
+                float tc = tape.tanh_c[at + u];
+                float c_prev = ti > 0 ? tape.c[prev + u] : 0.0f;
 
                 float dh = dh_next[l][u];
                 float dc = dc_next[l][u] + dh * o_g * (1.0f - tc * tc);
@@ -209,8 +123,7 @@ backwardOne(const Lstm &net, const LstmSample &sample,
             LayerGrads &lg = (*grads)[l];
             const Matrix &wx = net.wx()[l];
             const Matrix &wh = net.wh()[l];
-            const std::vector<float> *h_prev =
-                ti > 0 ? &tape.h[l][ti - 1] : nullptr;
+            const float *h_prev = ti > 0 ? &tape.h[prev] : nullptr;
 
             for (std::uint32_t g = 0; g < 4 * H; ++g) {
                 float d = dz[g];
@@ -223,7 +136,7 @@ backwardOne(const Lstm &net, const LstmSample &sample,
                 if (h_prev) {
                     float *dwh_row = lg.dwh.row(g);
                     for (std::uint32_t i = 0; i < H; ++i)
-                        dwh_row[i] += d * (*h_prev)[i];
+                        dwh_row[i] += d * h_prev[i];
                 }
                 // Propagate to the layer input and recurrent state.
                 const float *wx_row = wx.row(g);
@@ -252,82 +165,70 @@ trainLstm(Lstm &net, const std::vector<LstmSample> &data,
     std::uint32_t L = cfg.layers;
 
     std::vector<std::size_t> order(data.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
+    std::iota(order.begin(), order.end(), 0);
+    LstmTape tape;
+    auto step = [&](std::span<const std::size_t> samples, float lr,
+                    double &epoch_loss) {
+        std::size_t n = samples.size();
+        std::vector<LayerGrads> grads;
+        for (std::uint32_t l = 0; l < L; ++l) {
+            std::uint32_t xin = l == 0 ? cfg.input : H;
+            grads.push_back(LayerGrads{
+                Matrix(4 * H, xin), Matrix(4 * H, H),
+                std::vector<float>(4 * H, 0.0f)});
+        }
+        Matrix dhead_w(cfg.output, H);
+        std::vector<float> dhead_b(cfg.output, 0.0f);
 
-    float lr = config.lr;
-    double last_epoch_loss = 0.0;
-
-    for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
-        std::shuffle(order.begin(), order.end(), rng.engine());
-        double epoch_loss = 0.0;
-
-        for (std::size_t start = 0; start < order.size();
-             start += config.batch) {
-            std::size_t n =
-                std::min(config.batch, order.size() - start);
-
-            std::vector<LayerGrads> grads;
-            for (std::uint32_t l = 0; l < L; ++l) {
-                std::uint32_t xin = l == 0 ? cfg.input : H;
-                grads.push_back(LayerGrads{
-                    Matrix(4 * H, xin), Matrix(4 * H, H),
-                    std::vector<float>(4 * H, 0.0f)});
-            }
-            Matrix dhead_w(cfg.output, H);
-            std::vector<float> dhead_b(cfg.output, 0.0f);
-
-            for (std::size_t i = 0; i < n; ++i) {
-                epoch_loss += backwardOne(net, data[order[start + i]],
-                                          &grads, &dhead_w, &dhead_b);
-            }
-
-            // Global-norm clip, then SGD.
-            double norm2 = 0.0;
-            for (const LayerGrads &lg : grads) {
-                for (std::size_t i = 0; i < lg.dwx.size(); ++i)
-                    norm2 += lg.dwx.data()[i] * lg.dwx.data()[i];
-                for (std::size_t i = 0; i < lg.dwh.size(); ++i)
-                    norm2 += lg.dwh.data()[i] * lg.dwh.data()[i];
-                for (float v : lg.db)
-                    norm2 += v * v;
-            }
-            for (std::size_t i = 0; i < dhead_w.size(); ++i)
-                norm2 += dhead_w.data()[i] * dhead_w.data()[i];
-            for (float v : dhead_b)
-                norm2 += v * v;
-
-            float scale = lr / static_cast<float>(n);
-            if (config.clip > 0.0f) {
-                double norm =
-                    std::sqrt(norm2) / static_cast<double>(n);
-                if (norm > config.clip)
-                    scale *= config.clip / static_cast<float>(norm);
-            }
-
-            for (std::uint32_t l = 0; l < L; ++l) {
-                Matrix &wx = net.mutableWx(l);
-                Matrix &wh = net.mutableWh(l);
-                std::vector<float> &b = net.mutableBias(l);
-                for (std::size_t i = 0; i < wx.size(); ++i)
-                    wx.data()[i] -= scale * grads[l].dwx.data()[i];
-                for (std::size_t i = 0; i < wh.size(); ++i)
-                    wh.data()[i] -= scale * grads[l].dwh.data()[i];
-                for (std::size_t i = 0; i < b.size(); ++i)
-                    b[i] -= scale * grads[l].db[i];
-            }
-            Matrix &hw = net.mutableHeadW();
-            std::vector<float> &hb = net.mutableHeadB();
-            for (std::size_t i = 0; i < hw.size(); ++i)
-                hw.data()[i] -= scale * dhead_w.data()[i];
-            for (std::size_t i = 0; i < hb.size(); ++i)
-                hb[i] -= scale * dhead_b[i];
+        for (std::size_t i : samples) {
+            epoch_loss += backwardOne(net, data[i], &grads, &dhead_w,
+                                      &dhead_b, tape);
         }
 
-        last_epoch_loss = epoch_loss / static_cast<double>(data.size());
-        lr *= config.lr_decay;
-    }
-    return last_epoch_loss;
+        // Global-norm clip, then SGD.
+        double norm2 = 0.0;
+        for (const LayerGrads &lg : grads) {
+            for (std::size_t i = 0; i < lg.dwx.size(); ++i)
+                norm2 += lg.dwx.data()[i] * lg.dwx.data()[i];
+            for (std::size_t i = 0; i < lg.dwh.size(); ++i)
+                norm2 += lg.dwh.data()[i] * lg.dwh.data()[i];
+            for (float v : lg.db)
+                norm2 += v * v;
+        }
+        for (std::size_t i = 0; i < dhead_w.size(); ++i)
+            norm2 += dhead_w.data()[i] * dhead_w.data()[i];
+        for (float v : dhead_b)
+            norm2 += v * v;
+
+        float scale = lr / static_cast<float>(n);
+        if (config.clip > 0.0f) {
+            double norm = std::sqrt(norm2) / static_cast<double>(n);
+            if (norm > config.clip)
+                scale *= config.clip / static_cast<float>(norm);
+        }
+
+        for (std::uint32_t l = 0; l < L; ++l) {
+            Matrix &wx = net.mutableWx(l);
+            Matrix &wh = net.mutableWh(l);
+            std::vector<float> &b = net.mutableBias(l);
+            for (std::size_t i = 0; i < wx.size(); ++i)
+                wx.data()[i] -= scale * grads[l].dwx.data()[i];
+            for (std::size_t i = 0; i < wh.size(); ++i)
+                wh.data()[i] -= scale * grads[l].dwh.data()[i];
+            for (std::size_t i = 0; i < b.size(); ++i)
+                b[i] -= scale * grads[l].db[i];
+        }
+        Matrix &hw = net.mutableHeadW();
+        std::vector<float> &hb = net.mutableHeadB();
+        for (std::size_t i = 0; i < hw.size(); ++i)
+            hw.data()[i] -= scale * dhead_w.data()[i];
+        for (std::size_t i = 0; i < hb.size(); ++i)
+            hb[i] -= scale * dhead_b[i];
+    };
+    double last_epoch_loss = sgdEpochs(std::move(order), config.batch,
+                                       config.epochs, config.lr,
+                                       config.lr_decay, rng, step);
+    return last_epoch_loss / static_cast<double>(data.size());
 }
 
 double

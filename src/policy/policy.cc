@@ -35,6 +35,18 @@ engineName(Engine e)
     return e == Engine::Cpu ? "CPU" : "GPU";
 }
 
+std::size_t
+crossover(std::span<const std::size_t> grid,
+          const std::function<EngineCosts(std::size_t)> &cost)
+{
+    for (std::size_t point : grid) {
+        EngineCosts c = cost(point);
+        if (c.gpu < c.cpu)
+            return point;
+    }
+    return 0;
+}
+
 BatchThresholdPolicy::BatchThresholdPolicy(std::size_t batch_threshold)
     : batch_threshold_(batch_threshold)
 {

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -104,6 +105,24 @@ class BatchThresholdPolicy final : public ExecPolicy
   private:
     std::size_t batch_threshold_;
 };
+
+/** One grid point's virtual cost on each engine, in one unit. */
+struct EngineCosts
+{
+    double cpu = 0.0;
+    double gpu = 0.0;
+};
+
+/**
+ * The profitability crossover (Table 3): visits @p grid in order,
+ * calls @p cost exactly once per visited point, and returns the first
+ * point whose GPU cost is strictly below its CPU cost (a tie does not
+ * pay), or 0 when no point is profitable. One callable returns both
+ * costs so the caller fixes the order of the two measurements: both
+ * usually advance one clock and draw inputs from one Rng.
+ */
+std::size_t crossover(std::span<const std::size_t> grid,
+                      const std::function<EngineCosts(std::size_t)> &cost);
 
 /**
  * Degradation guard: wraps any policy and forces CPU execution while

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "base/logging.h"
+#include "ml/sgd.h"
 
 namespace lake::sched {
 
@@ -156,26 +159,13 @@ trainMllbModel(const std::vector<MiniScheduler::Candidate> &data,
     LAKE_ASSERT(!data.empty(), "empty MLLB dataset");
     ml::Mlp net(ml::MlpConfig::mllb(), rng);
 
-    constexpr std::size_t kBatch = 32;
     std::vector<std::size_t> order(data.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-
-    for (std::size_t e = 0; e < epochs; ++e) {
-        std::shuffle(order.begin(), order.end(), rng.engine());
-        for (std::size_t start = 0; start < order.size();
-             start += kBatch) {
-            std::size_t n = std::min(kBatch, order.size() - start);
-            ml::Matrix x(n, kMllbFeatures);
-            std::vector<int> y(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const auto &s = data[order[start + i]];
-                std::copy(s.x.begin(), s.x.end(), x.row(i));
-                y[i] = s.migrate;
-            }
-            net.trainStep(x, y, lr);
-        }
-    }
+    std::iota(order.begin(), order.end(), 0);
+    ml::trainMlp(net, std::move(order), 32, epochs, lr, 1.0f, rng,
+                 [&](std::size_t i, float *row) {
+                     std::copy(data[i].x.begin(), data[i].x.end(), row);
+                     return data[i].migrate;
+                 });
     return net;
 }
 

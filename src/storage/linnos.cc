@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <utility>
 
 #include "base/logging.h"
 #include "base/stats.h"
+#include "ml/sgd.h"
 #include "sim/simulator.h"
 
 namespace lake::storage {
@@ -171,29 +173,15 @@ trainLinnosModel(const LinnosDataset &data, std::size_t extra_layers,
             order.push_back(slow_idx[i % slow_idx.size()]);
     }
 
-    constexpr std::size_t kBatch = 64;
-
     // Halve the step size each epoch: the class boundary sits in a
     // noisy region and a constant rate keeps the classifier swinging
     // between the two classes instead of settling.
-    float epoch_lr = lr;
-    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-        std::shuffle(order.begin(), order.end(), rng.engine());
-        for (std::size_t start = 0; start < order.size();
-             start += kBatch) {
-            std::size_t n =
-                std::min(kBatch, order.size() - start);
-            ml::Matrix x(n, kLinnosFeatures);
-            std::vector<int> y(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                const LinnosSample &s = data.samples[order[start + i]];
-                std::copy(s.x.begin(), s.x.end(), x.row(i));
-                y[i] = s.slow;
-            }
-            net.trainStep(x, y, epoch_lr);
-        }
-        epoch_lr *= 0.5f;
-    }
+    ml::trainMlp(net, std::move(order), 64, epochs, lr, 0.5f, rng,
+                 [&](std::size_t i, float *row) {
+                     const LinnosSample &s = data.samples[i];
+                     std::copy(s.x.begin(), s.x.end(), row);
+                     return s.slow;
+                 });
     return net;
 }
 

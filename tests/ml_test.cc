@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "base/thread_pool.h"
 #include "ml/compute.h"
@@ -488,7 +489,7 @@ TEST(LstmTest, HandComputedSingleStep)
     double o = 1.0 / (1.0 + std::exp(-0.5));
     double h = o * std::tanh(c);
 
-    std::vector<float> out = net.forward({1.0f});
+    std::vector<float> out = net.forward(std::vector<float>{1.0f});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_NEAR(out[0], h, 1e-5);
 }
@@ -518,7 +519,7 @@ TEST(LstmTest, ForgettingGateCarriesState)
     b[3] = 100.0f;  // o ~= 1
     // Zero state forever: output = tanh(0) = 0 regardless of input.
     const_cast<Matrix &>(net.headW()).at(0, 0) = 1.0f;
-    std::vector<float> out = net.forward({5, 5, 5, 5, 5});
+    std::vector<float> out = net.forward(std::vector<float>(5, 5.0f));
     EXPECT_NEAR(out[0], 0.0, 1e-5);
 }
 
@@ -573,8 +574,8 @@ TEST(LstmTest, BatchMatchesSingles)
 
     std::vector<float> batch = {0.1f, 0.2f, 0.3f, 0.9f, 0.8f, 0.7f};
     auto labels = net.classifyBatch(batch, 2);
-    EXPECT_EQ(labels[0], net.classify({0.1f, 0.2f, 0.3f}));
-    EXPECT_EQ(labels[1], net.classify({0.9f, 0.8f, 0.7f}));
+    EXPECT_EQ(labels[0], net.classify(std::span(batch).first(3)));
+    EXPECT_EQ(labels[1], net.classify(std::span(batch).last(3)));
 }
 
 // ---- kNN ------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "policy/bpf.h"
 #include "policy/mlgate.h"
 #include "policy/policy.h"
@@ -29,6 +31,41 @@ TEST(PolicyTest, BatchThreshold)
     EXPECT_EQ(p.decide(in), Engine::Gpu);
     in.batch_size = 9;
     EXPECT_EQ(p.decide(in), Engine::Gpu);
+}
+
+TEST(CrossoverTest, TieIsNotProfitable)
+{
+    const std::size_t grid[] = {1, 2, 4};
+    EXPECT_EQ(crossover(grid,
+                        [](std::size_t b) {
+                            return EngineCosts{10.0, b < 4 ? 10.0 : 9.0};
+                        }),
+              4u);
+}
+
+TEST(CrossoverTest, ZeroWhenNoPointPays)
+{
+    const std::size_t grid[] = {1, 2, 4, 8};
+    EXPECT_EQ(crossover(grid,
+                        [](std::size_t b) {
+                            return EngineCosts{1.0, 2.0 * b};
+                        }),
+              0u);
+    EXPECT_EQ(crossover({}, [](std::size_t) { return EngineCosts{}; }), 0u);
+}
+
+TEST(CrossoverTest, VisitsInOrderOncePerPointAndStopsAtFirstWin)
+{
+    // GPU wins at 16 and again at 64: only the first win counts, and
+    // nothing past it is measured.
+    const std::size_t grid[] = {2, 8, 16, 32, 64};
+    std::vector<std::size_t> visited;
+    std::size_t got = crossover(grid, [&](std::size_t b) {
+        visited.push_back(b);
+        return EngineCosts{20.0, b == 16 || b == 64 ? 1.0 : 30.0};
+    });
+    EXPECT_EQ(got, 16u);
+    EXPECT_EQ(visited, (std::vector<std::size_t>{2, 8, 16}));
 }
 
 TEST(ContentionPolicyTest, FallsBackUnderContention)

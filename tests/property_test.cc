@@ -1,16 +1,20 @@
-// Cross-cutting property tests: determinism of the whole simulator,
-// wire-format round-trip under random operation sequences, channel
-// byte conservation, verifier soundness on randomly generated
-// programs, and GCM round-trips with random AAD.
+// Cross-cutting property tests: determinism of the whole simulator and
+// of every MLP trainer, wire-format round-trip under random operation
+// sequences, channel byte conservation, verifier soundness on randomly
+// generated programs, and GCM round-trips with random AAD.
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "channel/channel.h"
 #include "crypto/gcm.h"
+#include "fs/prefetch.h"
 #include "policy/bpf.h"
 #include "remote/wire.h"
+#include "sched/mllb.h"
 #include "storage/e2e.h"
 #include "storage/linnos.h"
 
@@ -47,13 +51,29 @@ TEST(DeterminismTest, E2eRunsAreReproducible)
 
 TEST(DeterminismTest, TrainingIsReproducible)
 {
-    Rng r1(5), r2(5);
-    storage::LinnosDataset data = storage::collectLinnosData(
+    // The three MLP trainers share one minibatch SGD loop; each must be
+    // a pure function of its data and seed.
+    storage::LinnosDataset linnos = storage::collectLinnosData(
         storage::TraceSpec::bingI(), storage::NvmeSpec::samsung980Pro(),
         200_ms, 0.85, 3);
-    ml::Mlp a = storage::trainLinnosModel(data, 0, 2, 0.05f, r1);
-    ml::Mlp b = storage::trainLinnosModel(data, 0, 2, 0.05f, r2);
-    EXPECT_EQ(a.serialize(), b.serialize());
+    Rng data_rng(9);
+    auto mllb = sched::buildMllbDataset(600, 8, 4.0, data_rng);
+    auto kml = fs::buildPrefetchDataset(40, 256, data_rng);
+    const std::pair<const char *, std::function<ml::Mlp(Rng &)>>
+        trainers[] = {
+            {"linnos",
+             [&](Rng &r) {
+                 return storage::trainLinnosModel(linnos, 0, 2, 0.05f, r);
+             }},
+            {"mllb",
+             [&](Rng &r) { return sched::trainMllbModel(mllb, 2, 0.05f, r); }},
+            {"kml",
+             [&](Rng &r) { return fs::trainPrefetchModel(kml, 2, 0.05f, r); }},
+        };
+    for (const auto &[name, train] : trainers) {
+        Rng r1(5), r2(5);
+        EXPECT_EQ(train(r1).serialize(), train(r2).serialize()) << name;
+    }
 }
 
 class WireFuzzTest : public ::testing::TestWithParam<std::uint64_t>

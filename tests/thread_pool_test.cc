@@ -62,14 +62,16 @@ TEST(ThreadPoolTest, ChunkBoundariesArePureFunctionOfRangeAndGrain)
         std::size_t g = grain ? grain : 1;
         for (std::size_t c = 0; c < a.size(); ++c) {
             EXPECT_EQ(a[c].first, expect_b);
-            if (c + 1 < a.size())
+            if (c + 1 < a.size()) {
                 EXPECT_EQ(a[c].second - a[c].first, g);
+            }
             expect_b = a[c].second;
         }
-        if (begin < end)
+        if (begin < end) {
             EXPECT_EQ(expect_b, end);
-        else
+        } else {
             EXPECT_TRUE(a.empty());
+        }
     }
 }
 
